@@ -540,28 +540,28 @@ def run_pipeline(res) -> dict:
         "stages": {},
         "timings": {},
     }
-    t0 = time.time()
+    t0 = time.perf_counter()
     adm = run_admissibility(res)
-    report["timings"]["admissibility"] = time.time() - t0
+    report["timings"]["admissibility"] = time.perf_counter() - t0
     report["stages"]["admissibility"] = adm
     if adm["status"] != "pass":
         report["status"] = "admissibility_failed"
         report["exit_code"] = EXIT_ADMISSIBILITY
         return _to_builtin(report)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     dich = run_dichotomy(res)
-    report["timings"]["dichotomy"] = time.time() - t0
+    report["timings"]["dichotomy"] = time.perf_counter() - t0
     report["stages"]["dichotomy"] = dich
     if dich["status"] != "pass":
         report["status"] = "certificate_failed"
         report["exit_code"] = EXIT_CERTIFICATE
         return _to_builtin(report)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     conj = run_conjugacy(res)
     conj.pop("_result", None)
-    report["timings"]["conjugacy"] = time.time() - t0
+    report["timings"]["conjugacy"] = time.perf_counter() - t0
     report["stages"]["conjugacy"] = conj
     if conj["status"] in ("not_contracting", "truncation_unreachable", "no_convergence"):
         report["status"] = "solver_failed"

@@ -29,17 +29,17 @@ import numpy as np
 from .admissibility import ParamSet, full_report
 from .dde_core import solve_perturbed_R
 from .dichotomy import (
+    DEFAULT_SCAN,
     DichotomyModel,
     derived_constant_D,
     p0_kernel,
     q0_kernel,
     unstable_shape,
 )
-from .errors import NotContracting, TimeOrder, TruncationUnreachable
+from .errors import NonFiniteState, NotContracting, TimeOrder, TruncationUnreachable
 from .growth_rate import mu_weight, ratio_bound_N
 from .phase_space import Segment, sup_norm
 
-DEFAULT_SCAN = np.linspace(-50.0, 50.0, 20001)
 _GL_CACHE: dict = {}
 
 
@@ -120,8 +120,10 @@ class EtaField:
         tg, bg = self.t_grid, self.b_grid
         xt = (np.asarray(tq, dtype=float) - tg[0]) / (tg[1] - tg[0])
         xb = (np.asarray(bq, dtype=float) - bg[0]) / (bg[1] - bg[0])
-        clamped = int(np.sum((xt < 0) | (xt > len(tg) - 1))) + int(np.sum((xb < 0) | (xb > len(bg) - 1)))
-        total = max(np.size(xt), np.size(xb))
+        # a query is clamped when either axis clamps, counted over the
+        # broadcast query shape, so clamped / total lies in [0, 1]
+        outside = (xt < 0) | (xt > len(tg) - 1) | (xb < 0) | (xb > len(bg) - 1)
+        clamped, total = int(np.count_nonzero(outside)), outside.size
         it = np.clip(np.floor(xt).astype(int), 0, len(tg) - 2)
         ib = np.clip(np.floor(xb).astype(int), 0, len(bg) - 2)
         wt = np.clip(xt - it, 0.0, 1.0)
@@ -382,10 +384,9 @@ def _row_sweep(
 
     read_lags = [(coord, lag, eta.lag_index(lag)) for coord, lag in pert.reads]
     k = len(read_lags)
-    tables = np.stack(
-        [eta.values[:, :, c, j] for c, _, j in read_lags] + [eta.dvalues[:, :, c, j] for c, _, j in read_lags],
-        axis=-1,
-    )  # (nt, nb, 2k)
+    cs = [c for c, _, _ in read_lags]
+    js = [j for _, _, j in read_lags]
+    tables = np.concatenate([eta.values[:, :, cs, js], eta.dvalues[:, :, cs, js]], axis=-1)  # (nt, nb, 2k)
 
     for taus, w, kern_fn, sign in ((taus_s, w_s, p0_kernel, 1.0), (taus_u, w_u, q0_kernel, -1.0)):
         if taus.size == 0:
@@ -699,6 +700,101 @@ def conjugacy_residual(
     return ResidualSample(t=float(t), s=float(s), b=float(b), raw=float(raw), weighted=float(weighted))
 
 
+def _corrected_segments(eta: EtaField, model: DichotomyModel, t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Segments b u(t) + eta(t, b) of the corrected linear flow, shape (S, m+1, n)."""
+    m = eta.m
+    stacked = eta.values.reshape(eta.values.shape[0], eta.values.shape[1], -1)
+    flat, _, _ = eta.interp_tables(stacked, t, b)
+    segs = flat.reshape(len(t), eta.n, m + 1).transpose(0, 2, 1).copy()
+    rho = _rho_u(model, t[:, None] + np.linspace(-model.r, 0.0, m + 1))
+    segs[:, :, model.unstable_indices[0]] += b[:, None] * np.exp(rho - rho[:, -1:])
+    return segs
+
+
+def lattice_residuals(eta: EtaField, model: DichotomyModel, pert, s, k, b) -> list:
+    """Residuals at t = s + k h, h = r/m, with all samples integrated together.
+
+    Every sample starts on its own segment, but in time relative to its own
+    s all of them share the step lattice, and the perturbation's read lags
+    sit on it too.  So one array X[sample, m + node, n] holds every history
+    and state, node 0 being time s, and one RK4 method-of-steps pass (the
+    arithmetic of dde_core's scalar integrator, vectorized across initial
+    data) advances every sample whose own k is not yet reached: a stage-1
+    read is a node, a half-step read the mean of two neighbouring nodes, a
+    closing-stage read the next node, and a lag-0 read the stage state.
+    The linear part is the diagonal flow's coefficient rho_i'.  Samples are
+    processed in order of decreasing k, so the live ones form a prefix and
+    none is integrated (or checked for blow-up) past its own t.
+    conjugacy_residual stays the scalar path for single, off-lattice
+    triples and the reference this one is tested against.
+    """
+    if not (hasattr(pert, "reads") and hasattr(pert, "batch_g")):
+        raise TypeError(
+            f"batched residuals need a point-read perturbation (reads and batch_g); "
+            f"{type(pert).__name__} has no such interface, use conjugacy_residual per triple"
+        )
+    s = np.asarray(s, dtype=float)
+    k = np.asarray(k, dtype=int)
+    b = np.asarray(b, dtype=float)
+    if s.size == 0:
+        return []
+    if np.any(k < 0):
+        raise TimeOrder("lattice offsets k must be non-negative")
+    m, n = eta.m, model.n
+    h = model.r / m
+    t = s + h * k
+    rho_t, rho_s = _rho_u(model, t), _rho_u(model, s)
+    lhs = _corrected_segments(eta, model, t, b * np.exp(rho_t - rho_s))
+
+    order = np.argsort(-k, kind="stable")
+    ks, so, bo = k[order], s[order], b[order]
+    K = int(ks[0])
+    X = np.zeros((len(ks), m + 1 + K, n))
+    X[:, : m + 1] = _corrected_segments(eta, model, so, bo)
+    times = so[:, None] + h * np.arange(K + 1)
+    cs = np.array([c for c, _ in pert.reads], dtype=int)
+    js = np.array([eta.lag_index(lag) for _, lag in pert.reads], dtype=int)
+    now = js == m  # reads of x(t) itself come from the stage state
+    coords = model.coords
+
+    def rhs(tt, y, reads):
+        # overwrites only the lag-0 columns, so callers may share `reads`
+        reads[:, now] = y[:, cs[now]]
+        lin = np.stack([np.asarray(c.coeff(tt), dtype=float) for c in coords], axis=-1)
+        return lin * y + pert.batch_g(tt, reads[:, None, :])[:, 0, :]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(K):
+            a = int(np.count_nonzero(ks > j))
+            y = X[:a, m + j]
+            tj = times[:a, j]
+            hj = times[:a, j + 1] - tj
+            hc = hj[:, None]
+            at_node = X[:a, j + js, cs]
+            next_node = X[:a, j + js + 1, cs]
+            mid = 0.5 * (at_node + next_node)
+            k1 = rhs(tj, y, at_node)
+            k2 = rhs(tj + hj / 2.0, y + hc / 2.0 * k1, mid)
+            k3 = rhs(tj + hj / 2.0, y + hc / 2.0 * k2, mid)
+            k4 = rhs(tj + hj, y + hc * k3, next_node)
+            X[:a, m + j + 1] = y + hc / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            blown = ~np.all(np.isfinite(X[:a, m + j + 1]), axis=1)
+            if blown.any():
+                i = int(np.argmax(blown))
+                raise NonFiniteState(
+                    f"state blew up at t = {times[i, j + 1]} (sample from s = {so[i]}, b = {bo[i]})"
+                )
+
+    closing = np.empty_like(lhs)
+    closing[order] = X[np.arange(len(ks))[:, None], ks[:, None] + np.arange(m + 1)]
+    raw = np.max(np.abs(lhs - closing), axis=(1, 2))
+    weighted = raw * np.asarray(mu_weight(model.mu, t, eta.xi + eta.eps), dtype=float)
+    return [
+        ResidualSample(t=float(ti), s=float(si), b=float(bi), raw=float(ri), weighted=float(wi))
+        for ti, si, bi, ri, wi in zip(t, s, b, raw, weighted)
+    ]
+
+
 def verify_residuals(
     eta: EtaField,
     model: DichotomyModel,
@@ -709,25 +805,26 @@ def verify_residuals(
     core: tuple[float, float] = (-2.0, 2.0),
     b_scale: float = 2.0,
     seed: int = 0,
-    step: Optional[float] = None,
 ) -> list:
     """Residuals on random (t, s, b) triples with 0 <= t - s <= horizon.
 
-    The time offset is drawn from the integration step lattice so the
-    nonlinear evolution reads its history splice at exact sample points;
+    The time offset is drawn from the integration step lattice h = r/m so
+    the nonlinear evolution reads its history splice at exact sample points;
     this isolates the conjugacy mismatch from the segment-resampling error
-    of off-lattice reads.  s and b remain continuous draws.
+    of off-lattice reads.  s and b remain continuous draws.  The samples are
+    integrated together on their shared step lattice (lattice_residuals);
+    conjugacy_residual remains the single-triple scalar path.  The
+    perturbation must be a point-read one, which Perturbation.zero is.
     """
     rng = np.random.default_rng(seed)
-    h = step if step is not None else model.r / eta.m
+    h = model.r / eta.m
     max_k = max(int(np.floor(horizon / h + 1e-9)), 0)
-    rows = []
-    for _ in range(n_samples):
-        s = float(rng.uniform(*core))
-        t = s + h * int(rng.integers(0, max_k + 1))
-        b = float(rng.uniform(-b_scale, b_scale))
-        rows.append(conjugacy_residual(eta, model, pert, t, s, b, step=step))
-    return rows
+    s, k, b = np.empty(n_samples), np.empty(n_samples, dtype=int), np.empty(n_samples)
+    for i in range(n_samples):
+        s[i] = rng.uniform(*core)
+        k[i] = rng.integers(0, max_k + 1)
+        b[i] = rng.uniform(-b_scale, b_scale)
+    return lattice_residuals(eta, model, pert, s, k, b)
 
 
 def invertibility_check(result: ConjugacyResult, model: DichotomyModel, *, fd_rel_tol: float = 1e-3) -> dict:

@@ -80,13 +80,20 @@ class Perturbation:
     params: PerturbationParams
     label: str = ""
 
-    @classmethod
-    def zero(cls, n: int) -> "Perturbation":
-        zero_vec = np.zeros(n)
-        return cls(
-            g=lambda t, seg: zero_vec,
-            d2g=lambda t, seg: (lambda chi: zero_vec),
+    @staticmethod
+    def zero(n: int) -> "PointReadPerturbation":
+        """g = 0, as a point-read perturbation with no reads.
+
+        It carries the batch interface, so the batched residual check and
+        the row sweep take it like any other point-read perturbation.
+        """
+        return PointReadPerturbation(
+            reads=(),
+            weight=lambda ts: np.ones(np.shape(ts)),
+            value_map=lambda W: np.zeros(np.shape(W)[:-1] + (n,)),
+            jac_map=lambda W: np.zeros(np.shape(W)[:-1] + (n, 0)),
             params=PerturbationParams(0.0, 1.0, 0.0, 0.0, 0.0),
+            n=n,
             label="zero",
         )
 

@@ -32,7 +32,7 @@ class FlowCoordinate:
 
     role: str  # "stable" or "unstable"
     log_flow: Callable[[np.ndarray], np.ndarray]  # rho, vectorized
-    coeff: Callable[[float], float]  # rho', the system coefficient
+    coeff: Callable[[np.ndarray], np.ndarray]  # rho', the system coefficient, vectorized
 
     def __post_init__(self):
         if self.role not in ("stable", "unstable"):
@@ -216,8 +216,8 @@ def _power_coordinate(mu: GrowthRate, power: float) -> FlowCoordinate:
     def log_flow(ts):
         return power * np.log(np.asarray(mu.eval(ts), dtype=float))
 
-    def coeff(t):
-        return power * float(mu.deriv(t)) / float(mu.eval(t))
+    def coeff(ts):
+        return power * np.asarray(mu.deriv(ts), dtype=float) / np.asarray(mu.eval(ts), dtype=float)
 
     return FlowCoordinate(role="stable" if power < 0 else "unstable", log_flow=log_flow, coeff=coeff)
 

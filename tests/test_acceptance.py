@@ -37,14 +37,14 @@ def report(num: int, ok: bool, details: str) -> None:
 
 def test_criterion_1_growth_rate_constants():
     grid = np.linspace(-50.0, 50.0, 20001)
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for g in builtin_catalogue():
         for r in (0.5, 1.0, 2.0):
             pts = np.concatenate([grid, [-r / 2.0, -r, 0.0]])
             sup = float(np.max(g.eval(pts + r) / g.eval(pts)))
             worst = max(worst, abs(sup - g.closed_form_N(r)))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 1.0
     report(1, ok, f"max |sup - closed form| = {worst:.2e}, runtime {elapsed:.2f}s")
     assert worst <= 1e-6
@@ -52,7 +52,7 @@ def test_criterion_1_growth_rate_constants():
 
 
 def test_criterion_2_reference_parameter_set():
-    t0 = time.time()
+    t0 = time.perf_counter()
     p = ParamSet(
         alpha=0.8, beta=0.6, theta=0.4, nu=0.2, eps=0.1, a=1.0, gamma=0.5, xi=0.6,
         delta=1e-3, lam=1e-6, q=1.0, K=1.0, K_tilde=1.0, N=float(np.e), D=1.0,
@@ -68,7 +68,7 @@ def test_criterion_2_reference_parameter_set():
             got = lambda_ceiling(p.with_(D=D, K_tilde=Kt))
             want = 0.018 * p.q**2 / (D * (0.09 * D + 0.48 * Kt) * (1 + p.q) ** 3)
             lam_ok = lam_ok and abs(got - want) < 1e-15
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = core_ok and window_ok and coeff_ok and lam_ok and elapsed < 0.1
     report(
         2,
@@ -80,7 +80,7 @@ def test_criterion_2_reference_parameter_set():
 
 
 def test_criterion_3_dichotomy_certificates():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     details = []
     for mu in builtin_catalogue():
@@ -91,7 +91,7 @@ def test_criterion_3_dichotomy_certificates():
             worst = max(worst, w)
             details.append(f"{model.label}:{w:.3f}")
             assert cert.passed, f"{model.label} failed: {[c.to_dict() for c in cert.checks if not c.passed]}"
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = worst <= 1.05 and elapsed < 30.0
     report(3, ok, f"worst ratio {worst:.3f} over {', '.join(details)}, runtime {elapsed:.1f}s")
     assert worst <= 1.05

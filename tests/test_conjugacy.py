@@ -12,6 +12,7 @@ from mu_lab.conjugacy import (
     conjugacy_residual,
     dF_db_apply,
     invertibility_check,
+    lattice_residuals,
     picard_solve,
     propagation_gain,
     verify_residuals,
@@ -19,16 +20,40 @@ from mu_lab.conjugacy import (
 from mu_lab.dde_core import (
     Perturbation,
     PerturbationParams,
+    PointReadPerturbation,
     linear_cross_perturbation,
     saturating_cross_perturbation,
 )
-from mu_lab.errors import NotContracting, TimeOrder, TruncationUnreachable
+from mu_lab.errors import NonFiniteState, NotContracting, TimeOrder, TruncationUnreachable
 from mu_lab.phase_space import Segment, mu_norm, sup_norm
 
 
 def zero_field(flagship, grid=DEFAULT_GRID):
     p = flagship["params"]
     return EtaField.zero(grid, 2, R, flagship["mu"], p.xi, p.eps)
+
+
+def scalar_residuals(eta, model, pert, *, n_samples, horizon, core, b_scale, seed):
+    """Oracle: verify_residuals' draws, one scalar conjugacy_residual each."""
+    rng = np.random.default_rng(seed)
+    h = model.r / eta.m
+    max_k = max(int(np.floor(horizon / h + 1e-9)), 0)
+    rows = []
+    for _ in range(n_samples):
+        s = float(rng.uniform(*core))
+        t = s + h * int(rng.integers(0, max_k + 1))
+        b = float(rng.uniform(-b_scale, b_scale))
+        rows.append(conjugacy_residual(eta, model, pert, t, s, b))
+    return rows
+
+
+def assert_matches_scalar(rows, eta, model, pert, **draw):
+    want = scalar_residuals(eta, model, pert, **draw)
+    assert len(rows) == len(want) == draw["n_samples"]
+    for got, ref in zip(rows, want):
+        assert (got.t, got.s, got.b) == (ref.t, ref.s, ref.b)
+        assert abs(got.raw - ref.raw) <= 1e-12
+        assert abs(got.weighted - ref.weighted) <= 1e-12
 
 
 def test_zero_perturbation_gives_zero_operator(flagship):
@@ -255,18 +280,12 @@ def test_residual_zero_coordinate(flagship_result):
 
 
 def test_residual_sampled_window(flagship_result):
-    rows = verify_residuals(
-        flagship_result["result"].eta,
-        flagship_result["model"],
-        flagship_result["pert"],
-        n_samples=60,
-        horizon=3 * R,
-        core=(-2.0, 2.0),
-        b_scale=2.0,
-        seed=7,
-    )
+    eta, model, pert = flagship_result["result"].eta, flagship_result["model"], flagship_result["pert"]
+    draw = dict(n_samples=60, horizon=3 * R, core=(-2.0, 2.0), b_scale=2.0, seed=7)
+    rows = verify_residuals(eta, model, pert, **draw)
     assert max(x.weighted for x in rows) <= 5e-3
     assert all(x.raw >= 0 for x in rows)
+    assert_matches_scalar(rows, eta, model, pert, **draw)
     flagship_result["result"].attach_residuals(rows)
     assert len(flagship_result["result"].residual_grid) == len(rows)
 
@@ -290,6 +309,98 @@ def test_residual_semigroup_coherence(flagship_result):
     seg = eta.segment_at(tau, float(b_tau))
     gain = propagation_gain(model, pert, tau, t, seg)
     assert r_st <= gain * r_stau + r_taut + 1e-9
+
+
+def test_batched_residuals_match_scalar_loop_on_coarse_poly():
+    mu, model, params, pert = build_flagship("poly")
+    res = picard_solve(model, pert, params, COARSE_GRID, COARSE_TRUNC, solver_tol=SOLVER_TOL)
+    draw = dict(n_samples=40, horizon=3 * R, core=(-2.0, 2.0), b_scale=2.0, seed=11)
+    assert_matches_scalar(verify_residuals(res.eta, model, pert, **draw), res.eta, model, pert, **draw)
+
+
+def test_batched_residuals_match_scalar_loop_on_zero_field(flagship):
+    # the residual gate's negative control: zero field, zero perturbation
+    eta, model, pert = zero_field(flagship), flagship["model"], Perturbation.zero(2)
+    draw = dict(n_samples=40, horizon=3 * R, core=(-2.0, 2.0), b_scale=2.0, seed=77)
+    rows = verify_residuals(eta, model, pert, **draw)
+    assert max(x.raw for x in rows) <= 1e-6
+    assert_matches_scalar(rows, eta, model, pert, **draw)
+
+
+@pytest.mark.parametrize("reads", [None, ((1, 0.0), (0, R / 64))], ids=["shipped", "lag0_and_one_step"])
+def test_lattice_residuals_mixed_offsets(flagship_result, reads):
+    # repeated starts, t = s (k = 0) beside several different k, in no order;
+    # the second read set has a lag-0 read (the stage state) and a one-step lag
+    eta, model, pert = flagship_result["result"].eta, flagship_result["model"], flagship_result["pert"]
+    if reads is not None:
+        pert = saturating_cross_perturbation(flagship_result["mu"], pert.params, reads=reads, n=2)
+    h = R / eta.m
+    s = np.array([0.3, -1.2, 0.3, 1.1, -0.45, 0.3])
+    k = np.array([0, 5, 17, 0, 96, 1])
+    b = np.array([1.4, -0.7, 1.4, 0.2, -1.9, 0.0])
+    rows = lattice_residuals(eta, model, pert, s, k, b)
+    for row, si, ki, bi in zip(rows, s, k, b):
+        ref = conjugacy_residual(eta, model, pert, si + h * ki, si, bi)
+        assert (row.t, row.s, row.b) == (ref.t, ref.s, ref.b)
+        assert abs(row.raw - ref.raw) <= 1e-12
+    assert rows[0].t == rows[0].s and rows[3].t == rows[3].s
+
+
+def test_verify_residuals_without_samples(flagship):
+    assert verify_residuals(zero_field(flagship), flagship["model"], flagship["pert"], n_samples=0) == []
+
+
+def _blows_up_after(t_blow: float) -> PointReadPerturbation:
+    # g is zero until t_blow and infinite after it
+    return PointReadPerturbation(
+        reads=((0, R), (1, 0.0)),
+        weight=lambda ts: np.where(np.asarray(ts) > t_blow, np.inf, 0.0),
+        value_map=lambda W: np.ones(np.shape(W)),
+        jac_map=lambda W: np.zeros(np.shape(W)[:-1] + (2, 2)),
+        params=PerturbationParams(0.0, 1.0, 0.0, 0.0, 0.0),
+        n=2,
+    )
+
+
+def test_lattice_residuals_blow_up_only_within_own_steps(flagship):
+    eta, model = zero_field(flagship, COARSE_GRID), flagship["model"]
+    h = R / eta.m
+    pert = _blows_up_after(4.5 * h)
+    with pytest.raises(NonFiniteState):
+        lattice_residuals(eta, model, pert, [0.0], [10], [1.0])
+    # the first sample would pass t_blow only if integrated past its own
+    # k = 2, up to the k = 8 of the second, which ends before t_blow
+    s, k, b = [0.0, -1.0], [2, 8], [1.0, -0.5]
+    rows = lattice_residuals(eta, model, pert, s, k, b)
+    for row, si, ki, bi in zip(rows, s, k, b):
+        assert np.isfinite(row.raw)
+        assert abs(row.raw - conjugacy_residual(eta, model, pert, si + h * ki, si, bi).raw) <= 1e-12
+
+
+def test_batched_residuals_need_point_reads(flagship):
+    # a generic segment perturbation still has the scalar path, not the batch
+    zero = np.zeros(2)
+    generic = Perturbation(
+        g=lambda t, seg: zero, d2g=lambda t, seg: (lambda chi: zero), params=flagship["pert"].params
+    )
+    eta = zero_field(flagship, COARSE_GRID)
+    with pytest.raises(TypeError, match="point-read"):
+        verify_residuals(eta, flagship["model"], generic, n_samples=3)
+    assert conjugacy_residual(eta, flagship["model"], generic, 0.5, 0.0, 1.0).raw <= 1e-6
+
+
+def test_clamp_rate_counts_queries():
+    # a query is clamped when its t or its b leaves the grid, once, even
+    # when both do; t queries broadcast as (S, 1) against b as (S, nb)
+    tg = bg = np.array([0.0, 1.0, 2.0])
+    eta = EtaField(tg, bg, np.zeros((3, 3, 1, 2)), np.zeros((3, 3, 1, 2)), R, None, 0.0, 0.0)
+    tables = np.zeros((3, 3, 1))
+    _, clamped, total = eta.interp_tables(tables, np.array([[-1.0], [0.5]]), np.array([[0.5, 0.5, 0.5], [0.5, 3.0, -1.0]]))
+    assert (clamped, total) == (5, 6)
+    _, clamped, total = eta.interp_tables(tables, np.array([[-1.0], [5.0]]), np.array([[-1.0, 9.0], [-2.0, 7.0]]))
+    assert (clamped, total) == (4, 4)
+    _, clamped, total = eta.interp_tables(tables, np.array([0.5, 1.5]), np.array([1.0, 2.0]))
+    assert (clamped, total) == (0, 2)
 
 
 def test_invertibility_report(flagship_result):
@@ -353,8 +464,10 @@ def test_log_rate_needs_wide_span_and_solves():
         model, pert, params, grid, TruncationPolicy(tail_tol=1e-5, max_span=1e12), solver_tol=SOLVER_TOL
     )
     assert res.converged
-    rows = verify_residuals(res.eta, model, pert, n_samples=10, horizon=1.0, core=(-1.0, 1.0), b_scale=1.0, seed=3)
+    draw = dict(n_samples=10, horizon=1.0, core=(-1.0, 1.0), b_scale=1.0, seed=3)
+    rows = verify_residuals(res.eta, model, pert, **draw)
     assert max(x.weighted for x in rows) <= 5e-3
+    assert_matches_scalar(rows, res.eta, model, pert, **draw)
 
 
 def test_eta_field_interpolation_exact_at_nodes(flagship_result):

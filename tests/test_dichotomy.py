@@ -171,6 +171,24 @@ def test_stable_flow_value_is_exact_power_law():
             assert seg.values[-1, 0] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("mu", builtin_catalogue(), ids=lambda g: g.label)
+def test_coefficients_are_vectorized_flow_derivatives(mu):
+    # rho' takes whole time arrays (the batched residual check evaluates a
+    # stage for every sample at once), matches rho by central difference,
+    # and the system assembled from it still takes a scalar time
+    model = flagship_model(mu, R)
+    ts = np.array([-2.3, -0.4, 0.0, 0.7, 3.1])
+    h = 1e-6
+    for c in model.coords:
+        got = c.coeff(ts)
+        assert got.shape == ts.shape
+        np.testing.assert_allclose(got, [float(c.coeff(t)) for t in ts], rtol=1e-15, atol=0.0)
+        fd = (c.log_flow(ts + h) - c.log_flow(ts - h)) / (2 * h)
+        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8)
+    A = model.sys.terms[0].matrix(0.7)
+    assert np.array_equal(A, np.diag([float(c.coeff(0.7)) for c in model.coords]))
+
+
 def test_unstable_backward_bound_with_unit_constants():
     # the pure backward family holds with K = 1, nu = 0; the stable family
     # cannot (history transients force K >= 2 N^alpha), which is why the
