@@ -333,8 +333,7 @@ def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Option
         N=N,
     )
     if D is None:
-        probe = ParamSet(xi=1.0, delta=1.0, lam=1.0, D=1.0, **base)
-        D = derived_constant_D_from_params(probe)
+        D = derived_constant_D(ParamSet(xi=1.0, delta=1.0, lam=1.0, D=1.0, **base), N)
     probe = ParamSet(xi=1.0, delta=1.0, lam=1.0, D=D, **base)
     try:
         xi = float(p["xi"]) if "xi" in p else default_xi(probe)
@@ -354,11 +353,6 @@ def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Option
         except (EmptyWindow, XiOutOfWindow) as exc:
             raise ConfigError(f"scenario.params: lambda_frac needs xi inside its window ({exc})") from exc
     return ParamSet(xi=xi, delta=delta, lam=lam, D=D, **base)
-
-
-def derived_constant_D_from_params(p: ParamSet) -> float:
-    K1 = p.K * p.K_tilde * p.N ** (abs(p.a - p.beta) + p.nu)
-    return float(max(K1, p.K_tilde * p.N**p.a * (1.0 + K1), p.K * p.K_tilde * p.N ** (p.a + p.alpha + p.theta)))
 
 
 def _resolve_perturbation(sc: Scenario, mu, model, params: Optional[ParamSet]):

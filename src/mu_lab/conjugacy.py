@@ -11,6 +11,11 @@ integrate below a requested tail tolerance, and quadrature runs in the
 substituted variable u = mu(tau), where every envelope is a pure power --
 panels are geometric in u with fixed Gauss-Legendre nodes per panel.
 
+Only the field changes between sweeps, so the operator is planned once per
+solve (plan_operator, O(S) numbers per row of S nodes); a sweep
+(_full_sweep) gathers the point reads of a point-read perturbation from the
+field, blends them and contracts in one batched matmul.
+
 Off the stored grid the field is evaluated by bilinear interpolation,
 clamped to the boundary value outside; clamp events are counted and
 reported.  The error induced by clamping is second order: the integrand
@@ -28,16 +33,9 @@ import numpy as np
 
 from .admissibility import ParamSet, full_report
 from .dde_core import solve_perturbed_R
-from .dichotomy import (
-    DEFAULT_SCAN,
-    DichotomyModel,
-    derived_constant_D,
-    p0_kernel,
-    q0_kernel,
-    unstable_shape,
-)
+from .dichotomy import DichotomyModel, p0_kernel, q0_kernel, unstable_shape
 from .errors import NonFiniteState, NotContracting, TimeOrder, TruncationUnreachable
-from .growth_rate import mu_weight, ratio_bound_N
+from .growth_rate import mu_weight, ratio_bound_N  # noqa: F401  (perfbench/spans.py traces it here)
 from .phase_space import Segment, sup_norm
 
 _GL_CACHE: dict = {}
@@ -73,6 +71,12 @@ class GridSpec:
     def b_grid(self) -> np.ndarray:
         k = int(round(2 * self.b_max / self.b_step))
         return -self.b_max + self.b_step * np.arange(k + 1)
+
+
+def _cells(x: np.ndarray, size: int):
+    """Cell index and in-cell weight of grid coordinates x, clamped to the grid."""
+    i = np.clip(np.floor(x).astype(int), 0, size - 2)
+    return i, np.clip(x - i, 0.0, 1.0)
 
 
 @dataclass
@@ -124,10 +128,8 @@ class EtaField:
         # broadcast query shape, so clamped / total lies in [0, 1]
         outside = (xt < 0) | (xt > len(tg) - 1) | (xb < 0) | (xb > len(bg) - 1)
         clamped, total = int(np.count_nonzero(outside)), outside.size
-        it = np.clip(np.floor(xt).astype(int), 0, len(tg) - 2)
-        ib = np.clip(np.floor(xb).astype(int), 0, len(bg) - 2)
-        wt = np.clip(xt - it, 0.0, 1.0)
-        wb = np.clip(xb - ib, 0.0, 1.0)
+        it, wt = _cells(xt, len(tg))
+        ib, wb = _cells(xb, len(bg))
         return it, ib, wt, wb, clamped, total
 
     def interp_tables(self, tables: np.ndarray, tq, bq):
@@ -345,12 +347,8 @@ def orbit_quadrature(model: DichotomyModel, pert, t: float, trunc: TruncationPol
 
 
 # ---------------------------------------------------------------------------
-# operator evaluation
+# operator evaluation: plan once, apply many
 # ---------------------------------------------------------------------------
-
-
-def _model_D(model: DichotomyModel) -> float:
-    return derived_constant_D(model, ratio_bound_N(model.mu, model.r, DEFAULT_SCAN))
 
 
 def _rho_u(model: DichotomyModel, ts: np.ndarray) -> np.ndarray:
@@ -358,119 +356,151 @@ def _rho_u(model: DichotomyModel, ts: np.ndarray) -> np.ndarray:
     return np.asarray(model.coords[idx].log_flow(np.asarray(ts, dtype=float)), dtype=float)
 
 
-def _row_sweep(
-    model: DichotomyModel,
-    pert,
-    eta: EtaField,
-    t: float,
-    b_arr: np.ndarray,
-    trunc: TruncationPolicy,
-    D: float,
-):
-    """Operator and derivative values at one time row, batched over b.
+def _require_point_reads(pert, what: str, fallback: str = "") -> None:
+    if not (hasattr(pert, "reads") and hasattr(pert, "batch_g")):
+        raise TypeError(
+            f"{what} a point-read perturbation (reads and batch_g); "
+            f"{type(pert).__name__} has no such interface{fallback}"
+        )
 
-    Returns (F_vals, dF_vals) of shape (nb, n, m+1) plus clamp counters.
+
+@dataclass(frozen=True)
+class RowPlan:
+    """The part of one time row of the operator that does not depend on eta.
+
+    Every array has one entry per quadrature node, S in all (stable nodes
+    first), so a row holds O(S) numbers: nothing with a b or a segment axis.
     """
-    n, m = eta.n, eta.m
-    nb = len(b_arr)
-    omega = np.linspace(-model.r, 0.0, m + 1)
+
+    t: float
+    taus: np.ndarray  # (S,) orbit_quadrature nodes, stable then unstable
+    weights: np.ndarray  # (S,) quadrature weights, negated on the unstable side
+    n_stable: int
+    factor: np.ndarray  # (S,) orbit factor exp(rho_u(tau) - rho_u(t))
+    it: np.ndarray  # (S,) t-interpolation cell of each node
+    wt: np.ndarray  # (S,) t-interpolation weight of each node
+    lin: np.ndarray  # (k, S) linear part b_tau u(tau) at each read, per unit b_tau
+
+
+@dataclass(frozen=True)
+class OperatorPlan:
+    """Everything the operator needs at fixed query points, except eta.
+
+    Built once per solve by plan_operator; each sweep (_full_sweep) then
+    only gathers, blends and contracts.  The clamp counts follow from the
+    query geometry alone, so they are counted here, once.
+    """
+
+    model: DichotomyModel
+    pert: object
+    b: np.ndarray  # (nb,) unstable coordinates queried at every time row
+    rows: tuple  # one RowPlan per queried time
+    cs: np.ndarray  # (k,) coordinate of each read
+    js: np.ndarray  # (k,) segment index of each read's lag
+    clamped: int
+    total: int
+
+
+def plan_operator(model: DichotomyModel, pert, eta: EtaField, ts, bs, trunc: TruncationPolicy, D: float) -> OperatorPlan:
+    """Plan the operator at the queries ts x bs on the grid of eta.
+
+    Only eta's grid is used.  A query clamps when either axis of its orbit
+    lookup (tau, b exp(rho_u(tau) - rho_u(t))) leaves the grid, counted as
+    EtaField._weights counts it over each row's (S, nb) lookups.
+    """
+    _require_point_reads(pert, "the operator needs")
+    bs = np.asarray(bs, dtype=float)
+    cs = np.array([c for c, _ in pert.reads], dtype=int)
+    js = np.array([eta.lag_index(lag) for _, lag in pert.reads], dtype=int)
     u_idx = model.unstable_indices[0]
-    out = np.zeros((nb, n, m + 1))
-    dout = np.zeros((nb, n, m + 1))
-    clamped = 0
-    total = 0
-    taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, eta.m)
-    rho_t = _rho_u(model, np.array([t]))[0]
-
-    read_lags = [(coord, lag, eta.lag_index(lag)) for coord, lag in pert.reads]
-    k = len(read_lags)
-    cs = [c for c, _, _ in read_lags]
-    js = [j for _, _, j in read_lags]
-    tables = np.concatenate([eta.values[:, :, cs, js], eta.dvalues[:, :, cs, js]], axis=-1)  # (nt, nb, 2k)
-
-    for taus, w, kern_fn, sign in ((taus_s, w_s, p0_kernel, 1.0), (taus_u, w_u, q0_kernel, -1.0)):
-        if taus.size == 0:
-            continue
-        S = taus.size
-        factor = np.exp(_rho_u(model, taus) - rho_t)  # (S,)
-        B = factor[:, None] * b_arr[None, :]  # (S, nb)
-        reads, cl, tot = eta.interp_tables(tables, taus[:, None], B)  # (S, nb, 2k)
+    rows = []
+    clamped = total = 0
+    for t in ts:
+        t = float(t)
+        taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, eta.m)
+        taus = np.concatenate([taus_s, taus_u])
+        rho = _rho_u(model, taus)
+        factor = np.exp(rho - _rho_u(model, np.array([t]))[0])
+        it, _, wt, _, cl, tot = eta._weights(taus[:, None], factor[:, None] * bs)
         clamped += cl
         total += tot
-        W = np.empty((S, nb, k))
-        V = np.empty((S, nb, k))
-        for j, (coord, lag, _) in enumerate(read_lags):
+        lin = np.zeros((len(cs), taus.size))
+        for j, (coord, lag) in enumerate(pert.reads):
             if coord == u_idx:
-                lin = np.exp(_rho_u(model, taus - lag) - _rho_u(model, taus))  # (S,)
-            else:
-                lin = np.zeros(S)
-            W[:, :, j] = lin[:, None] * B + reads[:, :, j]
-            V[:, :, j] = factor[:, None] * (lin[:, None] + reads[:, :, k + j])
-        gv = pert.batch_g(taus, W) * w[:, None, None]  # (S, nb, n)
-        dgv = pert.batch_dg(taus, W, V) * w[:, None, None]
-        kern = kern_fn(model, t, taus, omega)  # (n, S, m+1)
-        for i in range(n):
-            out[:, i, :] += sign * np.einsum("sb,sw->bw", gv[:, :, i], kern[i])
-            dout[:, i, :] += sign * np.einsum("sb,sw->bw", dgv[:, :, i], kern[i])
-    return out, dout, clamped, total
+                lin[j] = np.exp(_rho_u(model, taus - lag) - rho)
+        rows.append(RowPlan(t, taus, np.concatenate([w_s, -w_u]), taus_s.size, factor, it[:, 0], wt[:, 0], lin))
+    return OperatorPlan(model, pert, bs, tuple(rows), cs, js, clamped, total)
 
 
-def _point_apply(
-    model: DichotomyModel,
-    pert,
-    eta: EtaField,
-    t: float,
-    b: float,
-    trunc: TruncationPolicy,
-    D: Optional[float] = None,
-):
-    """Segment-based single-point evaluation for generic perturbations."""
-    D = D if D is not None else _model_D(model)
-    n, m = eta.n, eta.m
+_B_CHUNK = 128  # b columns per gather-and-contract block; bounds the temporaries
+
+
+def _full_sweep(plan: OperatorPlan, eta: EtaField):
+    """The operator and its b-derivative at every planned query, from eta.
+
+    Returns (F, dF) of shape (rows, nb, n, m+1).  The read tables are cut
+    once in read-major layout (2k, nt, nb); per row they are blended along
+    t with the planned weights, then per block of b columns gathered along
+    b with one flat take, turned into the reads W and directions V, and
+    contracted against the quadrature-weighted kernels in one batched
+    matmul over the coordinates.
+    """
+    model, pert = plan.model, plan.pert
+    n, m, k = eta.n, eta.m, len(plan.cs)
+    bg = eta.b_grid
+    nbg, nb = len(bg), plan.b.size
     omega = np.linspace(-model.r, 0.0, m + 1)
-    u_idx = model.unstable_indices[0]
-    rho_t = _rho_u(model, np.array([t]))[0]
-    taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, eta.m)
-    out = np.zeros((m + 1, n))
-    dout = np.zeros((m + 1, n))
-    for taus, w, kern_fn, sign in ((taus_s, w_s, p0_kernel, 1.0), (taus_u, w_u, q0_kernel, -1.0)):
-        if taus.size == 0:
+    out = np.zeros((len(plan.rows), nb, n, m + 1))
+    dout = np.zeros_like(out)
+    tables = np.concatenate(
+        [eta.values.transpose(2, 3, 0, 1)[plan.cs, plan.js], eta.dvalues.transpose(2, 3, 0, 1)[plan.cs, plan.js]]
+    )  # (2k, nt, nb)
+    for i, row in enumerate(plan.rows):
+        S = row.taus.size
+        if S == 0:
             continue
-        kern = kern_fn(model, t, taus, omega)  # (n, S, m+1)
-        for idx, (tau, wk) in enumerate(zip(taus, w)):
-            b_tau = b * float(np.exp(_rho_u(model, np.array([tau]))[0] - rho_t))
-            shape = unstable_shape(model, tau, m)[0]
-            lin_vals = np.zeros((m + 1, n))
-            lin_vals[:, u_idx] = b_tau * shape
-            A = Segment(model.r, lin_vals) + eta.segment_at(tau, b_tau)
-            v = np.asarray(pert.g(tau, A), dtype=float)
-            dfac = float(np.exp(_rho_u(model, np.array([tau]))[0] - rho_t))
-            dvals = np.zeros((m + 1, n))
-            dvals[:, u_idx] = shape
-            chi = (Segment(model.r, dvals) + eta.segment_at(tau, b_tau, derivative=True)) * dfac
-            dv = np.asarray(pert.d2g(tau, A)(chi), dtype=float)
-            for i in range(n):
-                out[:, i] += sign * wk * v[i] * kern[i, idx]
-                dout[:, i] += sign * wk * dv[i] * kern[i, idx]
-    return Segment(model.r, out), Segment(model.r, dout)
+        along_t = np.take(tables, row.it, axis=1)
+        along_t *= 1.0 - row.wt[:, None]
+        upper = np.take(tables, row.it + 1, axis=1)
+        upper *= row.wt[:, None]
+        along_t += upper  # (2k, S, nb)
+        flat = along_t.reshape(2 * k, S * nbg)
+        row_start = (np.arange(S) * nbg)[:, None]
+        ns = row.n_stable
+        kern = np.concatenate(
+            [p0_kernel(model, row.t, row.taus[:ns], omega), q0_kernel(model, row.t, row.taus[ns:], omega)], axis=1
+        ) * row.weights[:, None]  # (n, S, m+1), quadrature weights folded in
+        for lo in range(0, nb, _B_CHUNK):
+            hi = min(lo + _B_CHUNK, nb)
+            B = row.factor[:, None] * plan.b[lo:hi]  # (S, c)
+            ib, wb = _cells((B - bg[0]) / (bg[1] - bg[0]), nbg)
+            at = ib + row_start
+            reads = np.take(flat, np.stack([at, at + 1]), axis=1)  # (2k, 2, S, c)
+            reads[:, 0] *= 1.0 - wb
+            reads[:, 1] *= wb
+            reads = reads[:, 0] + reads[:, 1]  # (2k, S, c)
+            W = row.lin[:, :, None] * B + reads[:k]
+            V = row.factor[:, None] * (row.lin[:, :, None] + reads[k:])
+            W = W.transpose(1, 2, 0)  # (S, c, k)
+            g = np.empty((2, n, S, hi - lo))
+            g[0] = pert.batch_g(row.taus, W).transpose(2, 0, 1)
+            g[1] = pert.batch_dg(row.taus, W, V.transpose(1, 2, 0)).transpose(2, 0, 1)
+            both = np.matmul(g.swapaxes(2, 3), kern)  # (2, n, c, m+1)
+            out[i, lo:hi] = both[0].swapaxes(0, 1)
+            dout[i, lo:hi] = both[1].swapaxes(0, 1)
+    return out, dout
 
 
-def F_apply(model: DichotomyModel, pert, eta: EtaField, t: float, b: float, trunc: TruncationPolicy) -> Segment:
-    """One evaluation of the defining operator at (t, b)."""
-    if hasattr(pert, "batch_g"):
-        D = _model_D(model)
-        out, _, _, _ = _row_sweep(model, pert, eta, t, np.array([float(b)]), trunc, D)
-        return Segment(model.r, out[0].T)
-    return _point_apply(model, pert, eta, t, b, trunc)[0]
+def F_apply(model: DichotomyModel, pert, eta: EtaField, t: float, b: float, trunc: TruncationPolicy, *, D: float) -> Segment:
+    """One evaluation of the defining operator at (t, b), with the constant D."""
+    out, _ = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
+    return Segment(model.r, out[0, 0].T)
 
 
-def dF_db_apply(model: DichotomyModel, pert, eta: EtaField, t: float, b: float, trunc: TruncationPolicy) -> Segment:
+def dF_db_apply(model: DichotomyModel, pert, eta: EtaField, t: float, b: float, trunc: TruncationPolicy, *, D: float) -> Segment:
     """Derivative of the operator in the unstable coordinate (one dimension)."""
-    if hasattr(pert, "batch_g"):
-        D = _model_D(model)
-        _, dout, _, _ = _row_sweep(model, pert, eta, t, np.array([float(b)]), trunc, D)
-        return Segment(model.r, dout[0].T)
-    return _point_apply(model, pert, eta, t, b, trunc)[1]
+    _, dout = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
+    return Segment(model.r, dout[0, 0].T)
 
 
 # ---------------------------------------------------------------------------
@@ -533,31 +563,6 @@ class ConjugacyResult:
         }
 
 
-def _full_sweep(model, pert, eta, trunc, D):
-    new_vals = np.empty_like(eta.values)
-    new_dvals = np.empty_like(eta.dvalues)
-    clamped = total = 0
-    if _envelope_amplitude(pert) == 0.0:
-        new_vals[:] = 0.0
-        new_dvals[:] = 0.0
-        return new_vals, new_dvals, 0, 1
-    if hasattr(pert, "batch_g"):
-        for i, t in enumerate(eta.t_grid):
-            out, dout, cl, tot = _row_sweep(model, pert, eta, float(t), eta.b_grid, trunc, D)
-            new_vals[i] = out
-            new_dvals[i] = dout
-            clamped += cl
-            total += tot
-    else:
-        for i, t in enumerate(eta.t_grid):
-            for j, b in enumerate(eta.b_grid):
-                seg, dseg = _point_apply(model, pert, eta, float(t), float(b), trunc, D)
-                new_vals[i, j] = seg.values.T
-                new_dvals[i, j] = dseg.values.T
-        total = 1
-    return new_vals, new_dvals, clamped, max(total, 1)
-
-
 def picard_solve(
     model: DichotomyModel,
     pert,
@@ -587,19 +592,15 @@ def picard_solve(
     if certificate is not None and not certificate.passed:
         raise ValueError("dichotomy certificate failed; refusing to iterate")
 
-    D = params.D
     eta = EtaField.zero(grid, model.n, model.r, model.mu, params.xi, params.eps)
-    # validate read alignment early
-    for _, lag in (pert.reads if hasattr(pert, "reads") else []):
-        eta.lag_index(lag)
+    plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, trunc, params.D)
     w_t = eta.time_weights()
     sweeps: list[SweepStats] = []
     ratios: list[float] = []
     converged = False
-    clamp_rate = 0.0
     prev_delta = None
     for k in range(1, max_sweeps + 1):
-        new_vals, new_dvals, clamped, total = _full_sweep(model, pert, eta, trunc, D)
+        new_vals, new_dvals = _full_sweep(plan, eta)
         dv = np.max(np.abs(new_vals - eta.values), axis=(1, 2, 3)) * w_t
         dd = np.max(np.abs(new_dvals - eta.dvalues), axis=(1, 2, 3)) * w_t
         delta_inf = float(np.max(dv))
@@ -609,7 +610,6 @@ def picard_solve(
         sweeps.append(SweepStats(k, delta_inf, ddelta_inf, delta, ratio))
         if ratio is not None:
             ratios.append(ratio)
-        clamp_rate = clamped / total
         eta = eta.with_data(new_vals, new_dvals)
         if ratio is not None and len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
             exc = NotContracting(
@@ -622,7 +622,7 @@ def picard_solve(
             converged = True
             break
     # one extra application measures the fixed-point residual without updating
-    new_vals, new_dvals, _, _ = _full_sweep(model, pert, eta, trunc, D)
+    new_vals, new_dvals = _full_sweep(plan, eta)
     res_inf = float(np.max(np.max(np.abs(new_vals - eta.values), axis=(1, 2, 3)) * w_t))
     res_dinf = float(np.max(np.max(np.abs(new_dvals - eta.dvalues), axis=(1, 2, 3)) * w_t))
     norms = {
@@ -640,7 +640,7 @@ def picard_solve(
         contraction_rate_measured=float(max(ratios)) if ratios else 0.0,
         contraction_rate_theoretical=params.q / (1.0 + params.q),
         sup_rate_theoretical=params.D * params.delta * (params.alpha + params.beta) / (params.alpha * params.beta),
-        clamp_rate=float(clamp_rate),
+        clamp_rate=plan.clamped / max(plan.total, 1),
         norms=norms,
         solver_tol=solver_tol,
     )
@@ -728,11 +728,7 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert, s, k, b) -> li
     conjugacy_residual stays the scalar path for single, off-lattice
     triples and the reference this one is tested against.
     """
-    if not (hasattr(pert, "reads") and hasattr(pert, "batch_g")):
-        raise TypeError(
-            f"batched residuals need a point-read perturbation (reads and batch_g); "
-            f"{type(pert).__name__} has no such interface, use conjugacy_residual per triple"
-        )
+    _require_point_reads(pert, "batched residuals need", ", use conjugacy_residual per triple")
     s = np.asarray(s, dtype=float)
     k = np.asarray(k, dtype=int)
     b = np.asarray(b, dtype=float)

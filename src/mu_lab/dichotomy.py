@@ -451,15 +451,14 @@ def evolve_P0(
     return jumped + carried
 
 
-def derived_constant_D(model: DichotomyModel, N: float) -> float:
-    """Safe constant for the projected-jump bounds, max over proof branches."""
-    K1 = model.K * model.K_tilde * N ** (abs(model.a - model.beta) + model.nu)
-    branches = (
-        K1,
-        model.K_tilde * N**model.a * (1.0 + K1),
-        model.K * model.K_tilde * N ** (model.a + model.alpha + model.theta),
-    )
-    return float(max(branches))
+def derived_constant_D(c, N: float) -> float:
+    """Safe constant for the projected-jump bounds, max over proof branches.
+
+    c carries the dichotomy constants K, K_tilde, a, alpha, beta, theta and
+    nu: a DichotomyModel, or a ParamSet when the model has no flow structure.
+    """
+    K1 = c.K * c.K_tilde * N ** (abs(c.a - c.beta) + c.nu)
+    return float(max(K1, c.K_tilde * N**c.a * (1.0 + K1), c.K * c.K_tilde * N ** (c.a + c.alpha + c.theta)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from mu_lab.conjugacy import (
     F_apply,
     GridSpec,
     TruncationPolicy,
-    _point_apply,
+    _full_sweep,
     conjugacy_residual,
     dF_db_apply,
     invertibility_check,
     lattice_residuals,
+    orbit_quadrature,
     picard_solve,
+    plan_operator,
     propagation_gain,
     verify_residuals,
 )
@@ -24,6 +28,7 @@ from mu_lab.dde_core import (
     linear_cross_perturbation,
     saturating_cross_perturbation,
 )
+from mu_lab.dichotomy import p0_kernel, q0_kernel, unstable_shape
 from mu_lab.errors import NonFiniteState, NotContracting, TimeOrder, TruncationUnreachable
 from mu_lab.phase_space import Segment, mu_norm, sup_norm
 
@@ -56,17 +61,63 @@ def assert_matches_scalar(rows, eta, model, pert, **draw):
         assert abs(got.weighted - ref.weighted) <= 1e-12
 
 
+def point_oracle(model, pert, eta, t, b, trunc, D):
+    """Oracle: the operator and its b-derivative at (t, b), node by node.
+
+    Each quadrature node gets its own interpolated segment b_tau u(tau) +
+    eta(tau, b_tau) and direction, the perturbation's segment-level g and
+    d2g, and its kernel column; no read tables, plans or batching.
+    """
+    n, m = eta.n, eta.m
+    omega = np.linspace(-model.r, 0.0, m + 1)
+    u_idx = model.unstable_indices[0]
+
+    def rho_u(ts):
+        return np.asarray(model.coords[u_idx].log_flow(np.asarray(ts, dtype=float)), dtype=float)
+
+    rho_t = rho_u(np.array([t]))[0]
+    taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, m)
+    out = np.zeros((m + 1, n))
+    dout = np.zeros((m + 1, n))
+    for taus, w, kern_fn, sign in ((taus_s, w_s, p0_kernel, 1.0), (taus_u, w_u, q0_kernel, -1.0)):
+        if taus.size == 0:
+            continue
+        kern = kern_fn(model, t, taus, omega)  # (n, S, m+1)
+        for idx, (tau, wk) in enumerate(zip(taus, w)):
+            fac = float(np.exp(rho_u(np.array([tau]))[0] - rho_t))
+            b_tau = b * fac
+            shape = unstable_shape(model, tau, m)[0]
+            lin_vals = np.zeros((m + 1, n))
+            lin_vals[:, u_idx] = b_tau * shape
+            A = Segment(model.r, lin_vals) + eta.segment_at(tau, b_tau)
+            v = np.asarray(pert.g(tau, A), dtype=float)
+            dvals = np.zeros((m + 1, n))
+            dvals[:, u_idx] = shape
+            chi = (Segment(model.r, dvals) + eta.segment_at(tau, b_tau, derivative=True)) * fac
+            dv = np.asarray(pert.d2g(tau, A)(chi), dtype=float)
+            for i in range(n):
+                out[:, i] += sign * wk * v[i] * kern[i, idx]
+                dout[:, i] += sign * wk * dv[i] * kern[i, idx]
+    return Segment(model.r, out), Segment(model.r, dout)
+
+
+def generic_perturbation(flagship):
+    # a segment-level perturbation without the point-read batch interface
+    zero = np.zeros(2)
+    return Perturbation(g=lambda t, seg: zero, d2g=lambda t, seg: (lambda chi: zero), params=flagship["pert"].params)
+
+
 def test_zero_perturbation_gives_zero_operator(flagship):
-    eta = zero_field(flagship)
-    out = F_apply(flagship["model"], Perturbation.zero(2), eta, 0.4, 1.2, DEFAULT_TRUNC)
+    eta, D = zero_field(flagship), flagship["params"].D
+    out = F_apply(flagship["model"], Perturbation.zero(2), eta, 0.4, 1.2, DEFAULT_TRUNC, D=D)
     assert sup_norm(out) == 0.0
-    dout = dF_db_apply(flagship["model"], Perturbation.zero(2), eta, 0.4, 1.2, DEFAULT_TRUNC)
+    dout = dF_db_apply(flagship["model"], Perturbation.zero(2), eta, 0.4, 1.2, DEFAULT_TRUNC, D=D)
     assert sup_norm(dout) == 0.0
 
 
 def test_zero_coordinate_zero_field_gives_zero(flagship):
     eta = zero_field(flagship)
-    out = F_apply(flagship["model"], flagship["pert"], eta, -0.8, 0.0, DEFAULT_TRUNC)
+    out = F_apply(flagship["model"], flagship["pert"], eta, -0.8, 0.0, DEFAULT_TRUNC, D=flagship["params"].D)
     assert sup_norm(out) == 0.0
 
 
@@ -77,28 +128,119 @@ def test_operator_bound_on_zero_field(flagship):
     worst = 0.0
     for t in (-2.0, -0.5, 0.0, 1.0, 2.0):
         for b in (-2.0, -0.5, 0.7, 1.8):
-            worst = max(worst, sup_norm(F_apply(flagship["model"], flagship["pert"], eta, t, b, DEFAULT_TRUNC)))
+            worst = max(worst, sup_norm(F_apply(flagship["model"], flagship["pert"], eta, t, b, DEFAULT_TRUNC, D=p.D)))
     assert worst <= bound
 
 
 def test_batch_and_segment_paths_agree(flagship_result):
     model, pert, eta = flagship_result["model"], flagship_result["pert"], flagship_result["result"].eta
+    D = flagship_result["params"].D
     for t, b in [(0.3, 0.7), (-1.1, -1.4), (1.9, 2.3)]:
-        batch = F_apply(model, pert, eta, t, b, DEFAULT_TRUNC)
-        point, dpoint = _point_apply(model, pert, eta, t, b, DEFAULT_TRUNC)
+        batch = F_apply(model, pert, eta, t, b, DEFAULT_TRUNC, D=D)
+        point, dpoint = point_oracle(model, pert, eta, t, b, DEFAULT_TRUNC, D)
         assert sup_norm(batch - point) < 1e-14
-        dbatch = dF_db_apply(model, pert, eta, t, b, DEFAULT_TRUNC)
+        dbatch = dF_db_apply(model, pert, eta, t, b, DEFAULT_TRUNC, D=D)
         assert sup_norm(dbatch - dpoint) < 1e-14
+
+
+@pytest.mark.parametrize("row", [18, 35])
+@pytest.mark.parametrize("coupling", ["shipped", "linear"])
+def test_full_row_matches_point_oracle(flagship_result, row, coupling):
+    # one whole sweep row of the solved field, b chunked as in the Picard
+    # solve; the edge columns at -b_max and b_max look up orbits that leave
+    # the b grid, and row 35 (t = 4.25) also has nodes past t_max.  The
+    # shipped coupling is quadratic in reads of order 1e-5, so its
+    # unstable-side integral sits below 1e-14; the linear one feeds that
+    # side at full size
+    model, pert, eta = flagship_result["model"], flagship_result["pert"], flagship_result["result"].eta
+    D = flagship_result["params"].D
+    if coupling == "linear":
+        pert = linear_cross_perturbation(flagship_result["mu"], pert.params, reads=[(1, R), (0, R / 2)], n=2, gain=0.3)
+    t, nb = float(eta.t_grid[row]), len(eta.b_grid)
+    plan = plan_operator(model, pert, eta, [t], eta.b_grid, DEFAULT_TRUNC, D)
+    out, dout = _full_sweep(plan, eta)
+    assert out.shape == (1, nb, 2, eta.m + 1)
+    (rp,) = plan.rows
+    assert row != 35 or np.any(rp.taus > eta.t_grid[-1])
+    for j in (0, 1, nb // 2, 200, nb - 2, nb - 1):
+        b = float(eta.b_grid[j])
+        if j in (0, nb - 1):
+            _, _, _, _, clamped, _ = eta._weights(rp.taus, rp.factor * b)
+            assert clamped > 0
+        point, dpoint = point_oracle(model, pert, eta, t, b, DEFAULT_TRUNC, D)
+        assert np.max(np.abs(out[0, j] - point.values.T)) < 1e-14
+        assert np.max(np.abs(dout[0, j] - dpoint.values.T)) < 1e-14
+
+
+def test_operator_needs_point_reads(flagship):
+    generic = generic_perturbation(flagship)
+    eta = zero_field(flagship, COARSE_GRID)
+    with pytest.raises(TypeError, match="point-read perturbation"):
+        F_apply(flagship["model"], generic, eta, 0.5, 1.0, COARSE_TRUNC, D=flagship["params"].D)
+    with pytest.raises(TypeError, match="point-read perturbation"):
+        picard_solve(flagship["model"], generic, flagship["params"], COARSE_GRID, COARSE_TRUNC)
+
+
+def test_plan_counts_clamps_once_from_the_query_geometry(flagship_result):
+    # every row's (S, nb) orbit lookups, counted as EtaField._weights counts
+    # them; the Picard solve reports the same rate
+    model, pert, eta = flagship_result["model"], flagship_result["pert"], flagship_result["result"].eta
+    D = flagship_result["params"].D
+    plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, DEFAULT_TRUNC, D)
+    u = model.coords[model.unstable_indices[0]]
+    clamped = total = 0
+    for t in eta.t_grid:
+        taus_s, _, taus_u, _ = orbit_quadrature(model, pert, float(t), DEFAULT_TRUNC, D, eta.m)
+        taus = np.concatenate([taus_s, taus_u])
+        factor = np.exp(u.log_flow(taus) - u.log_flow(np.array([t])))
+        _, _, _, _, cl, tot = eta._weights(taus[:, None], factor[:, None] * eta.b_grid)
+        clamped += cl
+        total += tot
+    assert (plan.clamped, plan.total) == (clamped, total)
+    assert clamped / total == flagship_result["result"].clamp_rate == pytest.approx(0.155, abs=1e-3)
+
+
+def _held_arrays(obj):
+    """Every array a plan holds, through its dataclass fields and containers."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            if f.name not in ("model", "pert"):
+                yield from _held_arrays(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _held_arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _held_arrays(item)
+
+
+def test_plan_memory_stays_per_node(flagship):
+    # the plan keeps O(S) numbers per row: no array with a b axis or a
+    # segment (m+1) axis, such as cached kernels or orbit lookups, apart
+    # from the b queries themselves
+    model, pert, p = flagship["model"], flagship["pert"], flagship["params"]
+    eta = zero_field(flagship)
+    plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, DEFAULT_TRUNC, p.D)
+    nb, m1 = len(eta.b_grid), eta.m + 1
+    nodes = [rp.taus.size for rp in plan.rows]
+    assert min(nodes) > 0 and not set(nodes) & {nb, m1}  # the axis test below can tell S apart
+    held = [a for a in _held_arrays(plan) if a is not plan.b]
+    assert all(nb not in a.shape and m1 not in a.shape for a in held)
+    k = len(pert.reads)
+    assert sum(a.nbytes for a in held) <= 8 * (k + 6) * sum(nodes) + 1024
 
 
 def test_derivative_matches_finite_difference_of_operator(flagship_result):
     model, pert, eta = flagship_result["model"], flagship_result["pert"], flagship_result["result"].eta
+    D = flagship_result["params"].D
     h = 1e-4
     for t, b in [(0.3, 0.7), (-0.9, 1.3)]:
-        up = F_apply(model, pert, eta, t, b + h, DEFAULT_TRUNC)
-        dn = F_apply(model, pert, eta, t, b - h, DEFAULT_TRUNC)
+        up = F_apply(model, pert, eta, t, b + h, DEFAULT_TRUNC, D=D)
+        dn = F_apply(model, pert, eta, t, b - h, DEFAULT_TRUNC, D=D)
         fd = (up.values - dn.values) / (2 * h)
-        dseg = dF_db_apply(model, pert, eta, t, b, DEFAULT_TRUNC)
+        dseg = dF_db_apply(model, pert, eta, t, b, DEFAULT_TRUNC, D=D)
         scale = max(np.max(np.abs(dseg.values)), 1e-300)
         assert np.max(np.abs(fd - dseg.values)) / scale <= 1e-3
 
@@ -147,7 +289,7 @@ def test_operator_matches_direct_quadrature_oracle(flagship, reads):
         return amp(tau) * rolled[0], amp(tau) * rolled[1]
 
     for t, b in [(0.4, 1.3), (-1.1, -0.8)]:
-        got = F_apply(model, pert, eta, t, b, trunc)
+        got = F_apply(model, pert, eta, t, b, trunc, D=p.D)
         omega = got.omega_grid
         want = np.zeros_like(got.values)
         span = 55.0
@@ -379,10 +521,7 @@ def test_lattice_residuals_blow_up_only_within_own_steps(flagship):
 
 def test_batched_residuals_need_point_reads(flagship):
     # a generic segment perturbation still has the scalar path, not the batch
-    zero = np.zeros(2)
-    generic = Perturbation(
-        g=lambda t, seg: zero, d2g=lambda t, seg: (lambda chi: zero), params=flagship["pert"].params
-    )
+    generic = generic_perturbation(flagship)
     eta = zero_field(flagship, COARSE_GRID)
     with pytest.raises(TypeError, match="point-read"):
         verify_residuals(eta, flagship["model"], generic, n_samples=3)
@@ -452,7 +591,7 @@ def test_truncation_unreachable(flagship):
     tight = TruncationPolicy(tail_tol=1e-12, max_span=1.0)
     eta = zero_field(flagship)
     with pytest.raises(TruncationUnreachable):
-        F_apply(flagship["model"], flagship["pert"], eta, 0.0, 1.0, tight)
+        F_apply(flagship["model"], flagship["pert"], eta, 0.0, 1.0, tight, D=flagship["params"].D)
 
 
 def test_log_rate_needs_wide_span_and_solves():
