@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
 import time
 from dataclasses import dataclass
@@ -288,6 +287,7 @@ def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Option
     p = sc.params
     if not p and model is None:
         return None
+    N = ratio_bound_N(mu, sc.delay, DEFAULT_SCAN)
     if model is not None:
         defaults = {
             "alpha": model.alpha,
@@ -299,7 +299,6 @@ def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Option
             "K": model.K,
             "K_tilde": model.K_tilde,
         }
-        N = ratio_bound_N(mu, sc.delay, DEFAULT_SCAN)
         D = derived_constant_D(model, N)
     else:
         required = {"alpha", "beta", "theta", "nu", "eps", "a", "K", "K_tilde"}
@@ -307,7 +306,6 @@ def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Option
         if missing:
             raise ConfigError(f"scenario.params needs {missing} when the model has no flow structure")
         defaults = {}
-        N = ratio_bound_N(mu, sc.delay, DEFAULT_SCAN)
         D = None
 
     def get(key, fallback=None):
@@ -410,19 +408,6 @@ def resolve(sc: Scenario) -> ResolvedScenario:
         checks=sc.checks,
         seed=sc.seed,
     )
-
-
-def _threads_from_env() -> Optional[int]:
-    raw = os.environ.get("MU_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MU_LAB_THREADS must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise ConfigError(f"MU_LAB_THREADS must be >= 1, got {val}")
-    return val
 
 
 def _to_builtin(obj):
@@ -530,7 +515,6 @@ def run_pipeline(res) -> dict:
         "schema": SCHEMA_RUN,
         "name": res.scenario.name,
         "seed": res.seed,
-        "threads": _threads_from_env(),
         "stages": {},
         "timings": {},
     }
@@ -581,6 +565,14 @@ def strip_timings(report: dict) -> dict:
     return out
 
 
+def _residual_csv(rows: list) -> str:
+    """The residual table as CSV, one line per sample row of a report."""
+    lines = ["t,s,b,raw,mu"]
+    for r in rows:
+        lines.append(f"{r['t']:.12g},{r['s']:.12g},{r['b']:.12g},{r['raw']:.12g},{r['mu']:.12g}")
+    return "\n".join(lines) + "\n"
+
+
 def emit_plot_data(report: dict, kind: str) -> str:
     """CSV series extracted from a run report."""
     stages = report.get("stages", {})
@@ -599,10 +591,7 @@ def emit_plot_data(report: dict, kind: str) -> str:
         rows = conj.get("residuals", {}).get("rows")
         if rows is None:
             raise MissingSeries("report has no residual table")
-        lines = ["t,s,b,raw,mu"]
-        for r in rows:
-            lines.append(f"{r['t']:.12g},{r['s']:.12g},{r['b']:.12g},{r['raw']:.12g},{r['mu']:.12g}")
-        return "\n".join(lines) + "\n"
+        return _residual_csv(rows)
     if kind == "envelope":
         dich = stages.get("dichotomy", {})
         series = dich.get("certificate", {}).get("series", {}).get("stable")
@@ -644,10 +633,7 @@ def save_conjugacy_result(path, res: ResolvedScenario, conj: dict) -> None:
             eps=np.array(eta.eps),
         )
         rows = doc.get("residuals", {}).get("rows", [])
-        csv_lines = ["t,s,b,raw,mu"] + [
-            f"{r['t']:.12g},{r['s']:.12g},{r['b']:.12g},{r['raw']:.12g},{r['mu']:.12g}" for r in rows
-        ]
-        Path(str(path) + ".residuals.csv").write_text("\n".join(csv_lines) + "\n")
+        Path(str(path) + ".residuals.csv").write_text(_residual_csv(rows))
     path.write_text(report_json(doc))
 
 

@@ -4,10 +4,13 @@ Shipped models are diagonal systems whose coordinates evolve by exact
 scalar flows exp(rho_i(t) - rho_i(s)) with a known log-primitive rho_i.
 Projections are analytic for these: the unstable projector reads the
 coordinate value at omega = 0 and spreads it along the backward-decaying
-solution shape, which commutes with the evolution exactly.  Certificates
-estimate operator norms by maximizing over a finite probe family, so every
-measured number is a lower bound of the true norm; the certificate
-tolerance absorbs that slack.
+solution shape, which commutes with the evolution exactly.  The jump
+responses have one closed form, p0_kernel and q0_kernel, which the
+conjugacy operator integrates over tau at one time t and the certificate
+evaluates at one time pair per entry.  Certificates estimate operator
+norms by maximizing over a finite probe family, so every measured number
+is a lower bound of the true norm; the certificate tolerance absorbs that
+slack.
 """
 
 from __future__ import annotations
@@ -104,107 +107,63 @@ def _rho_matrix(coords: Sequence[FlowCoordinate], times: np.ndarray) -> np.ndarr
     return np.array([np.asarray(c.log_flow(times), dtype=float) for c in coords])
 
 
-def seg_T_closed(model: DichotomyModel, t: float, s: float, seg: Segment) -> Segment:
-    """T(t, s) for diagonal flows: evolve the endpoint, splice the history."""
-    if t < s:
-        raise TimeOrder(f"t={t} earlier than s={s}")
-    coords = model.coords
-    grid = t + seg.omega_grid
-    rho = _rho_matrix(coords, grid)
-    rho_s = _rho_matrix(coords, np.array([s]))[:, 0]
-    forward = grid >= s - 1e-12
-    vals = np.empty((seg.m + 1, model.n))
-    end = seg.values[-1]
-    for i in range(model.n):
-        vals[:, i] = end[i] * np.exp(rho[i] - rho_s[i])
-    if not forward.all():
-        for j in np.where(~forward)[0]:
-            vals[j] = seg.value_at(max(-seg.r, grid[j] - s))
-    return Segment(seg.r, vals)
+def _log_flows(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray):
+    """Log-primitives rho_i(t + omega) (n, 1 or n_tau, n_omega) and rho_i(tau) (n, n_tau, 1), and t + omega >= tau.
+
+    t is one time for every tau (the operator's row) or one time per tau
+    (the certificate's pairs); the flows are exp of the differences.
+    """
+    grid = np.asarray(t)[..., None] + omega
+    rho_g = _rho_matrix(model.coords, grid).reshape(model.n, -1, len(omega))
+    return rho_g, _rho_matrix(model.coords, taus)[:, :, None], grid >= taus[:, None] - 1e-12
 
 
-def jump_T0_closed(model: DichotomyModel, t: float, s: float, p, m: int) -> Segment:
-    """T0(t, s) X0 p for diagonal flows (sampled; zero left of s)."""
-    if t < s:
-        raise TimeOrder(f"t={t} earlier than s={s}")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    grid = t + np.linspace(-model.r, 0.0, m + 1)
-    rho = _rho_matrix(model.coords, grid)
-    rho_s = _rho_matrix(model.coords, np.array([s]))[:, 0]
-    forward = grid >= s - 1e-12
-    vals = np.zeros((m + 1, model.n))
-    for i in range(model.n):
-        vals[:, i] = np.where(forward, p[i] * np.exp(rho[i] - rho_s[i]), 0.0)
-    return Segment(model.r, vals)
-
-
-def p0_evolved_closed(model: DichotomyModel, t: float, s: float, p, m: int) -> Segment:
-    """T0(t, s) P0(s) p: stable flow forward of s, negated unstable tail before it."""
-    if t < s:
-        raise TimeOrder(f"t={t} earlier than s={s}")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    grid = t + np.linspace(-model.r, 0.0, m + 1)
-    rho = _rho_matrix(model.coords, grid)
-    rho_s = _rho_matrix(model.coords, np.array([s]))[:, 0]
-    forward = grid >= s - 1e-12
-    vals = np.zeros((m + 1, model.n))
+def p0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Per-coordinate kernels (n, n_tau, n_omega) of v -> T0(t,tau) P0(tau) v; t as in _log_flows."""
+    rho_g, rho_t, ahead = _log_flows(model, t, taus, omega)
+    out = np.exp(rho_g - rho_t)
     for i, c in enumerate(model.coords):
-        flow = p[i] * np.exp(rho[i] - rho_s[i])
-        if c.role == "stable":
-            vals[:, i] = np.where(forward, flow, 0.0)
-        else:
-            vals[:, i] = np.where(forward, 0.0, -flow)
-    return Segment(model.r, vals)
-
-
-def q0_backward_closed(model: DichotomyModel, t: float, s: float, p, m: int) -> Segment:
-    """T_bar(t, s) Q0(s) p for t <= s: unstable coordinates pulled back."""
-    if t > s:
-        raise TimeOrder(f"t={t} later than s={s}")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    grid = t + np.linspace(-model.r, 0.0, m + 1)
-    rho = _rho_matrix(model.coords, grid)
-    rho_s = _rho_matrix(model.coords, np.array([s]))[:, 0]
-    vals = np.zeros((m + 1, model.n))
-    for i, c in enumerate(model.coords):
-        if c.role == "unstable":
-            vals[:, i] = p[i] * np.exp(rho[i] - rho_s[i])
-    return Segment(model.r, vals)
-
-
-def p0_kernel(model: DichotomyModel, t: float, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Per-coordinate kernels (n, n_tau, n_omega) of v -> T0(t,tau) P0(tau) v."""
-    grid = t + omega
-    rho_g = _rho_matrix(model.coords, grid)
-    rho_t = _rho_matrix(model.coords, taus)
-    out = np.zeros((model.n, len(taus), len(omega)))
-    ahead = grid[None, :] >= taus[:, None] - 1e-12
-    for i, c in enumerate(model.coords):
-        flow = np.exp(rho_g[i][None, :] - rho_t[i][:, None])
-        out[i] = np.where(ahead, flow, 0.0) if c.role == "stable" else np.where(ahead, 0.0, -flow)
+        out[i] = np.where(ahead, out[i], 0.0) if c.role == "stable" else np.where(ahead, 0.0, -out[i])
     return out
 
 
-def q0_kernel(model: DichotomyModel, t: float, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Per-coordinate kernels (n, n_tau, n_omega) of v -> T_bar(t,tau) Q0(tau) v."""
-    grid = t + omega
-    rho_g = _rho_matrix(model.coords, grid)
-    rho_t = _rho_matrix(model.coords, taus)
-    out = np.zeros((model.n, len(taus), len(omega)))
+def q0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Per-coordinate kernels (n, n_tau, n_omega) of v -> T_bar(t,tau) Q0(tau) v; t as in _log_flows."""
+    rho_g, rho_t, ahead = _log_flows(model, t, taus, omega)
+    out = np.zeros((model.n,) + ahead.shape)
     for i, c in enumerate(model.coords):
         if c.role == "unstable":
-            out[i] = np.exp(rho_g[i][None, :] - rho_t[i][:, None])
+            out[i] = np.exp(rho_g[i] - rho_t[i])
     return out
+
+
+def seg_T_closed(model: DichotomyModel, t: np.ndarray, s: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """T(t, s) for diagonal flows on arrays: pair p carries values[p] from s[p] to t[p].
+
+    values has shape (pairs, probes, m+1, n), or (1, probes, m+1, n) for
+    segments shared by every pair; so has the result.  Where t + omega >= s
+    a sample is the endpoint carried by the flow, which is its jump response
+    p0_kernel + q0_kernel; before s it reads the history by linear
+    interpolation, in the arithmetic of Segment.value_at.
+    """
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    if np.any(t < s):
+        raise TimeOrder(f"t earlier than s in {np.count_nonzero(t < s)} of {t.size} pairs")
+    r, m = model.r, values.shape[-2] - 1
+    omega = np.linspace(-r, 0.0, m + 1)
+    rho_g, rho_s, ahead = _log_flows(model, t, s, omega)
+    flow = np.exp(rho_g - rho_s)
+    x = (np.clip(t[:, None] + omega - s[:, None], -r, 0.0) + r) / r * m
+    j = np.minimum(np.floor(x).astype(int), m - 1)[:, None, :, None]
+    w = x[:, None, :, None] - j
+    history = (1.0 - w) * np.take_along_axis(values, j, axis=-2) + w * np.take_along_axis(values, j + 1, axis=-2)
+    return np.where(ahead[:, None, :, None], values[..., -1:, :] * flow.transpose(1, 2, 0)[:, None], history)
 
 
 def unstable_shape(model: DichotomyModel, t: float, m: int) -> np.ndarray:
-    """Backward-decaying solution shapes (d_u, m+1) normalized to 1 at omega=0."""
-    grid = t + np.linspace(-model.r, 0.0, m + 1)
-    shapes = []
-    for i in model.unstable_indices:
-        rho = np.asarray(model.coords[i].log_flow(grid), dtype=float)
-        shapes.append(np.exp(rho - rho[-1]))
-    return np.array(shapes)
+    """Backward-decaying solution shapes (d_u, m+1) normalized to 1 at omega=0: q0_kernel at tau = t."""
+    omega = np.linspace(-model.r, 0.0, m + 1)
+    return q0_kernel(model, t, np.array([float(t)]), omega)[model.unstable_indices, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +364,8 @@ def apply_Q0(
     if method == "closed":
         if model.coords is None:
             raise ValueError("closed form requires diagonal coordinates")
-        coords_vals = p[model.unstable_indices]
-        vals = np.zeros((m + 1, model.n))
-        for c, seg in zip(coords_vals, basis_t):
-            vals += c * seg.values
-        return Segment(model.r, vals)
+        kern = q0_kernel(model, t, np.array([float(t)]), np.linspace(-model.r, 0.0, m + 1))[:, 0]
+        return Segment(model.r, (p[:, None] * kern).T)
 
     s_up = t + model.r
     jumped = fundamental_jump(model.sys, s_up, t, p, step=step, m=m)
@@ -511,34 +467,70 @@ class DichotomyCertificate:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _probe_segments(model: DichotomyModel, m: int, rng: np.random.Generator) -> list:
-    """Unit-norm probes: constants, steep near-jump profiles, smooth noise."""
+def _probe_segments(model: DichotomyModel, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-norm probes (probes, m+1, n): constants, steep near-jump profiles, smooth noise."""
     n = model.n
     probes = []
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        probes.append(Segment.constant(model.r, e, m))
+        constant = np.zeros((m + 1, n))
+        constant[:, i] = 1.0
         spike = np.zeros((m + 1, n))
         spike[:, i] = -1.0
         spike[-1, i] = 1.0
-        probes.append(Segment(model.r, spike))
+        probes += [constant, spike]
     grid = np.linspace(-model.r, 0.0, m + 1)
     for _ in range(3):
         freq = rng.uniform(0.5, 4.0, size=n)
         phase = rng.uniform(0, 2 * np.pi, size=n)
         vals = np.cos(np.outer(grid, freq) + phase)
-        vals /= np.max(np.abs(vals))
-        probes.append(Segment(model.r, vals))
-    return probes
+        probes.append(vals / np.max(np.abs(vals)))
+    return np.stack(probes)
 
 
-def _probe_vectors(n: int, rng: np.random.Generator) -> list:
-    vecs = [np.eye(n)[i] for i in range(n)]
+def _probe_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
+    vecs = list(np.eye(n))
     for _ in range(3):
         v = rng.normal(size=n)
         vecs.append(v / np.max(np.abs(v)))
-    return vecs
+    return np.stack(vecs)
+
+
+_PAIR_BLOCK = 16  # time pairs measured together; bounds the (pairs, probes, m+1, n) temporaries
+
+
+def _jump_gain(kern: np.ndarray, vecs: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Per pair, max over vecs of sup_norm(kern applied to v) / norm(v); kern is (n, pairs, m+1)."""
+    peak = np.max(np.abs(kern), axis=2)  # (n, pairs)
+    return np.max(np.max(np.abs(vecs)[:, :, None] * peak, axis=1) / norms[:, None], axis=0)
+
+
+def _measure_pairs(model: DichotomyModel, t, s, probes: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Measured norms (5, pairs) of the five families, in verify_bounds' order.
+
+    The forward families evolve from s to t; the unstable ones pull back
+    from t to s.
+    """
+    omega = np.linspace(-model.r, 0.0, probes.shape[1])
+    probe_norms = np.max(np.abs(probes), axis=(1, 2))
+    vector_norms = np.max(np.abs(vectors), axis=1)
+    ends = probes[:, -1]  # (probes, n)
+
+    def probe_gain(values):
+        return np.max(np.max(np.abs(seg_T_closed(model, t, s, values)), axis=(2, 3)) / probe_norms, axis=1)
+
+    # P(s) of a probe: the probe minus its unstable endpoint spread along the backward solution
+    spread = q0_kernel(model, s, s, omega).transpose(1, 2, 0)[:, None]  # (pairs, 1, m+1, n)
+    p0, q0 = p0_kernel(model, t, s, omega), q0_kernel(model, t, s, omega)
+    back = q0_kernel(model, s, t, omega)
+    return np.stack(
+        [
+            probe_gain(probes - ends[:, None, :] * spread),
+            _jump_gain(back, ends, probe_norms),
+            np.maximum(probe_gain(probes[None]), _jump_gain(p0 + q0, vectors, vector_norms)),
+            _jump_gain(p0, vectors, vector_norms),
+            _jump_gain(back, vectors, vector_norms),
+        ]
+    )
 
 
 def verify_bounds(
@@ -552,9 +544,11 @@ def verify_bounds(
 ) -> DichotomyCertificate:
     """Measure all five bound families on random time pairs in the window.
 
-    Failures are recorded in the certificate, never raised.  Needs the
-    diagonal closed-form structure; sampling windows of +-10 sit far outside
-    what step-by-step integration covers in reasonable time.
+    Pairs s <= t are measured as arrays, _PAIR_BLOCK at a time; the two
+    unstable families use them with the times swapped.  Failures are
+    recorded in the certificate, never raised.  Needs the diagonal
+    closed-form structure; sampling windows of +-10 sit far outside what
+    step-by-step integration covers in reasonable time.
     """
     if model.coords is None:
         raise ValueError("verify_bounds needs a diagonal exact-flow model")
@@ -565,68 +559,36 @@ def verify_bounds(
     D = derived_constant_D(model, N)
     probes = _probe_segments(model, m, rng)
     vectors = _probe_vectors(model.n, rng)
-    has_unstable = model.d_u > 0
+    s, t = np.sort(rng.uniform(lo, hi, size=(samples, 2)), axis=1).T
+    measured = np.empty((5, samples))
+    for i in range(0, samples, _PAIR_BLOCK):
+        blk = slice(i, i + _PAIR_BLOCK)
+        measured[:, blk] = _measure_pairs(model, t[blk], s[blk], probes, vectors)
 
-    families = {name: [] for name in ("stable", "unstable", "bounded_growth", "jump_stable", "jump_unstable")}
-    for _ in range(samples):
-        t1, t2 = np.sort(rng.uniform(lo, hi, size=2))
-        s, t = float(t1), float(t2)  # forward pair: t >= s
-        ratio_mu = float(mu.eval(t)) / float(mu.eval(s))
+    mu_s, mu_t = np.asarray(mu.eval(s), dtype=float), np.asarray(mu.eval(t), dtype=float)
+    fwd, bwd = mu_t / mu_s, mu_s / mu_t
 
-        measured = max(sup_norm(seg_T_closed(model, t, s, model.P(s, ph))) / sup_norm(ph) for ph in probes)
-        bound = model.K * ratio_mu ** (-model.alpha) * float(mu_weight(mu, s, -model.theta))
-        families["stable"].append((t, s, measured, bound))
+    def weight(at, exponent):
+        return np.asarray(mu_weight(mu, at, -exponent), dtype=float)
 
-        measured = max(sup_norm(seg_T_closed(model, t, s, ph)) / sup_norm(ph) for ph in probes)
-        measured = max(
-            measured,
-            max(sup_norm(jump_T0_closed(model, t, s, v, m)) / float(np.max(np.abs(v))) for v in vectors),
-        )
-        bound = model.K_tilde * ratio_mu**model.a * float(mu_weight(mu, s, -model.eps))
-        families["bounded_growth"].append((t, s, measured, bound))
-
-        measured = max(sup_norm(p0_evolved_closed(model, t, s, v, m)) / float(np.max(np.abs(v))) for v in vectors)
-        bound = D * ratio_mu ** (-model.alpha) * float(mu_weight(mu, s, -(model.theta + model.eps)))
-        families["jump_stable"].append((t, s, measured, bound))
-
-        # backward pair for the unstable families: t <= s
-        tb, sb = float(t1), float(t2)
-        ratio_b = float(mu.eval(tb)) / float(mu.eval(sb))
-        if has_unstable:
-            meas_u = 0.0
-            for ph in probes:
-                qseg = model.Q(sb, ph)
-                coords = qseg.values[-1, model.unstable_indices]
-                back = model.unstable_backward(tb, sb, coords)
-                vals = np.zeros((m + 1, model.n))
-                for c, bseg in zip(back, model.unstable_basis(tb, m)):
-                    vals += c * bseg.values
-                meas_u = max(meas_u, sup_norm(Segment(model.r, vals)) / sup_norm(ph))
-            meas_jump = max(
-                sup_norm(q0_backward_closed(model, tb, sb, v, m)) / float(np.max(np.abs(v))) for v in vectors
-            )
-        else:
-            meas_u = 0.0
-            meas_jump = 0.0
-        bound = model.K * ratio_b**model.beta * float(mu_weight(mu, sb, -model.nu))
-        families["unstable"].append((tb, sb, meas_u, bound))
-        bound = D * ratio_b**model.beta * float(mu_weight(mu, sb, -(model.nu + model.eps)))
-        families["jump_unstable"].append((tb, sb, meas_jump, bound))
-
+    families = (  # name, the row's two times, bound
+        ("stable", t, s, model.K * fwd ** (-model.alpha) * weight(s, model.theta)),
+        ("unstable", s, t, model.K * bwd**model.beta * weight(t, model.nu)),
+        ("bounded_growth", t, s, model.K_tilde * fwd**model.a * weight(s, model.eps)),
+        ("jump_stable", t, s, D * fwd ** (-model.alpha) * weight(s, model.theta + model.eps)),
+        ("jump_unstable", s, t, D * bwd**model.beta * weight(t, model.nu + model.eps)),
+    )
     checks = []
-    for name, rows in families.items():
-        ratios = [meas / bnd for (_, _, meas, bnd) in rows]
+    for (name, first, second, bound), meas in zip(families, measured):
+        ratios = meas / bound
         worst = int(np.argmax(ratios))
-        t_w, s_w, meas, bnd = rows[worst]
         checks.append(
             BoundCheck(
                 name=name,
                 worst_ratio=float(ratios[worst]),
-                argmax_pair=(float(t_w), float(s_w)),
+                argmax_pair=(float(first[worst]), float(second[worst])),
                 passed=bool(ratios[worst] <= 1.0 + tol),
-                samples=tuple(
-                    (float(tt), float(ss), float(mm), float(bb), float(mm / bb)) for tt, ss, mm, bb in rows
-                ),
+                samples=tuple(zip(first.tolist(), second.tolist(), meas.tolist(), bound.tolist(), ratios.tolist())),
             )
         )
     return DichotomyCertificate(window=(float(lo), float(hi)), checks=tuple(checks), tolerance=tol)

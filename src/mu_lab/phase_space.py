@@ -66,16 +66,6 @@ class Segment:
     def value_at(self, omega: float) -> np.ndarray:
         return interpolate(self, omega)
 
-    def lag_index(self, lag: float) -> int:
-        """Grid index of omega = -lag; the lag must sit on the grid."""
-        j = (1.0 - lag / self.r) * self.m
-        ji = int(round(j))
-        if abs(j - ji) > 1e-9:
-            raise OutOfDomain(f"lag {lag} is not grid-aligned for m={self.m}, r={self.r}")
-        if not 0 <= ji <= self.m:
-            raise OutOfDomain(f"lag {lag} outside [0, r={self.r}]")
-        return ji
-
     def __add__(self, other: "Segment") -> "Segment":
         self._check_compatible(other)
         return Segment(self.r, self.values + other.values)
@@ -132,6 +122,17 @@ class JumpSegment:
         if abs(omega) <= 1e-12:
             return self.jump.copy()
         return np.zeros(self.n)
+
+
+def lag_index(r: float, m: int, lag: float) -> int:
+    """Index of omega = -lag on the grid omega_j = -r + j r/m; the lag must sit on the grid."""
+    j = (1.0 - lag / r) * m
+    ji = int(round(j))
+    if abs(j - ji) > 1e-9:
+        raise OutOfDomain(f"lag {lag} is not grid-aligned for m={m}, r={r}")
+    if not 0 <= ji <= m:
+        raise OutOfDomain(f"lag {lag} outside [0, r={r}]")
+    return ji
 
 
 def sup_norm(seg) -> float:

@@ -273,13 +273,12 @@ def test_tol_override_flag(tmp_path):
 
 
 def test_threads_env_var(monkeypatch):
+    # the stages run sequentially; a thread count is neither read nor reported
     doc = shipped("wobble_certificate")
-    monkeypatch.setenv("MU_LAB_THREADS", "4")
-    rep = run_pipeline(resolve(parse_scenario(doc)))
-    assert rep["threads"] == 4
     monkeypatch.setenv("MU_LAB_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        run_pipeline(resolve(parse_scenario(doc)))
+    rep = run_pipeline(resolve(parse_scenario(doc)))
+    assert rep["status"] == "pass"
+    assert "threads" not in rep
 
 
 def test_linear_terms_scenario_surface():

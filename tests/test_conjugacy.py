@@ -29,7 +29,7 @@ from mu_lab.dde_core import (
     saturating_cross_perturbation,
 )
 from mu_lab.dichotomy import p0_kernel, q0_kernel, unstable_shape
-from mu_lab.errors import NonFiniteState, NotContracting, TimeOrder, TruncationUnreachable
+from mu_lab.errors import NonFiniteState, NotContracting, OutOfDomain, TimeOrder, TruncationUnreachable
 from mu_lab.phase_space import Segment, mu_norm, sup_norm
 
 
@@ -179,6 +179,18 @@ def test_operator_needs_point_reads(flagship):
         F_apply(flagship["model"], generic, eta, 0.5, 1.0, COARSE_TRUNC, D=flagship["params"].D)
     with pytest.raises(TypeError, match="point-read perturbation"):
         picard_solve(flagship["model"], generic, flagship["params"], COARSE_GRID, COARSE_TRUNC)
+
+
+def test_misaligned_read_raises_out_of_domain(flagship):
+    # the operator and the batched residuals index reads by phase_space's one lag rule
+    pert = saturating_cross_perturbation(
+        flagship["mu"], flagship["pert"].params, reads=[(0, 0.3 * R), (1, R / 2)], n=2
+    )
+    eta = zero_field(flagship, COARSE_GRID)
+    with pytest.raises(OutOfDomain, match="not grid-aligned"):
+        plan_operator(flagship["model"], pert, eta, [0.0], [1.0], COARSE_TRUNC, flagship["params"].D)
+    with pytest.raises(OutOfDomain, match="not grid-aligned"):
+        lattice_residuals(eta, flagship["model"], pert, [0.0], [2], [1.0])
 
 
 def test_plan_counts_clamps_once_from_the_query_geometry(flagship_result):
@@ -365,9 +377,8 @@ def test_panel_weights_integrate_the_time_measure(mu_id):
     from mu_lab.growth_rate import rate_by_id
 
     mu = rate_by_id(mu_id)
-    trunc = TruncationPolicy()
     for lo, hi in [(-3.0, -0.5), (-1.2, 2.3), (0.4, 5.0)]:
-        taus, w = _u_panels(mu, lo, hi, trunc)
+        taus, w = _u_panels(mu, lo, hi)
         assert np.sum(w) == pytest.approx(hi - lo, rel=1e-9)
         assert np.all((taus > lo) & (taus < hi))
 

@@ -1,17 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mu_lab.dde_core import fundamental_jump, solution_op_T
 from mu_lab.dichotomy import (
+    DEFAULT_SCAN,
     apply_P0,
     apply_Q0,
     derived_constant_D,
     evolve_P0,
     flagship_model,
-    p0_evolved_closed,
-    q0_backward_closed,
+    p0_kernel,
+    q0_kernel,
     scalar_stable_model,
     scalar_unstable_model,
     seg_T_closed,
@@ -19,8 +21,8 @@ from mu_lab.dichotomy import (
     three_dim_model,
     verify_bounds,
 )
-from mu_lab.errors import SingularUnstableBasis
-from mu_lab.growth_rate import builtin_catalogue, rate_by_id
+from mu_lab.errors import SingularUnstableBasis, TimeOrder
+from mu_lab.growth_rate import builtin_catalogue, mu_weight, rate_by_id, ratio_bound_N
 from mu_lab.phase_space import Segment, sup_norm
 
 EXP = rate_by_id("exp")
@@ -30,6 +32,18 @@ R = 0.5
 @pytest.fixture(scope="module")
 def diag2():
     return flagship_model(EXP, R)
+
+
+def evolve(model, t, s, seg):
+    """seg_T_closed on one pair and one segment."""
+    return Segment(model.r, seg_T_closed(model, [t], [s], seg.values[None, None])[0, 0])
+
+
+def jump_response(kernel, model, t, s, p, m):
+    """The kernel at (t, s) applied to the jump vector p, as a segment."""
+    omega = np.linspace(-model.r, 0.0, m + 1)
+    kern = kernel(model, t, np.array([s]), omega)[:, 0]  # (n, m+1)
+    return Segment(model.r, (np.asarray(p, dtype=float)[:, None] * kern).T)
 
 
 def random_segment(model, m, seed):
@@ -49,8 +63,8 @@ def test_projection_idempotence_complementarity_commutation(diag2):
         assert sup_norm(diag2.P(s, p) - p) < 1e-8
         assert sup_norm((p + q) - phi) < 1e-10
         t = s + 0.9
-        left = seg_T_closed(diag2, t, s, diag2.P(s, phi))
-        right = diag2.P(t, seg_T_closed(diag2, t, s, phi))
+        left = evolve(diag2, t, s, diag2.P(s, phi))
+        right = diag2.P(t, evolve(diag2, t, s, phi))
         assert sup_norm(left - right) < 1e-10
 
 
@@ -118,7 +132,7 @@ def test_p0_evolved_closed_matches_integration(diag2):
     comp = apply_P0(diag2, t, p, m=48)
     for dt in (0.2, R, 1.1):
         via_rk = evolve_P0(diag2, t + dt, t, comp, m=48)
-        via_closed = p0_evolved_closed(diag2, t + dt, t, p, 48)
+        via_closed = jump_response(p0_kernel, diag2, t + dt, t, p, 48)
         # linear interpolation of the history splice dominates: ~ (r/m)^2
         assert sup_norm(via_rk - via_closed) < 2e-5
 
@@ -166,7 +180,7 @@ def test_stable_flow_value_is_exact_power_law():
         model = scalar_stable_model(mu, R)
         phi = Segment.constant(R, [1.0], 32)
         for s, t in [(-2.0, 1.0), (0.5, 4.0)]:
-            seg = seg_T_closed(model, t, s, phi)
+            seg = evolve(model, t, s, phi)
             expected = (float(mu.eval(t)) / float(mu.eval(s))) ** (-model.alpha)
             assert seg.values[-1, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -262,5 +276,241 @@ def test_singular_basis_detected(diag2):
 
 def test_q0_backward_closed_decays():
     model = scalar_unstable_model(EXP, R)
-    seg = q0_backward_closed(model, -2.0, 1.0, [1.0], 32)
+    seg = jump_response(q0_kernel, model, -2.0, 1.0, [1.0], 32)
     assert sup_norm(seg) == pytest.approx(np.exp(0.6 * -3.0), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# per-pair oracle: the certificate one time pair and one probe at a time
+# ---------------------------------------------------------------------------
+
+
+def oracle_rho(model, times):
+    return np.array([np.asarray(c.log_flow(times), dtype=float) for c in model.coords])
+
+
+def oracle_seg_T(model, t, s, seg):
+    """T(t, s) for diagonal flows: evolve the endpoint, splice the history."""
+    if t < s:
+        raise TimeOrder(f"t={t} earlier than s={s}")
+    grid = t + seg.omega_grid
+    rho = oracle_rho(model, grid)
+    rho_s = oracle_rho(model, np.array([s]))[:, 0]
+    forward = grid >= s - 1e-12
+    vals = np.empty((seg.m + 1, model.n))
+    end = seg.values[-1]
+    for i in range(model.n):
+        vals[:, i] = end[i] * np.exp(rho[i] - rho_s[i])
+    if not forward.all():
+        for j in np.where(~forward)[0]:
+            vals[j] = seg.value_at(max(-seg.r, grid[j] - s))
+    return Segment(seg.r, vals)
+
+
+def jump_T0_closed(model, t, s, p, m):
+    """T0(t, s) X0 p for diagonal flows (sampled; zero left of s)."""
+    if t < s:
+        raise TimeOrder(f"t={t} earlier than s={s}")
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    grid = t + np.linspace(-model.r, 0.0, m + 1)
+    rho = oracle_rho(model, grid)
+    rho_s = oracle_rho(model, np.array([s]))[:, 0]
+    forward = grid >= s - 1e-12
+    vals = np.zeros((m + 1, model.n))
+    for i in range(model.n):
+        vals[:, i] = np.where(forward, p[i] * np.exp(rho[i] - rho_s[i]), 0.0)
+    return Segment(model.r, vals)
+
+
+def p0_evolved_closed(model, t, s, p, m):
+    """T0(t, s) P0(s) p: stable flow forward of s, negated unstable tail before it."""
+    if t < s:
+        raise TimeOrder(f"t={t} earlier than s={s}")
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    grid = t + np.linspace(-model.r, 0.0, m + 1)
+    rho = oracle_rho(model, grid)
+    rho_s = oracle_rho(model, np.array([s]))[:, 0]
+    forward = grid >= s - 1e-12
+    vals = np.zeros((m + 1, model.n))
+    for i, c in enumerate(model.coords):
+        flow = p[i] * np.exp(rho[i] - rho_s[i])
+        if c.role == "stable":
+            vals[:, i] = np.where(forward, flow, 0.0)
+        else:
+            vals[:, i] = np.where(forward, 0.0, -flow)
+    return Segment(model.r, vals)
+
+
+def q0_backward_closed(model, t, s, p, m):
+    """T_bar(t, s) Q0(s) p for t <= s: unstable coordinates pulled back."""
+    if t > s:
+        raise TimeOrder(f"t={t} later than s={s}")
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    grid = t + np.linspace(-model.r, 0.0, m + 1)
+    rho = oracle_rho(model, grid)
+    rho_s = oracle_rho(model, np.array([s]))[:, 0]
+    vals = np.zeros((m + 1, model.n))
+    for i, c in enumerate(model.coords):
+        if c.role == "unstable":
+            vals[:, i] = p[i] * np.exp(rho[i] - rho_s[i])
+    return Segment(model.r, vals)
+
+
+def oracle_probes(model, m, rng):
+    n = model.n
+    probes = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        probes.append(Segment.constant(model.r, e, m))
+        spike = np.zeros((m + 1, n))
+        spike[:, i] = -1.0
+        spike[-1, i] = 1.0
+        probes.append(Segment(model.r, spike))
+    grid = np.linspace(-model.r, 0.0, m + 1)
+    for _ in range(3):
+        freq = rng.uniform(0.5, 4.0, size=n)
+        phase = rng.uniform(0, 2 * np.pi, size=n)
+        vals = np.cos(np.outer(grid, freq) + phase)
+        vals /= np.max(np.abs(vals))
+        probes.append(Segment(model.r, vals))
+    vectors = [np.eye(n)[i] for i in range(n)]
+    for _ in range(3):
+        v = rng.normal(size=n)
+        vectors.append(v / np.max(np.abs(v)))
+    return probes, vectors
+
+
+def oracle_certificate(model, window, samples, seed, m):
+    """Rows (t, s, measured, bound) per family, one pair and one probe at a time."""
+    lo, hi = window
+    rng = np.random.default_rng(seed)
+    mu = model.mu
+    D = derived_constant_D(model, ratio_bound_N(mu, model.r, DEFAULT_SCAN))
+    probes, vectors = oracle_probes(model, m, rng)
+    families = {name: [] for name in ("stable", "unstable", "bounded_growth", "jump_stable", "jump_unstable")}
+
+    def jump_gain(closed, t, s):
+        return max(sup_norm(closed(model, t, s, v, m)) / float(np.max(np.abs(v))) for v in vectors)
+
+    for _ in range(samples):
+        t1, t2 = np.sort(rng.uniform(lo, hi, size=2))
+        s, t = float(t1), float(t2)
+        ratio_mu = float(mu.eval(t)) / float(mu.eval(s))
+        measured = max(sup_norm(oracle_seg_T(model, t, s, model.P(s, ph))) / sup_norm(ph) for ph in probes)
+        bound = model.K * ratio_mu ** (-model.alpha) * float(mu_weight(mu, s, -model.theta))
+        families["stable"].append((t, s, measured, bound))
+        measured = max(sup_norm(oracle_seg_T(model, t, s, ph)) / sup_norm(ph) for ph in probes)
+        measured = max(measured, jump_gain(jump_T0_closed, t, s))
+        bound = model.K_tilde * ratio_mu**model.a * float(mu_weight(mu, s, -model.eps))
+        families["bounded_growth"].append((t, s, measured, bound))
+        bound = D * ratio_mu ** (-model.alpha) * float(mu_weight(mu, s, -(model.theta + model.eps)))
+        families["jump_stable"].append((t, s, jump_gain(p0_evolved_closed, t, s), bound))
+
+        tb, sb = s, t  # backward pair for the unstable families
+        ratio_b = float(mu.eval(tb)) / float(mu.eval(sb))
+        meas_u = meas_jump = 0.0
+        if model.d_u > 0:
+            for ph in probes:
+                coords = model.Q(sb, ph).values[-1, model.unstable_indices]
+                back = model.unstable_backward(tb, sb, coords)
+                vals = np.zeros((m + 1, model.n))
+                for c, bseg in zip(back, model.unstable_basis(tb, m)):
+                    vals += c * bseg.values
+                meas_u = max(meas_u, sup_norm(Segment(model.r, vals)) / sup_norm(ph))
+            meas_jump = jump_gain(q0_backward_closed, tb, sb)
+        bound = model.K * ratio_b**model.beta * float(mu_weight(mu, sb, -model.nu))
+        families["unstable"].append((tb, sb, meas_u, bound))
+        bound = D * ratio_b**model.beta * float(mu_weight(mu, sb, -(model.nu + model.eps)))
+        families["jump_unstable"].append((tb, sb, meas_jump, bound))
+    return families
+
+
+ORACLE_MODELS = [
+    pytest.param(build, mu, id=f"{build.__name__}-{mu.label}")
+    for mu in builtin_catalogue()
+    for build in (scalar_stable_model, scalar_unstable_model, flagship_model)
+] + [
+    pytest.param(three_dim_model, EXP, id="three_dim_model-exp"),
+    pytest.param(lambda mu, r: sin_wobble_model(r), EXP, id="sin_wobble_model"),
+    pytest.param(lambda mu, r: sin_wobble_model(r, theta=0.0), EXP, id="sin_wobble_model-theta0"),
+]
+
+
+@pytest.mark.parametrize("build, mu", ORACLE_MODELS)
+def test_certificate_matches_per_pair_oracle(build, mu):
+    # a window of +-6 delays holds enough pairs closer than r that the
+    # history splice of T(t, s) is measured, not only the evolved endpoint
+    model = build(mu, R)
+    window, samples, seed, m = (-6.0, 6.0), 120, 17, 40
+    cert = verify_bounds(model, window, samples=samples, seed=seed, m=m)
+    want = oracle_certificate(model, window, samples, seed, m)
+    assert [c.name for c in cert.checks] == list(want)
+    short = [t - s < R for t, s, _, _ in want["stable"]]
+    assert 3 <= sum(short) < samples
+    for check in cert.checks:
+        rows = want[check.name]
+        got = np.array(check.samples)
+        ref = np.array([(t, s, meas, bnd, meas / bnd) for t, s, meas, bnd in rows])
+        assert got.shape == ref.shape == (samples, 5)
+        assert np.array_equal(got[:, :2], ref[:, :2])
+        np.testing.assert_allclose(got[:, 2:], ref[:, 2:], rtol=1e-12, atol=0.0)
+        ratios = ref[:, 4]
+        worst = int(np.argmax(ratios))
+        assert check.worst_ratio == pytest.approx(ratios[worst], rel=1e-12, abs=0.0)
+        assert check.argmax_pair == (rows[worst][0], rows[worst][1])
+        assert check.passed == bool(ratios[worst] <= 1.0 + cert.tolerance)
+
+
+@pytest.mark.parametrize("mu", builtin_catalogue(), ids=lambda g: g.label)
+def test_seg_T_closed_matches_per_pair_oracle(mu):
+    # every sample, signs included, for pairs inside one delay (history
+    # splice) and beyond it, on per-pair and on shared segments
+    model = three_dim_model(mu, R)
+    rng = np.random.default_rng(12)
+    m, pairs = 24, 30
+    s = rng.uniform(-5.0, 5.0, size=pairs)
+    t = s + np.concatenate([rng.uniform(0.0, R, size=pairs // 2), rng.uniform(R, 4.0, size=pairs - pairs // 2)])
+    t[0] = s[0]
+    values = rng.normal(size=(pairs, 4, m + 1, model.n))
+    got = seg_T_closed(model, t, s, values)
+    shared = seg_T_closed(model, t, s, values[:1])
+    assert got.shape == shared.shape == values.shape
+    for p in range(pairs):
+        for q in range(4):
+            want = oracle_seg_T(model, float(t[p]), float(s[p]), Segment(R, values[p, q])).values
+            np.testing.assert_allclose(got[p, q], want, rtol=1e-13, atol=0.0)
+            want = oracle_seg_T(model, float(t[p]), float(s[p]), Segment(R, values[0, q])).values
+            np.testing.assert_allclose(shared[p, q], want, rtol=1e-13, atol=0.0)
+    with pytest.raises(TimeOrder):
+        seg_T_closed(model, s, t, values)
+
+
+@pytest.mark.parametrize("mu", builtin_catalogue(), ids=lambda g: g.label)
+def test_pairwise_kernels_stack_single_time_calls(mu):
+    # one time per tau must give, bit for bit, what the operator's one-time
+    # call gives for that tau alone
+    rng = np.random.default_rng(8)
+    omega = np.linspace(-R, 0.0, 41)
+    for model in (flagship_model(mu, R), three_dim_model(mu, R)):
+        t = rng.uniform(-8.0, 8.0, size=23)
+        taus = t - rng.uniform(-1.0, 1.0, size=23)
+        for kernel in (p0_kernel, q0_kernel):
+            pairwise = kernel(model, t, taus, omega)
+            single = [kernel(model, float(ti), np.array([ta]), omega)[:, 0] for ti, ta in zip(t, taus)]
+            assert pairwise.shape == (model.n, 23, 41)
+            assert np.array_equal(pairwise, np.stack(single, axis=1))
+
+
+def test_certificate_memory_stays_per_block(diag2):
+    # pairs are measured in fixed blocks, so the arrays of one block, not of
+    # all 2,000 pairs, sit beside the certificate's own sample rows
+    verify_bounds(diag2, (-10.0, 10.0), samples=20, seed=0)
+    tracemalloc.start()
+    try:
+        cert = verify_bounds(diag2, (-10.0, 10.0), samples=2000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cert.checks[0].samples) == 2000
+    assert peak <= 4_000_000

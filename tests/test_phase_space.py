@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mu_lab.errors import OutOfDomain
 from mu_lab.growth_rate import rate_by_id
-from mu_lab.phase_space import JumpSegment, Segment, interpolate, mu_norm, sup_norm
+from mu_lab.phase_space import JumpSegment, Segment, interpolate, lag_index, mu_norm, sup_norm
 
 
 def test_sup_norm_zero_and_constant():
@@ -101,12 +101,11 @@ def test_jump_segment_semantics():
 
 
 def test_lag_index_alignment():
-    seg = Segment.zeros(0.5, 1, 64)
-    assert seg.lag_index(0.5) == 0
-    assert seg.lag_index(0.25) == 32
-    assert seg.lag_index(0.0) == 64
+    assert lag_index(0.5, 64, 0.5) == 0
+    assert lag_index(0.5, 64, 0.25) == 32
+    assert lag_index(0.5, 64, 0.0) == 64
     with pytest.raises(OutOfDomain):
-        seg.lag_index(0.21)
+        lag_index(0.5, 64, 0.21)
 
 
 def test_json_round_trip():
