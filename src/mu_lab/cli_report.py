@@ -228,14 +228,17 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def _read_scenario_json(path):
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
-    return parse_scenario(doc)
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(_read_scenario_json(path))
 
 
 def _resolve_model(sc: Scenario, p: dict):
@@ -287,7 +290,6 @@ def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Option
     p = sc.params
     if not p and model is None:
         return None
-    N = ratio_bound_N(mu, sc.delay, DEFAULT_SCAN)
     if model is not None:
         defaults = {
             "alpha": model.alpha,
@@ -299,14 +301,14 @@ def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Option
             "K": model.K,
             "K_tilde": model.K_tilde,
         }
-        D = derived_constant_D(model, N)
+        N, D = model.N, derived_constant_D(model)
     else:
         required = {"alpha", "beta", "theta", "nu", "eps", "a", "K", "K_tilde"}
         missing = sorted(required - set(p))
         if missing:
             raise ConfigError(f"scenario.params needs {missing} when the model has no flow structure")
         defaults = {}
-        D = None
+        N, D = ratio_bound_N(mu, sc.delay, DEFAULT_SCAN), None
 
     def get(key, fallback=None):
         if key in p:
@@ -331,7 +333,7 @@ def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Option
         N=N,
     )
     if D is None:
-        D = derived_constant_D(ParamSet(xi=1.0, delta=1.0, lam=1.0, D=1.0, **base), N)
+        D = derived_constant_D(ParamSet(xi=1.0, delta=1.0, lam=1.0, D=1.0, **base))
     probe = ParamSet(xi=1.0, delta=1.0, lam=1.0, D=D, **base)
     try:
         xi = float(p["xi"]) if "xi" in p else default_xi(probe)
@@ -410,18 +412,6 @@ def resolve(sc: Scenario) -> ResolvedScenario:
     )
 
 
-def _to_builtin(obj):
-    if isinstance(obj, dict):
-        return {k: _to_builtin(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_builtin(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 def run_admissibility(res: ResolvedScenario) -> dict:
     if res.params is None:
         raise ConfigError("scenario has no params section; nothing to check")
@@ -453,6 +443,22 @@ def run_dichotomy(res: ResolvedScenario, samples: Optional[int] = None, seed: Op
     return {"status": "pass" if cert.passed else "fail", "certificate": doc}
 
 
+def _residual_check(res: ResolvedScenario, eta: EtaField, n_samples: int, seed: int):
+    """Residual rows on the scenario's checks, their largest weighted value, and the residual_mu_max gate."""
+    rows = verify_residuals(
+        eta,
+        res.model,
+        res.pert,
+        n_samples=n_samples,
+        horizon=float(res.checks["residual_horizon_delays"]) * res.scenario.delay,
+        core=tuple(res.checks["core_window"]),
+        b_scale=float(res.checks["b_scale"]),
+        seed=seed,
+    )
+    max_mu = max((r.weighted for r in rows), default=0.0)
+    return rows, max_mu, max_mu <= float(res.checks["residual_mu_max"])
+
+
 def run_conjugacy(res: ResolvedScenario) -> dict:
     if res.model is None:
         raise ConfigError("build-conjugacy needs a flow-structured model kind")
@@ -475,20 +481,8 @@ def run_conjugacy(res: ResolvedScenario) -> dict:
         return {"status": "truncation_unreachable", "error": str(exc)}
     if not result.converged:
         return {"status": "no_convergence", "summary": result.summary()}
-    rows = verify_residuals(
-        result.eta,
-        res.model,
-        res.pert,
-        n_samples=int(res.checks["residual_samples"]),
-        horizon=float(res.checks["residual_horizon_delays"]) * res.scenario.delay,
-        core=tuple(res.checks["core_window"]),
-        b_scale=float(res.checks["b_scale"]),
-        seed=res.seed + 1,
-    )
-    result.attach_residuals(rows)
+    rows, max_mu, residual_ok = _residual_check(res, result.eta, int(res.checks["residual_samples"]), res.seed + 1)
     inv = invertibility_check(result, res.model)
-    max_mu = max((r.weighted for r in rows), default=0.0)
-    residual_ok = max_mu <= float(res.checks["residual_mu_max"])
     return {
         "status": "converged",
         "summary": result.summary(),
@@ -525,7 +519,7 @@ def run_pipeline(res) -> dict:
     if adm["status"] != "pass":
         report["status"] = "admissibility_failed"
         report["exit_code"] = EXIT_ADMISSIBILITY
-        return _to_builtin(report)
+        return report
 
     t0 = time.perf_counter()
     dich = run_dichotomy(res)
@@ -534,7 +528,7 @@ def run_pipeline(res) -> dict:
     if dich["status"] != "pass":
         report["status"] = "certificate_failed"
         report["exit_code"] = EXIT_CERTIFICATE
-        return _to_builtin(report)
+        return report
 
     t0 = time.perf_counter()
     conj = run_conjugacy(res)
@@ -544,19 +538,26 @@ def run_pipeline(res) -> dict:
     if conj["status"] in ("not_contracting", "truncation_unreachable", "no_convergence"):
         report["status"] = "solver_failed"
         report["exit_code"] = EXIT_SOLVER
-        return _to_builtin(report)
+        return report
     if conj["status"] == "converged" and not conj["residuals"]["pass"]:
         report["status"] = "solver_failed"
         report["exit_code"] = EXIT_SOLVER
-        return _to_builtin(report)
+        return report
 
     report["status"] = "pass"
     report["exit_code"] = EXIT_PASS
-    return _to_builtin(report)
+    return report
+
+
+def _numpy_json(obj):
+    """json.dumps hook: numpy scalars and arrays as their Python values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(_to_builtin(report), sort_keys=True, indent=2)
+    return json.dumps(report, sort_keys=True, indent=2, default=_numpy_json)
 
 
 def strip_timings(report: dict) -> dict:
@@ -681,13 +682,7 @@ def _apply_tol_overrides(doc: dict, overrides) -> dict:
 
 
 def _load_resolved(args) -> ResolvedScenario:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"scenario file not found: {args.config}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
-    doc = _apply_tol_overrides(doc, getattr(args, "tol", None))
+    doc = _apply_tol_overrides(_read_scenario_json(args.config), getattr(args, "tol", None))
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
     return resolve(parse_scenario(doc))
@@ -767,18 +762,7 @@ def _dispatch(args) -> int:
         return EXIT_SOLVER
     if args.command == "verify-conjugacy":
         doc, res, eta = load_conjugacy_result(args.result)
-        rows = verify_residuals(
-            eta,
-            res.model,
-            res.pert,
-            n_samples=args.samples,
-            horizon=float(res.checks["residual_horizon_delays"]) * res.scenario.delay,
-            core=tuple(res.checks["core_window"]),
-            b_scale=float(res.checks["b_scale"]),
-            seed=args.seed,
-        )
-        max_mu = max((r.weighted for r in rows), default=0.0)
-        ok = max_mu <= float(res.checks["residual_mu_max"])
+        rows, max_mu, ok = _residual_check(res, eta, args.samples, args.seed)
         payload = report_json(
             {
                 "samples": len(rows),

@@ -26,14 +26,14 @@ trigger for core evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .admissibility import ParamSet, full_report
 from .dde_core import solve_perturbed_R
-from .dichotomy import DichotomyModel, p0_kernel, q0_kernel, unstable_shape
+from .dichotomy import DichotomyModel, p0_kernel, q0_kernel, unstable_flow, unstable_shape
 from .errors import NonFiniteState, NotContracting, TimeOrder, TruncationUnreachable
 from .growth_rate import mu_weight, ratio_bound_N  # noqa: F401  (perfbench/spans.py traces it here)
 from .phase_space import Segment, lag_index, sup_norm
@@ -345,11 +345,6 @@ def orbit_quadrature(model: DichotomyModel, pert, t: float, trunc: TruncationPol
 # ---------------------------------------------------------------------------
 
 
-def _rho_u(model: DichotomyModel, ts: np.ndarray) -> np.ndarray:
-    idx = model.unstable_indices[0]
-    return np.asarray(model.coords[idx].log_flow(np.asarray(ts, dtype=float)), dtype=float)
-
-
 def _require_point_reads(pert, what: str, fallback: str = "") -> None:
     if not (hasattr(pert, "reads") and hasattr(pert, "batch_g")):
         raise TypeError(
@@ -370,10 +365,10 @@ class RowPlan:
     taus: np.ndarray  # (S,) orbit_quadrature nodes, stable then unstable
     weights: np.ndarray  # (S,) quadrature weights, negated on the unstable side
     n_stable: int
-    factor: np.ndarray  # (S,) orbit factor exp(rho_u(tau) - rho_u(t))
+    factor: np.ndarray  # (S,) orbit factor unstable_flow(tau, t)
     it: np.ndarray  # (S,) t-interpolation cell of each node
     wt: np.ndarray  # (S,) t-interpolation weight of each node
-    lin: np.ndarray  # (k, S) linear part b_tau u(tau) at each read, per unit b_tau
+    lin: np.ndarray  # (k, S) linear part b_tau u(tau) at each read per unit b_tau, unstable_flow(tau - lag, tau)
 
 
 @dataclass(frozen=True)
@@ -399,7 +394,7 @@ def plan_operator(model: DichotomyModel, pert, eta: EtaField, ts, bs, trunc: Tru
     """Plan the operator at the queries ts x bs on the grid of eta.
 
     Only eta's grid is used.  A query clamps when either axis of its orbit
-    lookup (tau, b exp(rho_u(tau) - rho_u(t))) leaves the grid, counted as
+    lookup (tau, b unstable_flow(tau, t)) leaves the grid, counted as
     EtaField._weights counts it over each row's (S, nb) lookups.
     """
     _require_point_reads(pert, "the operator needs")
@@ -413,15 +408,14 @@ def plan_operator(model: DichotomyModel, pert, eta: EtaField, ts, bs, trunc: Tru
         t = float(t)
         taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, eta.m)
         taus = np.concatenate([taus_s, taus_u])
-        rho = _rho_u(model, taus)
-        factor = np.exp(rho - _rho_u(model, np.array([t]))[0])
+        factor = unstable_flow(model, taus, t)[0]
         it, _, wt, _, cl, tot = eta._weights(taus[:, None], factor[:, None] * bs)
         clamped += cl
         total += tot
         lin = np.zeros((len(cs), taus.size))
         for j, (coord, lag) in enumerate(pert.reads):
             if coord == u_idx:
-                lin[j] = np.exp(_rho_u(model, taus - lag) - rho)
+                lin[j] = unstable_flow(model, taus - lag, taus)[0]
         rows.append(RowPlan(t, taus, np.concatenate([w_s, -w_u]), taus_s.size, factor, it[:, 0], wt[:, 0], lin))
     return OperatorPlan(model, pert, bs, tuple(rows), cs, js, clamped, total)
 
@@ -533,14 +527,10 @@ class ConjugacyResult:
     clamp_rate: float
     norms: dict
     solver_tol: float
-    residual_grid: list = field(default_factory=list)  # filled by residual checks
 
     @property
     def derivative_margin(self) -> float:
         return 1.0 - self.norms["dinf_mu"]
-
-    def attach_residuals(self, rows: list) -> None:
-        self.residual_grid = list(rows)
 
     def summary(self) -> dict:
         return {
@@ -654,26 +644,13 @@ class ResidualSample:
         return {"t": self.t, "s": self.s, "b": self.b, "raw": self.raw, "mu": self.weighted}
 
 
-def conjugacy_residual(
-    eta,
-    model: DichotomyModel,
-    pert,
-    t: float,
-    s: float,
-    b: float,
-) -> ResidualSample:
-    """Mismatch of corrected-linear versus nonlinear evolution through (s, b).
-
-    Accepts either a solved ConjugacyResult or a bare EtaField.
-    """
-    if hasattr(eta, "eta"):
-        eta = eta.eta
+def conjugacy_residual(eta: EtaField, model: DichotomyModel, pert, t: float, s: float, b: float) -> ResidualSample:
+    """Mismatch of corrected-linear versus nonlinear evolution through (s, b)."""
     if t < s:
         raise TimeOrder(f"t={t} earlier than s={s}")
     m = eta.m
     u_idx = model.unstable_indices[0]
-    rho = _rho_u(model, np.array([t, s]))
-    b_t = b * float(np.exp(rho[0] - rho[1]))
+    b_t = b * float(unstable_flow(model, t, s)[0])
 
     lin_t = np.zeros((m + 1, model.n))
     lin_t[:, u_idx] = b_t * unstable_shape(model, t, m)[0]
@@ -695,8 +672,7 @@ def _corrected_segments(eta: EtaField, model: DichotomyModel, t: np.ndarray, b: 
     stacked = eta.values.reshape(eta.values.shape[0], eta.values.shape[1], -1)
     flat, _, _ = eta.interp_tables(stacked, t, b)
     segs = flat.reshape(len(t), eta.n, m + 1).transpose(0, 2, 1).copy()
-    rho = _rho_u(model, t[:, None] + np.linspace(-model.r, 0.0, m + 1))
-    segs[:, :, model.unstable_indices[0]] += b[:, None] * np.exp(rho - rho[:, -1:])
+    segs[:, :, model.unstable_indices[0]] += b[:, None] * unstable_shape(model, t, m)[0]
     return segs
 
 
@@ -728,8 +704,7 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert, s, k, b) -> li
     m, n = eta.m, model.n
     h = model.r / m
     t = s + h * k
-    rho_t, rho_s = _rho_u(model, t), _rho_u(model, s)
-    lhs = _corrected_segments(eta, model, t, b * np.exp(rho_t - rho_s))
+    lhs = _corrected_segments(eta, model, t, b * unstable_flow(model, t, s)[0])
 
     order = np.argsort(-k, kind="stable")
     ks, so, bo = k[order], s[order], b[order]
@@ -832,12 +807,9 @@ def invertibility_check(result: ConjugacyResult, model: DichotomyModel) -> dict:
     report["fd_rel_err"] = fd_err
     report["fd_ok"] = fd_err <= 1e-3
 
-    if model.d_u == 1:
-        u_idx = model.unstable_indices[0]
-        coord_map = eta.b_grid[None, :] + vals[:, :, u_idx, -1]
-        report["monotone"] = bool(np.all(np.diff(coord_map, axis=1) > 0.0))
-    else:
-        report["monotone"] = None
+    # picard_solve only solves models with one unstable coordinate
+    coord_map = eta.b_grid[None, :] + vals[:, :, model.unstable_indices[0], -1]
+    report["monotone"] = bool(np.all(np.diff(coord_map, axis=1) > 0.0))
     return report
 
 

@@ -91,7 +91,7 @@ class Perturbation:
             reads=(),
             weight=lambda ts: np.ones(np.shape(ts)),
             value_map=lambda W: np.zeros(np.shape(W)[:-1] + (n,)),
-            jac_map=lambda W: np.zeros(np.shape(W)[:-1] + (n, 0)),
+            jvp_map=lambda W, V: np.zeros(np.shape(W)[:-1] + (n,)),
             params=PerturbationParams(0.0, 1.0, 0.0, 0.0, 0.0),
             n=n,
             label="zero",
@@ -307,15 +307,17 @@ class PointReadPerturbation:
     """Nonlinearity that reads a few lagged point values of the segment.
 
     The scalar prefactor `weight(t)` carries the whole time envelope; the
-    value map and its Jacobian act on the vector of reads and are vectorized
-    over arbitrary leading batch dimensions, which is what lets the
-    correction-field solver evaluate whole quadrature batches at once.
+    value map and its directional derivative (jvp_map(W, V), the Jacobian
+    at the reads W applied to the read directions V) act on the vector of
+    reads and are vectorized over arbitrary leading batch dimensions, which
+    is what lets the correction-field solver evaluate whole quadrature
+    batches at once.
     """
 
     reads: tuple[tuple[int, float], ...]  # (coordinate, lag)
     weight: Callable[[np.ndarray], np.ndarray]
     value_map: Callable[[np.ndarray], np.ndarray]  # (..., k) -> (..., n)
-    jac_map: Callable[[np.ndarray], np.ndarray]  # (..., k) -> (..., n, k)
+    jvp_map: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (..., k), (..., k) -> (..., n)
     params: PerturbationParams
     n: int
     label: str = ""
@@ -330,11 +332,10 @@ class PointReadPerturbation:
 
     def d2g(self, t: float, seg: Segment):
         w = self._read_vector(seg)
-        J = np.asarray(self.jac_map(w), dtype=float)
         scale = float(self.weight(np.asarray(t)))
 
         def apply(chi: Segment) -> np.ndarray:
-            return scale * (J @ self._read_vector(chi))
+            return scale * np.asarray(self.jvp_map(w, self._read_vector(chi)), dtype=float)
 
         return apply
 
@@ -344,8 +345,7 @@ class PointReadPerturbation:
 
     def batch_dg(self, ts: np.ndarray, reads: np.ndarray, direction: np.ndarray) -> np.ndarray:
         w = np.asarray(self.weight(ts), dtype=float)
-        J = np.asarray(self.jac_map(reads), dtype=float)
-        return np.einsum("...nk,...k->...n", J, direction) * w[:, None, None]
+        return np.asarray(self.jvp_map(reads, direction), dtype=float) * w[:, None, None]
 
 
 def _saturator(u: np.ndarray) -> np.ndarray:
@@ -368,8 +368,7 @@ def saturating_cross_perturbation(mu, params: PerturbationParams, reads, n: int,
     budget for both the value and the slope.
     """
     reads = tuple((int(c), float(l)) for c, l in reads)
-    k = len(reads)
-    if k != n:
+    if len(reads) != n:
         raise ValueError("cyclic cross coupling needs one read per coordinate")
     c0 = min(params.delta, params.lam) if scale is None else scale
     expo = params.gamma + 2.0 * params.eps + 3.0 * params.xi
@@ -384,19 +383,15 @@ def saturating_cross_perturbation(mu, params: PerturbationParams, reads, n: int,
         W = np.asarray(W, dtype=float)
         return _saturator(np.roll(W, -1, axis=-1))
 
-    def jac_map(W):
-        W = np.asarray(W, dtype=float)
-        rolled = _saturator_slope(np.roll(W, -1, axis=-1))
-        J = np.zeros(W.shape[:-1] + (n, k))
-        for i in range(n):
-            J[..., i, (i + 1) % k] = rolled[..., i]
-        return J
+    def jvp_map(W, V):
+        W, V = np.asarray(W, dtype=float), np.asarray(V, dtype=float)
+        return _saturator_slope(np.roll(W, -1, axis=-1)) * np.roll(V, -1, axis=-1)
 
     return PointReadPerturbation(
         reads=reads,
         weight=weight,
         value_map=value_map,
-        jac_map=jac_map,
+        jvp_map=jvp_map,
         params=params,
         n=n,
         label="saturating_cross",
@@ -412,8 +407,7 @@ def linear_cross_perturbation(mu, params: PerturbationParams, reads, n: int, gai
     declared envelope constants stay whatever the scenario claims.
     """
     reads = tuple((int(c), float(l)) for c, l in reads)
-    k = len(reads)
-    if k != n:
+    if len(reads) != n:
         raise ValueError("cyclic cross coupling needs one read per coordinate")
 
     def weight(ts):
@@ -425,18 +419,14 @@ def linear_cross_perturbation(mu, params: PerturbationParams, reads, n: int, gai
     def value_map(W):
         return np.roll(np.asarray(W, dtype=float), -1, axis=-1)
 
-    def jac_map(W):
-        W = np.asarray(W, dtype=float)
-        J = np.zeros(W.shape[:-1] + (n, k))
-        for i in range(n):
-            J[..., i, (i + 1) % k] = 1.0
-        return J
+    def jvp_map(W, V):
+        return np.roll(np.asarray(V, dtype=float), -1, axis=-1)
 
     return PointReadPerturbation(
         reads=reads,
         weight=weight,
         value_map=value_map,
-        jac_map=jac_map,
+        jvp_map=jvp_map,
         params=params,
         n=n,
         label="linear_cross",

@@ -1,16 +1,17 @@
 """Dichotomy models: projections, jump-data projectors, and bound certificates.
 
-Shipped models are diagonal systems whose coordinates evolve by exact
-scalar flows exp(rho_i(t) - rho_i(s)) with a known log-primitive rho_i.
-Projections are analytic for these: the unstable projector reads the
-coordinate value at omega = 0 and spreads it along the backward-decaying
-solution shape, which commutes with the evolution exactly.  The jump
-responses have one closed form, p0_kernel and q0_kernel, which the
-conjugacy operator integrates over tau at one time t and the certificate
-evaluates at one time pair per entry.  Certificates estimate operator
-norms by maximizing over a finite probe family, so every measured number
-is a lower bound of the true norm; the certificate tolerance absorbs that
-slack.
+A model is a diagonal system whose coordinates evolve by exact scalar
+flows exp(rho_i(t) - rho_i(s)) with a known log-primitive rho_i; this
+module is the one place that derives the unstable direction from them.
+The unstable projector reads the coordinate value at omega = 0 and spreads
+it along the backward-decaying solution shape (unstable_shape), which
+commutes with the evolution exactly; pull-backs along the unstable flow are
+unstable_flow.  The jump responses have one closed form, p0_kernel and
+q0_kernel, which the conjugacy operator integrates over tau at one time t
+and the certificate evaluates at one time pair per entry.  Certificates
+estimate operator norms by maximizing over a finite probe family, so every
+measured number is a lower bound of the true norm; the certificate
+tolerance absorbs that slack.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dde_core import DelayTerm, LinearDelaySystem, fundamental_jump, solution_op_T
-from .errors import SingularUnstableBasis, TimeOrder
+from .errors import TimeOrder
 from .growth_rate import GrowthRate, mu_weight, rate_by_id, ratio_bound_N
-from .phase_space import JumpSegment, Segment, sup_norm
+from .phase_space import JumpSegment, Segment
 
 DEFAULT_SCAN = np.linspace(-50.0, 50.0, 20001)
 
@@ -44,16 +45,13 @@ class FlowCoordinate:
 
 @dataclass(frozen=True)
 class DichotomyModel:
-    """A linear system with projections and declared dichotomy constants."""
+    """A diagonal flow, its declared dichotomy constants and its ratio bound N = N(r) of mu."""
 
     label: str
     mu: GrowthRate
     r: float
     sys: LinearDelaySystem
-    P: Callable[[float, Segment], Segment]
-    Q: Callable[[float, Segment], Segment]
-    unstable_basis: Callable[[float, int], list]
-    unstable_backward: Callable[[float, float, np.ndarray], np.ndarray]
+    coords: tuple[FlowCoordinate, ...]
     K: float
     alpha: float
     beta: float
@@ -62,7 +60,7 @@ class DichotomyModel:
     K_tilde: float
     a: float
     eps: float
-    coords: Optional[tuple[FlowCoordinate, ...]] = None
+    N: float
 
     @property
     def n(self) -> int:
@@ -70,14 +68,10 @@ class DichotomyModel:
 
     @property
     def d_u(self) -> int:
-        if self.coords is None:
-            return len(self.unstable_basis(0.0, 2))
-        return sum(1 for c in self.coords if c.role == "unstable")
+        return len(self.unstable_indices)
 
     @property
     def unstable_indices(self) -> list[int]:
-        if self.coords is None:
-            raise ValueError("model has no diagonal coordinate structure")
         return [i for i, c in enumerate(self.coords) if c.role == "unstable"]
 
 
@@ -93,9 +87,6 @@ class P0Composite:
         if abs(omega) <= 1e-12:
             v = v + self.jump
         return v
-
-    def sup(self) -> float:
-        return max(float(np.max(np.abs(self.segment.values[-1] + self.jump))), sup_norm(self.segment))
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +151,34 @@ def seg_T_closed(model: DichotomyModel, t: np.ndarray, s: np.ndarray, values: np
     return np.where(ahead[:, None, :, None], values[..., -1:, :] * flow.transpose(1, 2, 0)[:, None], history)
 
 
-def unstable_shape(model: DichotomyModel, t: float, m: int) -> np.ndarray:
-    """Backward-decaying solution shapes (d_u, m+1) normalized to 1 at omega=0: q0_kernel at tau = t."""
-    omega = np.linspace(-model.r, 0.0, m + 1)
-    return q0_kernel(model, t, np.array([float(t)]), omega)[model.unstable_indices, 0]
+def unstable_shape(model: DichotomyModel, t, m: int) -> np.ndarray:
+    """Backward-decaying solution shapes normalized to 1 at omega = 0: q0_kernel at tau = t.
+
+    (d_u, m+1) for one time t, (d_u, len(t), m+1) for an array of times.
+    """
+    taus = np.atleast_1d(np.asarray(t, dtype=float))
+    shapes = q0_kernel(model, taus, taus, np.linspace(-model.r, 0.0, m + 1))[model.unstable_indices]
+    return shapes if np.ndim(t) else shapes[:, 0]
+
+
+def unstable_flow(model: DichotomyModel, t, s) -> np.ndarray:
+    """exp(rho_i(t) - rho_i(s)) per unstable coordinate i, shape (d_u,) + the broadcast shape of t and s."""
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    rhos = [model.coords[i].log_flow for i in model.unstable_indices]
+    return np.array([np.exp(np.asarray(rho(t), dtype=float) - np.asarray(rho(s), dtype=float)) for rho in rhos])
+
+
+def project_Q(model: DichotomyModel, s: float, seg: Segment) -> Segment:
+    """Q(s): each unstable coordinate's value at omega = 0, spread along its unstable shape."""
+    vals = np.zeros_like(seg.values)
+    idx = model.unstable_indices
+    vals[:, idx] = seg.values[-1, idx] * unstable_shape(model, s, seg.m).T
+    return Segment(seg.r, vals)
+
+
+def project_P(model: DichotomyModel, s: float, seg: Segment) -> Segment:
+    """P(s) = I - Q(s)."""
+    return seg - project_Q(model, s, seg)
 
 
 # ---------------------------------------------------------------------------
@@ -201,57 +216,23 @@ def diagonal_model(
     Declared constants default to a reference set; K defaults to the honest
     worst case for these projections: the unstable projector has norm one,
     so the transient of I - Q on one delay interval costs a factor 2, and
-    reading the segment at omega = -r costs N(r)^alpha.
+    reading the segment at omega = -r costs N(r)^alpha.  N is scanned here,
+    once per model.
     """
     coords = tuple(coords)
-    n = len(coords)
-    unstable_idx = [i for i, c in enumerate(coords) if c.role == "unstable"]
     N = ratio_bound_N(mu, r, DEFAULT_SCAN)
     if K is None:
-        K = (2.0 if unstable_idx else 1.0) * N**alpha
+        K = (2.0 if any(c.role == "unstable" for c in coords) else 1.0) * N**alpha
 
     terms = (DelayTerm(0.0, lambda t, cs=coords: np.diag([c.coeff(t) for c in cs])),)
-    sys = LinearDelaySystem(r=r, n=n, terms=terms, label=label)
-
-    def Q(s: float, seg: Segment) -> Segment:
-        vals = np.zeros_like(seg.values)
-        grid = s + seg.omega_grid
-        for i in unstable_idx:
-            rho = np.asarray(coords[i].log_flow(grid), dtype=float)
-            vals[:, i] = seg.values[-1, i] * np.exp(rho - rho[-1])
-        return Segment(seg.r, vals)
-
-    def P(s: float, seg: Segment) -> Segment:
-        return seg - Q(s, seg)
-
-    def basis(s: float, m: int) -> list:
-        grid = s + np.linspace(-r, 0.0, m + 1)
-        out = []
-        for i in unstable_idx:
-            rho = np.asarray(coords[i].log_flow(grid), dtype=float)
-            vals = np.zeros((m + 1, n))
-            vals[:, i] = np.exp(rho - rho[-1])
-            out.append(Segment(r, vals))
-        return out
-
-    def backward(t: float, s: float, c: np.ndarray) -> np.ndarray:
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        out = np.empty_like(c)
-        for k, i in enumerate(unstable_idx):
-            rt = float(np.asarray(coords[i].log_flow(np.array([t])))[0])
-            rs = float(np.asarray(coords[i].log_flow(np.array([s])))[0])
-            out[k] = c[k] * np.exp(rt - rs)
-        return out
+    sys = LinearDelaySystem(r=r, n=len(coords), terms=terms, label=label)
 
     return DichotomyModel(
         label=label,
         mu=mu,
         r=r,
         sys=sys,
-        P=P,
-        Q=Q,
-        unstable_basis=basis,
-        unstable_backward=backward,
+        coords=coords,
         K=K,
         alpha=alpha,
         beta=beta,
@@ -260,7 +241,7 @@ def diagonal_model(
         K_tilde=K_tilde,
         a=a,
         eps=eps,
-        coords=coords,
+        N=N,
     )
 
 
@@ -342,77 +323,46 @@ def sin_wobble_model(
 # ---------------------------------------------------------------------------
 
 
-def apply_Q0(
-    model: DichotomyModel,
-    t: float,
-    p,
-    *,
-    m: int = 64,
-    step: Optional[float] = None,
-    method: str = "integrate",
-) -> Segment:
-    """Project jump data onto the unstable directions at time t.
+def apply_Q0(model: DichotomyModel, t: float, p, *, m: int = 64) -> Segment:
+    """Project jump data onto the unstable directions at time t, by integration.
 
-    The defining factorization: evolve the jump one delay forward, apply the
-    unstable projection there, solve for coordinates on the unstable basis,
-    pull the coordinates back, and reconstitute the segment at time t.
+    The paper's factorization: evolve the jump one delay forward, read its
+    unstable coordinates there (what Q(t + r) keeps), pull them back to t
+    along the unstable flow and spread them along the unstable shapes at t.
+    The integration reference for the closed form q0_kernel at tau = t.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    basis_t = model.unstable_basis(t, m)
-    if not basis_t:
-        return Segment.zeros(model.r, model.n, m)
-    if method == "closed":
-        if model.coords is None:
-            raise ValueError("closed form requires diagonal coordinates")
-        kern = q0_kernel(model, t, np.array([float(t)]), np.linspace(-model.r, 0.0, m + 1))[:, 0]
-        return Segment(model.r, (p[:, None] * kern).T)
-
-    s_up = t + model.r
-    jumped = fundamental_jump(model.sys, s_up, t, p, step=step, m=m)
-    projected = model.Q(s_up, jumped)
-    basis_up = model.unstable_basis(s_up, m)
-    B = np.stack([b.values.ravel() for b in basis_up], axis=1)
-    rhs = projected.values.ravel()
-    coords, *_ = np.linalg.lstsq(B, rhs, rcond=None)
-    residual = float(np.linalg.norm(B @ coords - rhs))
-    scale = max(float(np.linalg.norm(rhs)), 1.0)
-    if residual / scale > 1e-6:
-        raise SingularUnstableBasis(
-            f"basis coordinates do not close at t={t}: residual {residual / scale:.2e}"
-        )
-    back = model.unstable_backward(t, s_up, coords)
+    idx = model.unstable_indices
     vals = np.zeros((m + 1, model.n))
-    for c, seg in zip(back, basis_t):
-        vals += c * seg.values
+    if idx:
+        s_up = t + model.r
+        ahead = fundamental_jump(model.sys, s_up, t, p, m=m).values[-1, idx]
+        vals[:, idx] = ((ahead * unstable_flow(model, t, s_up))[:, None] * unstable_shape(model, t, m)).T
     return Segment(model.r, vals)
 
 
-def apply_P0(
-    model: DichotomyModel, t: float, p, *, m: int = 64, step: Optional[float] = None, method: str = "integrate"
-) -> P0Composite:
+def apply_P0(model: DichotomyModel, t: float, p, *, m: int = 64) -> P0Composite:
     """X0 p minus the unstable jump projection, kept as (jump, continuous)."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    q0 = apply_Q0(model, t, p, m=m, step=step, method=method)
-    return P0Composite(jump=p.copy(), segment=-1.0 * q0)
+    return P0Composite(jump=p.copy(), segment=-1.0 * apply_Q0(model, t, p, m=m))
 
 
-def evolve_P0(
-    model: DichotomyModel, t_to: float, t: float, comp: P0Composite, *, m: int = 64, step: Optional[float] = None
-) -> Segment:
-    """T0(t_to, t) applied to a (jump, continuous) composite, by integration."""
-    jumped = fundamental_jump(model.sys, t_to, t, comp.jump, step=step, m=m)
+def evolve_P0(model: DichotomyModel, t_to: float, t: float, comp: P0Composite, *, m: int = 64) -> Segment:
+    """T0(t_to, t) applied to a (jump, continuous) composite, by integration with step r/m."""
+    jumped = fundamental_jump(model.sys, t_to, t, comp.jump, m=m)
     if isinstance(jumped, JumpSegment):
         raise TimeOrder("evolve_P0 needs t_to > t")
-    carried = solution_op_T(model.sys, t_to, t, comp.segment, step=step if step is not None else model.r / m)
-    return jumped + carried
+    return jumped + solution_op_T(model.sys, t_to, t, comp.segment, step=model.r / m)
 
 
-def derived_constant_D(c, N: float) -> float:
+def derived_constant_D(c) -> float:
     """Safe constant for the projected-jump bounds, max over proof branches.
 
-    c carries the dichotomy constants K, K_tilde, a, alpha, beta, theta and
-    nu: a DichotomyModel, or a ParamSet when the model has no flow structure.
+    c carries the dichotomy constants K, K_tilde, a, alpha, beta, theta, nu
+    and the ratio bound N: a DichotomyModel, or a ParamSet when the model
+    has no flow structure.
     """
+    N = c.N
     K1 = c.K * c.K_tilde * N ** (abs(c.a - c.beta) + c.nu)
     return float(max(K1, c.K_tilde * N**c.a * (1.0 + K1), c.K * c.K_tilde * N ** (c.a + c.alpha + c.theta)))
 
@@ -546,17 +496,14 @@ def verify_bounds(
 
     Pairs s <= t are measured as arrays, _PAIR_BLOCK at a time; the two
     unstable families use them with the times swapped.  Failures are
-    recorded in the certificate, never raised.  Needs the diagonal
-    closed-form structure; sampling windows of +-10 sit far outside what
-    step-by-step integration covers in reasonable time.
+    recorded in the certificate, never raised.  The diagonal closed forms
+    are what make this affordable: sampling windows of +-10 sit far outside
+    what step-by-step integration covers in reasonable time.
     """
-    if model.coords is None:
-        raise ValueError("verify_bounds needs a diagonal exact-flow model")
     lo, hi = window
     rng = np.random.default_rng(seed)
     mu = model.mu
-    N = ratio_bound_N(mu, model.r, DEFAULT_SCAN)
-    D = derived_constant_D(model, N)
+    D = derived_constant_D(model)
     probes = _probe_segments(model, m, rng)
     vectors = _probe_vectors(model.n, rng)
     s, t = np.sort(rng.uniform(lo, hi, size=(samples, 2)), axis=1).T

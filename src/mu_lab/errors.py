@@ -29,10 +29,6 @@ class TimeOrder(MuLabError):
     """Operator evaluated with t, s in the wrong order."""
 
 
-class SingularUnstableBasis(MuLabError):
-    """Least-squares coordinates on the unstable basis did not close."""
-
-
 class EmptyWindow(MuLabError):
     """The admissible window for the weight exponent is empty."""
 

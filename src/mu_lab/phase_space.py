@@ -111,11 +111,6 @@ class JumpSegment:
     def n(self) -> int:
         return self.jump.shape[0]
 
-    @property
-    def base(self) -> Segment:
-        """The continuous part: identically zero."""
-        return Segment.zeros(self.r, self.n, self.m)
-
     def value_at(self, omega: float) -> np.ndarray:
         if omega < -self.r - 1e-12 or omega > 1e-12:
             raise OutOfDomain(f"omega {omega} outside [-r, 0]")

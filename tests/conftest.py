@@ -16,7 +16,7 @@ def build_flagship(mu_id: str = "exp", r: float = R):
     mu = rate_by_id(mu_id)
     model = flagship_model(mu, r)
     N = ratio_bound_N(mu, r, DEFAULT_SCAN)
-    D = derived_constant_D(model, N)
+    D = derived_constant_D(model)
     base = ParamSet(
         alpha=0.8,
         beta=0.6,

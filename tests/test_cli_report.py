@@ -145,6 +145,11 @@ def test_report_reproducibility():
     assert a == b
 
 
+def test_report_json_serializes_numpy_values():
+    doc = {"f": np.float64(0.1), "i": np.int64(3), "b": np.bool_(True), "a": np.array([[1.5, 2.0]])}
+    assert json.loads(report_json(doc)) == {"f": 0.1, "i": 3, "b": True, "a": [[1.5, 2.0]]}
+
+
 def test_seed_changes_certificate_sampling():
     doc = shipped("wobble_certificate")
     r1 = run_pipeline(resolve(parse_scenario(doc)))

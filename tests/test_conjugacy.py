@@ -133,14 +133,18 @@ def test_operator_bound_on_zero_field(flagship):
 
 
 def test_batch_and_segment_paths_agree(flagship_result):
-    model, pert, eta = flagship_result["model"], flagship_result["pert"], flagship_result["result"].eta
+    # the linear coupling feeds the unstable-side integral at full size, as
+    # in test_full_row_matches_point_oracle
+    model, shipped, eta = flagship_result["model"], flagship_result["pert"], flagship_result["result"].eta
     D = flagship_result["params"].D
-    for t, b in [(0.3, 0.7), (-1.1, -1.4), (1.9, 2.3)]:
-        batch = F_apply(model, pert, eta, t, b, DEFAULT_TRUNC, D=D)
-        point, dpoint = point_oracle(model, pert, eta, t, b, DEFAULT_TRUNC, D)
-        assert sup_norm(batch - point) < 1e-14
-        dbatch = dF_db_apply(model, pert, eta, t, b, DEFAULT_TRUNC, D=D)
-        assert sup_norm(dbatch - dpoint) < 1e-14
+    linear = linear_cross_perturbation(flagship_result["mu"], shipped.params, reads=[(1, R), (0, R / 2)], n=2, gain=0.3)
+    for pert in (shipped, linear):
+        for t, b in [(0.3, 0.7), (-1.1, -1.4), (1.9, 2.3)]:
+            batch = F_apply(model, pert, eta, t, b, DEFAULT_TRUNC, D=D)
+            point, dpoint = point_oracle(model, pert, eta, t, b, DEFAULT_TRUNC, D)
+            assert sup_norm(batch - point) < 1e-14
+            dbatch = dF_db_apply(model, pert, eta, t, b, DEFAULT_TRUNC, D=D)
+            assert sup_norm(dbatch - dpoint) < 1e-14
 
 
 @pytest.mark.parametrize("row", [18, 35])
@@ -439,8 +443,6 @@ def test_residual_sampled_window(flagship_result):
     assert max(x.weighted for x in rows) <= 5e-3
     assert all(x.raw >= 0 for x in rows)
     assert_matches_scalar(rows, eta, model, pert, **draw)
-    flagship_result["result"].attach_residuals(rows)
-    assert len(flagship_result["result"].residual_grid) == len(rows)
 
 
 def test_residual_time_order(flagship_result):
@@ -509,7 +511,7 @@ def _blows_up_after(t_blow: float) -> PointReadPerturbation:
         reads=((0, R), (1, 0.0)),
         weight=lambda ts: np.where(np.asarray(ts) > t_blow, np.inf, 0.0),
         value_map=lambda W: np.ones(np.shape(W)),
-        jac_map=lambda W: np.zeros(np.shape(W)[:-1] + (2, 2)),
+        jvp_map=lambda W, V: np.zeros(np.shape(W)[:-1] + (2,)),
         params=PerturbationParams(0.0, 1.0, 0.0, 0.0, 0.0),
         n=2,
     )

@@ -8,12 +8,15 @@ from mu_lab.dde_core import (
     PerturbationParams,
     compile_time_expression,
     fundamental_jump,
+    linear_cross_perturbation,
     parse_system_terms,
+    saturating_cross_perturbation,
     solution_op_T,
     solve_linear,
     solve_perturbed_R,
 )
 from mu_lab.errors import ExpressionError, NonFiniteState, StepMisaligned, TimeOrder
+from mu_lab.growth_rate import rate_by_id
 from mu_lab.phase_space import JumpSegment, Segment, sup_norm
 
 
@@ -173,6 +176,26 @@ def test_perturbed_zero_orbit():
     phi = Segment.zeros(1.0, 1, 32)
     out = solve_perturbed_R(sys, small_perturbation(), 2.0, 0.0, phi, step=1.0 / 32)
     assert sup_norm(out) == 0.0
+
+
+@pytest.mark.parametrize("shape", ["saturating_cross", "linear_cross", "zero"])
+def test_jvp_map_is_the_directional_derivative_of_value_map(shape):
+    # three coordinates, because with two a roll in the wrong direction
+    # reads the same slot as the right one
+    n, h = 3, 1e-6
+    mu, pp = rate_by_id("exp"), PerturbationParams(0.1, 1.5, 0.01, 0.6, 0.1)
+    reads = [(i, 0.5) for i in range(n)]
+    if shape == "saturating_cross":
+        pert = saturating_cross_perturbation(mu, pp, reads=reads, n=n)
+    elif shape == "linear_cross":
+        pert = linear_cross_perturbation(mu, pp, reads=reads, n=n, gain=0.3)
+    else:
+        pert = Perturbation.zero(n)
+    W, V = np.random.default_rng(4).normal(size=(2, 5, 7, n))
+    got = pert.jvp_map(W, V)
+    fd = (pert.value_map(W + h * V) - pert.value_map(W - h * V)) / (2 * h)
+    assert got.shape == (5, 7, n)
+    np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-9)
 
 
 def test_variation_of_constants_consistency():

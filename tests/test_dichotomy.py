@@ -13,6 +13,8 @@ from mu_lab.dichotomy import (
     evolve_P0,
     flagship_model,
     p0_kernel,
+    project_P,
+    project_Q,
     q0_kernel,
     scalar_stable_model,
     scalar_unstable_model,
@@ -21,7 +23,7 @@ from mu_lab.dichotomy import (
     three_dim_model,
     verify_bounds,
 )
-from mu_lab.errors import SingularUnstableBasis, TimeOrder
+from mu_lab.errors import TimeOrder
 from mu_lab.growth_rate import builtin_catalogue, mu_weight, rate_by_id, ratio_bound_N
 from mu_lab.phase_space import Segment, sup_norm
 
@@ -57,14 +59,14 @@ def test_projection_idempotence_complementarity_commutation(diag2):
     m = 32
     for seed, s in [(0, -1.3), (1, 0.0), (2, 2.1)]:
         phi = random_segment(diag2, m, seed)
-        q = diag2.Q(s, phi)
-        p = diag2.P(s, phi)
-        assert sup_norm(diag2.Q(s, q) - q) < 1e-8
-        assert sup_norm(diag2.P(s, p) - p) < 1e-8
+        q = project_Q(diag2, s, phi)
+        p = project_P(diag2, s, phi)
+        assert sup_norm(project_Q(diag2, s, q) - q) < 1e-8
+        assert sup_norm(project_P(diag2, s, p) - p) < 1e-8
         assert sup_norm((p + q) - phi) < 1e-10
         t = s + 0.9
-        left = evolve(diag2, t, s, diag2.P(s, phi))
-        right = diag2.P(t, evolve(diag2, t, s, phi))
+        left = evolve(diag2, t, s, project_P(diag2, s, phi))
+        right = project_P(diag2, t, evolve(diag2, t, s, phi))
         assert sup_norm(left - right) < 1e-10
 
 
@@ -90,11 +92,12 @@ def test_apply_Q0_scalar_unstable_round_trip():
 
 
 def test_apply_Q0_closed_matches_integration(diag2):
+    # the integrated factorization against the closed form q0_kernel at tau = t
     for model in (diag2, three_dim_model(EXP, R)):
         for t in (-1.0, 0.6):
             p = np.arange(1.0, model.n + 1.0)
             a = apply_Q0(model, t, p, m=48)
-            b = apply_Q0(model, t, p, m=48, method="closed")
+            b = jump_response(q0_kernel, model, t, t, p, 48)
             assert sup_norm(a - b) < 1e-8
 
 
@@ -114,7 +117,7 @@ def test_apply_P0_proof_identity(diag2):
     t, p = -0.4, np.array([0.7, -1.2])
     comp = apply_P0(diag2, t, p, m=48)
     lhs = evolve_P0(diag2, t + R, t, comp, m=48)
-    rhs = diag2.P(t + R, fundamental_jump(diag2.sys, t + R, t, p, m=48))
+    rhs = project_P(diag2, t + R, fundamental_jump(diag2.sys, t + R, t, p, m=48))
     assert sup_norm(lhs - rhs) < 1e-6
 
 
@@ -123,7 +126,7 @@ def test_round_trip_factorization(diag2):
     t, p = 0.9, np.array([0.3, 0.8])
     q0 = apply_Q0(diag2, t, p, m=48)
     lhs = solution_op_T(diag2.sys, t + R, t, q0, step=R / 48)
-    rhs = diag2.Q(t + R, fundamental_jump(diag2.sys, t + R, t, p, m=48))
+    rhs = project_Q(diag2, t + R, fundamental_jump(diag2.sys, t + R, t, p, m=48))
     assert sup_norm(lhs - rhs) < 1e-6
 
 
@@ -139,15 +142,15 @@ def test_p0_evolved_closed_matches_integration(diag2):
 
 def test_derived_constant_reference_values(diag2):
     base = dataclasses.replace(
-        diag2, K=1.0, K_tilde=1.0, alpha=0.8, beta=0.6, theta=0.4, nu=0.2, a=1.0
+        diag2, K=1.0, K_tilde=1.0, alpha=0.8, beta=0.6, theta=0.4, nu=0.2, a=1.0, N=float(np.e)
     )
     K1 = np.exp(0.6)  # N^(|a-beta|+nu) at N=e
-    D = derived_constant_D(base, float(np.e))
+    D = derived_constant_D(base)
     assert D == pytest.approx(np.exp(2.2), rel=1e-12)
-    assert derived_constant_D(base, float(np.e)) >= np.e * (1.0 + K1) - 1e-12
+    assert D >= np.e * (1.0 + K1) - 1e-12
 
-    uniform = dataclasses.replace(diag2, K=1.0, K_tilde=1.0, theta=0.0, nu=0.0, a=0.0)
-    assert derived_constant_D(uniform, 1.0 + 1e-12) == pytest.approx(2.0, rel=1e-9)
+    uniform = dataclasses.replace(diag2, K=1.0, K_tilde=1.0, theta=0.0, nu=0.0, a=0.0, N=1.0 + 1e-12)
+    assert derived_constant_D(uniform) == pytest.approx(2.0, rel=1e-9)
 
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -158,8 +161,9 @@ def test_derived_constant_reference_values(diag2):
             a=float(rng.uniform(0, 2)),
             theta=float(rng.uniform(0, 1)),
             nu=float(rng.uniform(0, 1)),
+            N=float(rng.uniform(1.01, 3.0)),
         )
-        assert derived_constant_D(mdl, float(rng.uniform(1.01, 3.0))) >= mdl.K_tilde
+        assert derived_constant_D(mdl) >= mdl.K_tilde
 
 
 @pytest.mark.parametrize("mu", builtin_catalogue(), ids=lambda g: g.label)
@@ -262,18 +266,6 @@ def test_three_dim_model_d_u2():
     assert q0.values[-1, 2] == pytest.approx(3.0, abs=1e-8)
 
 
-def test_singular_basis_detected(diag2):
-    # a basis that misses the range of Q leaves a large least-squares residual
-    def bad_basis(s, m):
-        vals = np.zeros((m + 1, 2))
-        vals[:, 0] = 1.0  # stable direction, orthogonal to the unstable range
-        return [Segment(R, vals)]
-
-    broken = dataclasses.replace(diag2, unstable_basis=bad_basis)
-    with pytest.raises(SingularUnstableBasis):
-        apply_Q0(broken, 0.0, [0.0, 1.0], m=32)
-
-
 def test_q0_backward_closed_decays():
     model = scalar_unstable_model(EXP, R)
     seg = jump_response(q0_kernel, model, -2.0, 1.0, [1.0], 32)
@@ -287,6 +279,24 @@ def test_q0_backward_closed_decays():
 
 def oracle_rho(model, times):
     return np.array([np.asarray(c.log_flow(times), dtype=float) for c in model.coords])
+
+
+def oracle_Q(model, s, seg):
+    """Q(s): unstable endpoints spread along exp(rho_i(s + omega) - rho_i(s))."""
+    rho = oracle_rho(model, s + seg.omega_grid)
+    vals = np.zeros_like(seg.values)
+    for i in model.unstable_indices:
+        vals[:, i] = seg.values[-1, i] * np.exp(rho[i] - rho[i, -1])
+    return Segment(seg.r, vals)
+
+
+def oracle_pull_back(model, t, s, seg):
+    """T_bar(t, s) Q(s) seg for t <= s: the unstable endpoints pulled back to t, spread there."""
+    rho_t = oracle_rho(model, np.array([t]))[:, 0]
+    rho_s = oracle_rho(model, np.array([s]))[:, 0]
+    vals = np.zeros_like(seg.values)
+    vals[-1] = oracle_Q(model, s, seg).values[-1] * np.exp(rho_t - rho_s)
+    return oracle_Q(model, t, Segment(seg.r, vals))
 
 
 def oracle_seg_T(model, t, s, seg):
@@ -386,7 +396,7 @@ def oracle_certificate(model, window, samples, seed, m):
     lo, hi = window
     rng = np.random.default_rng(seed)
     mu = model.mu
-    D = derived_constant_D(model, ratio_bound_N(mu, model.r, DEFAULT_SCAN))
+    D = derived_constant_D(dataclasses.replace(model, N=ratio_bound_N(mu, model.r, DEFAULT_SCAN)))
     probes, vectors = oracle_probes(model, m, rng)
     families = {name: [] for name in ("stable", "unstable", "bounded_growth", "jump_stable", "jump_unstable")}
 
@@ -397,7 +407,7 @@ def oracle_certificate(model, window, samples, seed, m):
         t1, t2 = np.sort(rng.uniform(lo, hi, size=2))
         s, t = float(t1), float(t2)
         ratio_mu = float(mu.eval(t)) / float(mu.eval(s))
-        measured = max(sup_norm(oracle_seg_T(model, t, s, model.P(s, ph))) / sup_norm(ph) for ph in probes)
+        measured = max(sup_norm(oracle_seg_T(model, t, s, ph - oracle_Q(model, s, ph))) / sup_norm(ph) for ph in probes)
         bound = model.K * ratio_mu ** (-model.alpha) * float(mu_weight(mu, s, -model.theta))
         families["stable"].append((t, s, measured, bound))
         measured = max(sup_norm(oracle_seg_T(model, t, s, ph)) / sup_norm(ph) for ph in probes)
@@ -409,16 +419,8 @@ def oracle_certificate(model, window, samples, seed, m):
 
         tb, sb = s, t  # backward pair for the unstable families
         ratio_b = float(mu.eval(tb)) / float(mu.eval(sb))
-        meas_u = meas_jump = 0.0
-        if model.d_u > 0:
-            for ph in probes:
-                coords = model.Q(sb, ph).values[-1, model.unstable_indices]
-                back = model.unstable_backward(tb, sb, coords)
-                vals = np.zeros((m + 1, model.n))
-                for c, bseg in zip(back, model.unstable_basis(tb, m)):
-                    vals += c * bseg.values
-                meas_u = max(meas_u, sup_norm(Segment(model.r, vals)) / sup_norm(ph))
-            meas_jump = jump_gain(q0_backward_closed, tb, sb)
+        meas_u = max(sup_norm(oracle_pull_back(model, tb, sb, ph)) / sup_norm(ph) for ph in probes)
+        meas_jump = jump_gain(q0_backward_closed, tb, sb)
         bound = model.K * ratio_b**model.beta * float(mu_weight(mu, sb, -model.nu))
         families["unstable"].append((tb, sb, meas_u, bound))
         bound = D * ratio_b**model.beta * float(mu_weight(mu, sb, -(model.nu + model.eps)))
