@@ -39,15 +39,12 @@ from .conjugacy import (
     verify_residuals,
 )
 from .dde_core import (
-    LinearDelaySystem,
     Perturbation,
     PerturbationParams,
     linear_cross_perturbation,
-    parse_system_terms,
     saturating_cross_perturbation,
 )
 from .dichotomy import (
-    DEFAULT_SCAN,
     DichotomyModel,
     derived_constant_D,
     diagonal_model,
@@ -58,14 +55,14 @@ from .dichotomy import (
 from .errors import (
     ConfigError,
     EmptyWindow,
-    ExpressionError,
     MissingSeries,
     MuLabError,
     NotContracting,
     TruncationUnreachable,
     XiOutOfWindow,
 )
-from .growth_rate import rate_by_id, ratio_bound_N
+# ratio_bound_N is not called here; perfbench's tracer wraps it under this module's name
+from .growth_rate import rate_by_id, ratio_bound_N  # noqa: F401
 
 SCHEMA_RUN = "mu-lab/run-report/v1"
 SCHEMA_RESULT = "mu-lab/conjugacy-result/v1"
@@ -110,9 +107,8 @@ class Scenario:
 class ResolvedScenario:
     scenario: Scenario
     mu: object
-    model: Optional[DichotomyModel]
-    sys: Optional[LinearDelaySystem]
-    params: Optional[ParamSet]
+    model: DichotomyModel
+    params: ParamSet
     pert: object
     grid: GridSpec
     trunc: TruncationPolicy
@@ -152,7 +148,7 @@ _PARAM_KEYS = {
     "lambda",
     "lambda_frac",
 }
-_MODEL_KEYS = {"kind", "stable_power", "unstable_power", "alpha0", "theta0", "theta_override", "n", "terms"}
+_MODEL_KEYS = {"kind", "stable_power", "unstable_power", "alpha0", "theta0", "theta_override"}
 _PERT_KEYS = {"shape", "reads", "gain"}
 _GRID_KEYS = {"m", "t_min", "t_max", "t_step", "b_max", "b_step"}
 _TOL_KEYS = {"tail_tol", "max_span", "solver_tol", "max_sweeps", "cert_tol"}
@@ -264,60 +260,25 @@ def _resolve_model(sc: Scenario, p: dict):
             kw["K"] = float(p["K"])
         if "K_tilde" in p:
             kw["K_tilde"] = float(p["K_tilde"])
-        model = diagonal_model(mu, r, coords, label=sc.name, **kw)
-        return mu, model, model.sys
+        return mu, diagonal_model(mu, r, coords, label=sc.name, **kw)
     if kind == "sin_wobble":
         if sc.growth_rate != "exp":
             raise ConfigError("sin_wobble model requires growth_rate 'exp'")
-        model = sin_wobble_model(
+        return mu, sin_wobble_model(
             r,
             alpha0=float(sc.model.get("alpha0", 1.0)),
             theta0=float(sc.model.get("theta0", 0.1)),
             theta=(float(sc.model["theta_override"]) if "theta_override" in sc.model else None),
         )
-        return mu, model, model.sys
-    if kind == "linear_terms":
-        n = int(_require(sc.model, "n", "scenario.model"))
-        try:
-            sys_ = parse_system_terms(r, n, _require(sc.model, "terms", "scenario.model"), label=sc.name)
-        except ExpressionError as exc:
-            raise ConfigError(f"scenario.model.terms: {exc}") from exc
-        return mu, None, sys_
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Optional[ParamSet]:
+def _resolve_params(sc: Scenario, model: DichotomyModel) -> ParamSet:
+    """The scenario's params over the model's declared constants; N and D always come from the model."""
     p = sc.params
-    if not p and model is None:
-        return None
-    if model is not None:
-        defaults = {
-            "alpha": model.alpha,
-            "beta": model.beta,
-            "theta": model.theta,
-            "nu": model.nu,
-            "eps": model.eps,
-            "a": model.a,
-            "K": model.K,
-            "K_tilde": model.K_tilde,
-        }
-        N, D = model.N, derived_constant_D(model)
-    else:
-        required = {"alpha", "beta", "theta", "nu", "eps", "a", "K", "K_tilde"}
-        missing = sorted(required - set(p))
-        if missing:
-            raise ConfigError(f"scenario.params needs {missing} when the model has no flow structure")
-        defaults = {}
-        N, D = ratio_bound_N(mu, sc.delay, DEFAULT_SCAN), None
 
-    def get(key, fallback=None):
-        if key in p:
-            return float(p[key])
-        if key in defaults:
-            return float(defaults[key])
-        if fallback is not None:
-            return float(fallback)
-        raise ConfigError(f"scenario.params.{key} is required")
+    def get(key):
+        return float(p.get(key, getattr(model, key)))
 
     base = dict(
         alpha=get("alpha"),
@@ -326,14 +287,13 @@ def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Option
         nu=get("nu"),
         eps=get("eps"),
         a=get("a"),
-        gamma=get("gamma", 1.5),
-        q=get("q", 1.0),
+        gamma=float(p.get("gamma", 1.5)),
+        q=float(p.get("q", 1.0)),
         K=get("K"),
         K_tilde=get("K_tilde"),
-        N=N,
+        N=model.N,
     )
-    if D is None:
-        D = derived_constant_D(ParamSet(xi=1.0, delta=1.0, lam=1.0, D=1.0, **base))
+    D = derived_constant_D(model)
     probe = ParamSet(xi=1.0, delta=1.0, lam=1.0, D=D, **base)
     try:
         xi = float(p["xi"]) if "xi" in p else default_xi(probe)
@@ -355,13 +315,11 @@ def _resolve_params(sc: Scenario, mu, model: Optional[DichotomyModel]) -> Option
     return ParamSet(xi=xi, delta=delta, lam=lam, D=D, **base)
 
 
-def _resolve_perturbation(sc: Scenario, mu, model, params: Optional[ParamSet]):
+def _resolve_perturbation(sc: Scenario, mu, model: DichotomyModel, params: ParamSet):
     shape = sc.perturbation.get("shape", "zero")
-    n = model.n if model is not None else int(sc.model.get("n", 1))
+    n = model.n
     if shape == "zero":
         return Perturbation.zero(n)
-    if params is None:
-        raise ConfigError("non-zero perturbation needs a params section")
     reads_spec = sc.perturbation.get("reads")
     if reads_spec is None:
         reads_spec = [{"coord": 0, "lag_frac": 1.0}, {"coord": 1, "lag_frac": 0.5}][:n]
@@ -381,8 +339,8 @@ def _resolve_perturbation(sc: Scenario, mu, model, params: Optional[ParamSet]):
 
 
 def resolve(sc: Scenario) -> ResolvedScenario:
-    mu, model, sys_ = _resolve_model(sc, sc.params)
-    params = _resolve_params(sc, mu, model)
+    mu, model = _resolve_model(sc, sc.params)
+    params = _resolve_params(sc, model)
     pert = _resolve_perturbation(sc, mu, model, params)
     g = sc.grids
     grid = GridSpec(
@@ -399,7 +357,6 @@ def resolve(sc: Scenario) -> ResolvedScenario:
         scenario=sc,
         mu=mu,
         model=model,
-        sys=sys_,
         params=params,
         pert=pert,
         grid=grid,
@@ -413,8 +370,6 @@ def resolve(sc: Scenario) -> ResolvedScenario:
 
 
 def run_admissibility(res: ResolvedScenario) -> dict:
-    if res.params is None:
-        raise ConfigError("scenario has no params section; nothing to check")
     report = full_report(res.params)
     return {
         "status": "pass" if report.passed else "fail",
@@ -426,8 +381,6 @@ def run_admissibility(res: ResolvedScenario) -> dict:
 
 
 def run_dichotomy(res: ResolvedScenario, samples: Optional[int] = None, seed: Optional[int] = None) -> dict:
-    if res.model is None:
-        raise ConfigError("verify-dichotomy needs a flow-structured model kind")
     cert = verify_bounds(
         res.model,
         tuple(res.checks["window"]),
@@ -460,8 +413,6 @@ def _residual_check(res: ResolvedScenario, eta: EtaField, n_samples: int, seed: 
 
 
 def run_conjugacy(res: ResolvedScenario) -> dict:
-    if res.model is None:
-        raise ConfigError("build-conjugacy needs a flow-structured model kind")
     if res.model.d_u == 0:
         return {"status": "trivial", "note": "no unstable direction; the conjugacy is the identity"}
     try:

@@ -195,7 +195,7 @@ def _stable_cut(mu, t: float, scale: float, alpha: float, theta: float, gamma: f
             if rem >= 1.0 / (-c2):
                 return t  # entire upper piece is below the tolerance
             v = (1.0 + c2 * rem) ** (1.0 / c2)
-    T = float(mu.inverse_or_solve(np.asarray(v)))
+    T = float(mu.inverse(np.asarray(v)))
     if T > t:
         return t
     if t - T > trunc.max_span:
@@ -227,7 +227,7 @@ def _unstable_cut(mu, t: float, scale: float, beta: float, nu: float, gamma: flo
             v = arg ** (1.0 / d2)
         else:
             v = (1.0 - d2 * rem) ** (1.0 / d2)
-    T = float(mu.inverse_or_solve(np.asarray(v)))
+    T = float(mu.inverse(np.asarray(v)))
     if T < t:
         return t
     if T - t > trunc.max_span:
@@ -267,7 +267,7 @@ def _u_panels(mu, lo_t: float, hi_t: float):
     for a, b in zip(edges[:-1], edges[1:]):
         u = 0.5 * (a + b) + 0.5 * (b - a) * x
         wu = 0.5 * (b - a) * w
-        tau = np.asarray(mu.inverse_or_solve(u), dtype=float)
+        tau = np.asarray(mu.inverse(u), dtype=float)
         weights.append(wu / np.asarray(mu.deriv(tau), dtype=float))
         taus.append(tau)
     return np.concatenate(taus), np.concatenate(weights)

@@ -13,16 +13,11 @@ blends across the start.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    ExpressionError,
-    NonFiniteState,
-    StepMisaligned,
-    TimeOrder,
-)
+from .errors import NonFiniteState, StepMisaligned, TimeOrder
 from .phase_space import JumpSegment, Segment, interpolate
 
 History = Union[Segment, JumpSegment]
@@ -432,154 +427,3 @@ def linear_cross_perturbation(mu, params: PerturbationParams, reads, n: int, gai
         label="linear_cross",
         envelope_scale=gain,
     )
-
-
-# ---------------------------------------------------------------------------
-# coefficient expressions for scenario files
-# ---------------------------------------------------------------------------
-
-_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
-
-
-def compile_time_expression(text: str) -> Callable[[float], float]:
-    """Compile a small arithmetic expression over t into a callable.
-
-    Grammar: numbers, t, + - * / ^ (or **), parentheses, and the functions
-    sin, cos, exp, log, sqrt.
-    """
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take(expected=None):
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ExpressionError(f"unexpected end or token near {tok!r} in {text!r}")
-        pos[0] += 1
-        return tok
-
-    def parse_expr():
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            if op == "+":
-                node = (lambda a, b: (lambda t: a(t) + b(t)))(node, rhs)
-            else:
-                node = (lambda a, b: (lambda t: a(t) - b(t)))(node, rhs)
-        return node
-
-    def parse_term():
-        node = parse_unary()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_unary()
-            if op == "*":
-                node = (lambda a, b: (lambda t: a(t) * b(t)))(node, rhs)
-            else:
-                node = (lambda a, b: (lambda t: a(t) / b(t)))(node, rhs)
-        return node
-
-    def parse_unary():
-        if peek() in ("+", "-"):
-            op = take()
-            inner = parse_unary()
-            return inner if op == "+" else (lambda a: (lambda t: -a(t)))(inner)
-        return parse_power()
-
-    def parse_power():
-        base = parse_atom()
-        if peek() == "^":
-            take()
-            expo = parse_unary()
-            return (lambda a, b: (lambda t: a(t) ** b(t)))(base, expo)
-        return base
-
-    def parse_atom():
-        tok = take()
-        if isinstance(tok, float):
-            return lambda t, v=tok: v
-        if tok == "t":
-            return lambda t: t
-        if tok in _FUNCS:
-            take("(")
-            inner = parse_expr()
-            take(")")
-            return (lambda f, a: (lambda t: f(a(t))))(_FUNCS[tok], inner)
-        if tok == "(":
-            inner = parse_expr()
-            take(")")
-            return inner
-        raise ExpressionError(f"unexpected token {tok!r} in {text!r}")
-
-    node = parse_expr()
-    if pos[0] != len(tokens):
-        raise ExpressionError(f"trailing input near token {pos[0]} in {text!r}")
-    return node
-
-
-def _tokenize(text: str):
-    raw: list = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE" or (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            try:
-                raw.append(float(text[i:j]))
-            except ValueError as exc:
-                raise ExpressionError(f"bad number {text[i:j]!r}") from exc
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            name = text[i:j]
-            if name != "t" and name not in _FUNCS:
-                raise ExpressionError(f"unknown name {name!r} in {text!r}")
-            raw.append(name)
-            i = j
-        elif c in "+-*/()^":
-            raw.append(c)
-            i += 1
-        else:
-            raise ExpressionError(f"unexpected character {c!r} in {text!r}")
-    # fold '* *' written as ** into the power token
-    out: list = []
-    for tok in raw:
-        if tok == "*" and out and out[-1] == "*":
-            out[-1] = "^"
-        else:
-            out.append(tok)
-    return out
-
-
-def parse_system_terms(r: float, n: int, terms: Iterable[dict], label: str = "") -> LinearDelaySystem:
-    """Build a LinearDelaySystem from {lag, matrix | matrix_expr} records."""
-    built = []
-    for rec in terms:
-        lag = float(rec["lag"])
-        if "matrix" in rec:
-            mat = np.asarray(rec["matrix"], dtype=float)
-            if mat.shape != (n, n):
-                raise ExpressionError(f"matrix shape {mat.shape} does not match n={n}")
-            built.append(DelayTerm(lag=lag, matrix=(lambda t, A=mat: A)))
-        elif "matrix_expr" in rec:
-            rows = rec["matrix_expr"]
-            fns = [[compile_time_expression(str(cell)) for cell in row] for row in rows]
-            if len(fns) != n or any(len(row) != n for row in fns):
-                raise ExpressionError(f"matrix_expr is not {n}x{n}")
-
-            def mat_fn(t, fns=fns):
-                return np.array([[f(t) for f in row] for row in fns], dtype=float)
-
-            built.append(DelayTerm(lag=lag, matrix=mat_fn))
-        else:
-            raise ExpressionError("term needs 'matrix' or 'matrix_expr'")
-    return LinearDelaySystem(r=r, n=n, terms=tuple(built), label=label)

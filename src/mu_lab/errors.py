@@ -49,9 +49,5 @@ class ConfigError(MuLabError):
     """Scenario file is malformed; message carries the offending field."""
 
 
-class ExpressionError(MuLabError):
-    """Coefficient expression could not be parsed."""
-
-
 class MissingSeries(MuLabError):
     """Requested plot series is absent from the report."""

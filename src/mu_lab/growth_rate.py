@@ -20,36 +20,22 @@ ArrayLike = "float | np.ndarray"
 
 @dataclass(frozen=True)
 class GrowthRate:
-    """A differentiable growth rate with optional closed-form extras.
+    """A differentiable growth rate with its closed-form inverse.
 
-    eval and deriv accept scalars or numpy arrays.  closed_form_N maps a
-    delay r to the ratio bound N(r) > 1 when one is known analytically.
-    inverse is the functional inverse of eval, available for every
-    catalogued rate and required by the truncated improper integrals.
+    eval, deriv and inverse accept scalars or numpy arrays.  inverse is the
+    functional inverse of eval, which the truncated improper integrals need.
+    closed_form_N maps a delay r to the ratio bound N(r) > 1 when one is
+    known analytically.
     """
 
     label: str
     eval: Callable
     deriv: Callable
+    inverse: Callable
     closed_form_N: Optional[Callable] = None
-    inverse: Optional[Callable] = None
 
     def __call__(self, t):
         return self.eval(t)
-
-    def inverse_or_solve(self, u, lo=-200.0, hi=200.0):
-        """mu^{-1}(u), using the closed form when present, else bisection."""
-        if self.inverse is not None:
-            return self.inverse(u)
-        u = np.asarray(u, dtype=float)
-        lo_arr = np.full(u.shape, lo, dtype=float)
-        hi_arr = np.full(u.shape, hi, dtype=float)
-        for _ in range(200):
-            mid = 0.5 * (lo_arr + hi_arr)
-            below = self.eval(mid) < u
-            lo_arr = np.where(below, mid, lo_arr)
-            hi_arr = np.where(below, hi_arr, mid)
-        return 0.5 * (lo_arr + hi_arr)
 
 
 def mu_weight(g: GrowthRate, t: float, exponent: float) -> float:

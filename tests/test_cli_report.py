@@ -286,30 +286,16 @@ def test_threads_env_var(monkeypatch):
     assert "threads" not in rep
 
 
-def test_linear_terms_scenario_surface():
+def test_linear_terms_kind_is_rejected(tmp_path):
+    # every scenario is a diagonal flow; a raw system's n/terms keys are unknown model keys
     doc = {
         "name": "raw_system",
         "growth_rate": "exp",
         "delay": 1.0,
-        "model": {
-            "kind": "linear_terms",
-            "n": 1,
-            "terms": [{"lag": 0.0, "matrix_expr": [["-0.4"]]}, {"lag": 1.0, "matrix": [[0.2]]}],
-        },
+        "model": {"kind": "linear_terms", "n": 1, "terms": [{"lag": 0.0, "matrix": [[-0.4]]}]},
     }
-    res = resolve(parse_scenario(doc))
-    assert res.model is None and res.sys is not None
-    assert res.sys.n == 1 and len(res.sys.terms) == 2
-    with pytest.raises(ConfigError, match="params section"):
-        run_pipeline(res)
-
-
-def test_linear_terms_bad_expression():
-    doc = {
-        "name": "raw_system",
-        "growth_rate": "exp",
-        "delay": 1.0,
-        "model": {"kind": "linear_terms", "n": 1, "terms": [{"lag": 0.0, "matrix_expr": [["nope(t)"]]}]},
-    }
-    with pytest.raises(ConfigError):
-        resolve(parse_scenario(doc))
+    with pytest.raises(ConfigError, match=r"scenario\.model"):
+        parse_scenario(doc)
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-params", "--config", str(path)]) == EXIT_CONFIG

@@ -445,6 +445,17 @@ def test_residual_sampled_window(flagship_result):
     assert_matches_scalar(rows, eta, model, pert, **draw)
 
 
+def test_residual_check_tells_solved_field_from_zero_field(flagship_result):
+    # negative control: the absolute 5e-3 gate passes the unsolved zero field
+    # too, but on the shipped scenario's draws (seed 20240 + 1) the solved
+    # field's largest residual is well under the zero field's (ratio ~0.07)
+    eta, model, pert = flagship_result["result"].eta, flagship_result["model"], flagship_result["pert"]
+    draw = dict(n_samples=200, horizon=3 * R, core=(-2.0, 2.0), b_scale=2.0, seed=20241)
+    solved = max(x.weighted for x in verify_residuals(eta, model, pert, **draw))
+    unsolved = max(x.weighted for x in verify_residuals(zero_field(flagship_result), model, pert, **draw))
+    assert solved <= 0.2 * unsolved
+
+
 def test_residual_time_order(flagship_result):
     with pytest.raises(TimeOrder):
         conjugacy_residual(flagship_result["result"].eta, flagship_result["model"], flagship_result["pert"], -1.0, 0.0, 1.0)

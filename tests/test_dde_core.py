@@ -6,16 +6,14 @@ from mu_lab.dde_core import (
     LinearDelaySystem,
     Perturbation,
     PerturbationParams,
-    compile_time_expression,
     fundamental_jump,
     linear_cross_perturbation,
-    parse_system_terms,
     saturating_cross_perturbation,
     solution_op_T,
     solve_linear,
     solve_perturbed_R,
 )
-from mu_lab.errors import ExpressionError, NonFiniteState, StepMisaligned, TimeOrder
+from mu_lab.errors import NonFiniteState, StepMisaligned, TimeOrder
 from mu_lab.growth_rate import rate_by_id
 from mu_lab.phase_space import JumpSegment, Segment, sup_norm
 
@@ -299,31 +297,3 @@ def test_non_finite_state():
     phi = Segment.constant(1.0, [1.0], 4)
     with pytest.raises(NonFiniteState):
         solve_linear(sys, 0.0, phi, 12.0, 0.25)
-
-
-def test_expression_grammar():
-    f = compile_time_expression("sin(t) + t*cos(t)")
-    assert f(1.3) == pytest.approx(np.sin(1.3) + 1.3 * np.cos(1.3))
-    assert compile_time_expression("2*t^2 - 1")(3.0) == pytest.approx(17.0)
-    assert compile_time_expression("2*t**2 - 1")(3.0) == pytest.approx(17.0)
-    assert compile_time_expression("exp(-0.5*t)")(2.0) == pytest.approx(np.exp(-1.0))
-    assert compile_time_expression("-0.8")(5.0) == pytest.approx(-0.8)
-    with pytest.raises(ExpressionError):
-        compile_time_expression("foo(t)")
-    with pytest.raises(ExpressionError):
-        compile_time_expression("t t")
-    with pytest.raises(ExpressionError):
-        compile_time_expression("1 + ")
-
-
-def test_parse_system_terms_and_solve():
-    sys = parse_system_terms(1.0, 1, [{"lag": 0.0, "matrix_expr": [["-1"]]}])
-    phi = Segment.constant(1.0, [1.0], 32)
-    traj = solve_linear(sys, 0.0, phi, 1.0, 1.0 / 32)
-    assert traj.state_at(1.0)[0] == pytest.approx(np.exp(-1.0), abs=1e-6)
-    sys2 = parse_system_terms(1.0, 2, [{"lag": 0.5, "matrix": [[0.0, 1.0], [-1.0, 0.0]]}])
-    assert sys2.terms[0].lag == 0.5
-    with pytest.raises(ExpressionError):
-        parse_system_terms(1.0, 2, [{"lag": 0.0, "matrix": [[1.0]]}])
-    with pytest.raises(ExpressionError):
-        parse_system_terms(1.0, 1, [{"lag": 0.0}])

@@ -118,12 +118,6 @@ def test_inverse_closed_forms(catalogue):
         assert np.allclose(back, ts, atol=1e-9)
 
 
-def test_inverse_bisection_fallback(catalogue):
-    g = catalogue[0]
-    bare = type(g)(label="exp-bare", eval=g.eval, deriv=g.deriv)
-    assert bare.inverse_or_solve(np.array([np.e, 1.0]))[0] == pytest.approx(1.0, abs=1e-9)
-
-
 def test_mu_weight_sign_convention(catalogue):
     g = catalogue[0]
     assert mu_weight(g, 0.0, 0.7) == pytest.approx(1.0, abs=1e-15)
