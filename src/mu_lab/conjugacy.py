@@ -13,8 +13,8 @@ panels are geometric in u with fixed Gauss-Legendre nodes per panel.
 
 Only the field changes between sweeps, so the operator is planned once per
 solve (plan_operator, O(S) numbers per row of S nodes); a sweep
-(_full_sweep) gathers the point reads of a point-read perturbation from the
-field, blends them and contracts in one batched matmul.
+(_full_sweep) gathers a point-read perturbation's reads from the field in
+read-major blocks, applies its maps there and contracts in one matmul.
 
 Off the stored grid the field is evaluated by bilinear interpolation,
 clamped to the boundary value outside; clamp events are counted and
@@ -75,9 +75,13 @@ class GridSpec:
 
 
 def _cells(x: np.ndarray, size: int):
-    """Cell index and in-cell weight of grid coordinates x, clamped to the grid."""
-    i = np.clip(np.floor(x).astype(int), 0, size - 2)
-    return i, np.clip(x - i, 0.0, 1.0)
+    """Cell index and in-cell weight of grid coordinates x, clamped to the grid.
+
+    The cast floors the clamped x; a NaN x casts below 0 and lands in cell 0.
+    """
+    xc = np.clip(x, 0.0, size - 1)
+    i = np.clip(xc.astype(np.intp), 0, size - 2)
+    return i, xc - i
 
 
 @dataclass
@@ -346,9 +350,9 @@ def orbit_quadrature(model: DichotomyModel, pert, t: float, trunc: TruncationPol
 
 
 def _require_point_reads(pert, what: str, fallback: str = "") -> None:
-    if not (hasattr(pert, "reads") and hasattr(pert, "batch_g")):
+    if not (hasattr(pert, "reads") and hasattr(pert, "value_map")):
         raise TypeError(
-            f"{what} a point-read perturbation (reads and batch_g); "
+            f"{what} a point-read perturbation (reads and value_map); "
             f"{type(pert).__name__} has no such interface{fallback}"
         )
 
@@ -366,6 +370,7 @@ class RowPlan:
     weights: np.ndarray  # (S,) quadrature weights, negated on the unstable side
     n_stable: int
     factor: np.ndarray  # (S,) orbit factor unstable_flow(tau, t)
+    pert_weight: np.ndarray  # (S,) perturbation weight pert.weight(tau)
     it: np.ndarray  # (S,) t-interpolation cell of each node
     wt: np.ndarray  # (S,) t-interpolation weight of each node
     lin: np.ndarray  # (k, S) linear part b_tau u(tau) at each read per unit b_tau, unstable_flow(tau - lag, tau)
@@ -416,7 +421,8 @@ def plan_operator(model: DichotomyModel, pert, eta: EtaField, ts, bs, trunc: Tru
         for j, (coord, lag) in enumerate(pert.reads):
             if coord == u_idx:
                 lin[j] = unstable_flow(model, taus - lag, taus)[0]
-        rows.append(RowPlan(t, taus, np.concatenate([w_s, -w_u]), taus_s.size, factor, it[:, 0], wt[:, 0], lin))
+        weights, pert_weight = np.concatenate([w_s, -w_u]), np.asarray(pert.weight(taus), dtype=float)
+        rows.append(RowPlan(t, taus, weights, taus_s.size, factor, pert_weight, it[:, 0], wt[:, 0], lin))
     return OperatorPlan(model, pert, bs, tuple(rows), cs, js, clamped, total)
 
 
@@ -428,10 +434,11 @@ def _full_sweep(plan: OperatorPlan, eta: EtaField):
 
     Returns (F, dF) of shape (rows, nb, n, m+1).  The read tables are cut
     once in read-major layout (2k, nt, nb); per row they are blended along
-    t with the planned weights, then per block of b columns gathered along
-    b with one flat take, turned into the reads W and directions V, and
-    contracted against the quadrature-weighted kernels in one batched
-    matmul over the coordinates.
+    t with the planned weights.  A block of c b columns stays read-major,
+    (k, S, c), from the gathers to the matmul operand: two takes along b
+    blend into the reads W and directions V, the perturbation's maps write
+    the value and derivative planes (2, n, S, c), scaled by its planned
+    weight per node, for one batched matmul against the weighted kernels.
     """
     model, pert = plan.model, plan.pert
     n, m, k = eta.n, eta.m, len(plan.cs)
@@ -452,27 +459,32 @@ def _full_sweep(plan: OperatorPlan, eta: EtaField):
         upper = np.take(tables, row.it + 1, axis=1)
         upper *= row.wt[:, None]
         along_t += upper  # (2k, S, nb)
+        del upper  # freed before the blocks allocate, which keeps the peak RSS down
         flat = along_t.reshape(2 * k, S * nbg)
         row_start = (np.arange(S) * nbg)[:, None]
         ns = row.n_stable
         kern = np.concatenate(
             [p0_kernel(model, row.t, row.taus[:ns], omega), q0_kernel(model, row.t, row.taus[ns:], omega)], axis=1
         ) * row.weights[:, None]  # (n, S, m+1), quadrature weights folded in
+        live = [j for j in range(k) if row.lin[j].any()]  # reads of the unstable coordinate
         for lo in range(0, nb, _B_CHUNK):
             hi = min(lo + _B_CHUNK, nb)
             B = row.factor[:, None] * plan.b[lo:hi]  # (S, c)
             ib, wb = _cells((B - bg[0]) / (bg[1] - bg[0]), nbg)
             at = ib + row_start
-            reads = np.take(flat, np.stack([at, at + 1]), axis=1)  # (2k, 2, S, c)
-            reads[:, 0] *= 1.0 - wb
-            reads[:, 1] *= wb
-            reads = reads[:, 0] + reads[:, 1]  # (2k, S, c)
-            W = row.lin[:, :, None] * B + reads[:k]
-            V = row.factor[:, None] * (row.lin[:, :, None] + reads[k:])
-            W = W.transpose(1, 2, 0)  # (S, c, k)
+            reads = np.take(flat, at, axis=1)  # (2k, S, c)
+            upper = np.take(flat, at + 1, axis=1)
+            reads *= 1 - wb
+            upper *= wb
+            reads += upper
+            W, V = reads[:k], reads[k:]
+            for j in live:
+                W[j] += row.lin[j][:, None] * B
+                V[j] += row.lin[j][:, None]
+            V *= row.factor[:, None]
             g = np.empty((2, n, S, hi - lo))
-            g[0] = pert.batch_g(row.taus, W).transpose(2, 0, 1)
-            g[1] = pert.batch_dg(row.taus, W, V.transpose(1, 2, 0)).transpose(2, 0, 1)
+            np.multiply(pert.value_map(W), row.pert_weight[:, None], out=g[0])
+            np.multiply(pert.jvp_map(W, V), row.pert_weight[:, None], out=g[1])
             both = np.matmul(g.swapaxes(2, 3), kern)  # (2, n, c, m+1)
             out[i, lo:hi] = both[0].swapaxes(0, 1)
             dout[i, lo:hi] = both[1].swapaxes(0, 1)
@@ -715,28 +727,31 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert, s, k, b) -> li
     cs = np.array([c for c, _ in pert.reads], dtype=int)
     js = np.array([lag_index(eta.r, eta.m, lag) for _, lag in pert.reads], dtype=int)
     now = js == m  # reads of x(t) itself come from the stage state
-    coords = model.coords
+    # the time-only factors rho_i' and weight(t) at every step's three stage times
+    t0 = times[:, :-1]
+    hs = times[:, 1:] - t0
+    stages = (t0, t0 + hs / 2.0, t0 + hs)
+    lins = [np.stack([np.asarray(c.coeff(tt), dtype=float) for c in model.coords], axis=-1) for tt in stages]
+    weights = [np.asarray(pert.weight(tt), dtype=float) for tt in stages]
 
-    def rhs(tt, y, reads):
+    def rhs(stage, j, y, reads):
         # overwrites only the lag-0 columns, so callers may share `reads`
         reads[:, now] = y[:, cs[now]]
-        lin = np.stack([np.asarray(c.coeff(tt), dtype=float) for c in coords], axis=-1)
-        return lin * y + pert.batch_g(tt, reads[:, None, :])[:, 0, :]
+        a = len(y)
+        return lins[stage][:a, j] * y + pert.value_map(reads.T).T * weights[stage][:a, j, None]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(K):
             a = int(np.count_nonzero(ks > j))
             y = X[:a, m + j]
-            tj = times[:a, j]
-            hj = times[:a, j + 1] - tj
-            hc = hj[:, None]
+            hc = hs[:a, j, None]
             at_node = X[:a, j + js, cs]
             next_node = X[:a, j + js + 1, cs]
             mid = 0.5 * (at_node + next_node)
-            k1 = rhs(tj, y, at_node)
-            k2 = rhs(tj + hj / 2.0, y + hc / 2.0 * k1, mid)
-            k3 = rhs(tj + hj / 2.0, y + hc / 2.0 * k2, mid)
-            k4 = rhs(tj + hj, y + hc * k3, next_node)
+            k1 = rhs(0, j, y, at_node)
+            k2 = rhs(1, j, y + hc / 2.0 * k1, mid)
+            k3 = rhs(1, j, y + hc / 2.0 * k2, mid)
+            k4 = rhs(2, j, y + hc * k3, next_node)
             X[:a, m + j + 1] = y + hc / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             blown = ~np.all(np.isfinite(X[:a, m + j + 1]), axis=1)
             if blown.any():

@@ -79,14 +79,14 @@ class Perturbation:
     def zero(n: int) -> "PointReadPerturbation":
         """g = 0, as a point-read perturbation with no reads.
 
-        It carries the batch interface, so the batched residual check and
-        the row sweep take it like any other point-read perturbation.
+        It carries the point-read interface, so the batched residual check
+        and the row sweep take it like any other point-read perturbation.
         """
         return PointReadPerturbation(
             reads=(),
             weight=lambda ts: np.ones(np.shape(ts)),
-            value_map=lambda W: np.zeros(np.shape(W)[:-1] + (n,)),
-            jvp_map=lambda W, V: np.zeros(np.shape(W)[:-1] + (n,)),
+            value_map=lambda W: np.zeros((n,) + np.shape(W)[1:]),
+            jvp_map=lambda W, V: np.zeros((n,) + np.shape(W)[1:]),
             params=PerturbationParams(0.0, 1.0, 0.0, 0.0, 0.0),
             n=n,
             label="zero",
@@ -303,16 +303,17 @@ class PointReadPerturbation:
 
     The scalar prefactor `weight(t)` carries the whole time envelope; the
     value map and its directional derivative (jvp_map(W, V), the Jacobian
-    at the reads W applied to the read directions V) act on the vector of
-    reads and are vectorized over arbitrary leading batch dimensions, which
-    is what lets the correction-field solver evaluate whole quadrature
-    batches at once.
+    at the reads W applied to the read directions V) take the read axis
+    first and return the component axis first, vectorized over trailing
+    batch axes, so the correction-field solver maps whole read-major
+    quadrature blocks.  The cross couplings store reads[i] as the read that
+    drives component i, so their maps are slot-wise.
     """
 
     reads: tuple[tuple[int, float], ...]  # (coordinate, lag)
     weight: Callable[[np.ndarray], np.ndarray]
-    value_map: Callable[[np.ndarray], np.ndarray]  # (..., k) -> (..., n)
-    jvp_map: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (..., k), (..., k) -> (..., n)
+    value_map: Callable[[np.ndarray], np.ndarray]  # (k, ...) -> (n, ...)
+    jvp_map: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (k, ...), (k, ...) -> (n, ...)
     params: PerturbationParams
     n: int
     label: str = ""
@@ -334,64 +335,58 @@ class PointReadPerturbation:
 
         return apply
 
-    def batch_g(self, ts: np.ndarray, reads: np.ndarray) -> np.ndarray:
-        w = np.asarray(self.weight(ts), dtype=float)
-        return np.asarray(self.value_map(reads), dtype=float) * w[:, None, None]
-
-    def batch_dg(self, ts: np.ndarray, reads: np.ndarray, direction: np.ndarray) -> np.ndarray:
-        w = np.asarray(self.weight(ts), dtype=float)
-        return np.asarray(self.jvp_map(reads, direction), dtype=float) * w[:, None, None]
-
 
 def _saturator(u: np.ndarray) -> np.ndarray:
-    # value in [0, 1/2], slope bounded by 0.65, curvature bounded by 1
-    return u * u / (2.0 * (1.0 + u * u))
+    # value in [0, 1/2], slope bounded by 0.65, curvature bounded by 1;
+    # u*u / (2 (1 + u*u)) with u*u formed once and the rest in place
+    uu = u * u
+    d = 1.0 + uu
+    d *= 2.0
+    uu /= d
+    return uu
 
 
 def _saturator_slope(u: np.ndarray) -> np.ndarray:
-    return u / (1.0 + u * u) ** 2
+    # u / (1 + u*u)**2, in place
+    d = u * u
+    d += 1.0
+    d *= d
+    return np.divide(u, d, out=d)
 
 
-def saturating_cross_perturbation(mu, params: PerturbationParams, reads, n: int, scale: Optional[float] = None) -> PointReadPerturbation:
-    """Cross-coupled saturating nonlinearity honoring both declared envelopes.
+def _cross_coupling(mu, params, reads, n: int, scale: float, expo: float, value_map, jvp_map, label: str):
+    """Cross coupling under the weight scale mu'(t) mu(t)^(-sgn(t) expo - 1).
 
-    Component i saturates the read of slot i+1 (cyclically).  The prefactor
-    mu'(t) mu(t)^(-sgn(t)(gamma + 2 eps + 3 xi) - 1) times min(delta, lam)
-    makes the value envelope hold with constant delta and the derivative
-    envelope with constant lam: the extra mu-power pays for the weighted
-    norm inside the min-terms, and the saturator family has unit Lipschitz
-    budget for both the value and the slope.
+    Its reads are the scenario's shifted one slot: scenario read i+1
+    (cyclically) is reads[i], the read that drives component i.
     """
     reads = tuple((int(c), float(l)) for c, l in reads)
     if len(reads) != n:
         raise ValueError("cyclic cross coupling needs one read per coordinate")
-    c0 = min(params.delta, params.lam) if scale is None else scale
-    expo = params.gamma + 2.0 * params.eps + 3.0 * params.xi
 
     def weight(ts):
         ts = np.asarray(ts, dtype=float)
         vals = np.asarray(mu.eval(ts), dtype=float)
         derivs = np.asarray(mu.deriv(ts), dtype=float)
-        return c0 * derivs * vals ** (-np.sign(ts) * expo - 1.0)
+        return scale * derivs * vals ** (-np.sign(ts) * expo - 1.0)
 
-    def value_map(W):
-        W = np.asarray(W, dtype=float)
-        return _saturator(np.roll(W, -1, axis=-1))
+    return PointReadPerturbation(reads[1:] + reads[:1], weight, value_map, jvp_map, params, n, label, envelope_scale=scale)
 
-    def jvp_map(W, V):
-        W, V = np.asarray(W, dtype=float), np.asarray(V, dtype=float)
-        return _saturator_slope(np.roll(W, -1, axis=-1)) * np.roll(V, -1, axis=-1)
 
-    return PointReadPerturbation(
-        reads=reads,
-        weight=weight,
-        value_map=value_map,
-        jvp_map=jvp_map,
-        params=params,
-        n=n,
-        label="saturating_cross",
-        envelope_scale=c0,
-    )
+def saturating_cross_perturbation(mu, params: PerturbationParams, reads, n: int, scale: Optional[float] = None) -> PointReadPerturbation:
+    """Cross-coupled saturating nonlinearity honoring both declared envelopes.
+
+    Component i saturates the read of scenario slot i+1 (cyclically), its
+    reads[i].  The prefactor mu'(t) mu(t)^(-sgn(t)(gamma + 2 eps + 3 xi) - 1)
+    times min(delta, lam) makes the value envelope hold with constant delta
+    and the derivative envelope with constant lam: the extra mu-power pays
+    for the weighted norm inside the min-terms, and the saturator family
+    has unit Lipschitz budget for both the value and the slope.
+    """
+    c0 = min(params.delta, params.lam) if scale is None else scale
+    expo = params.gamma + 2.0 * params.eps + 3.0 * params.xi
+    jvp_map = lambda W, V: _saturator_slope(W) * V  # noqa: E731
+    return _cross_coupling(mu, params, reads, n, c0, expo, _saturator, jvp_map, "saturating_cross")
 
 
 def linear_cross_perturbation(mu, params: PerturbationParams, reads, n: int, gain: float) -> PointReadPerturbation:
@@ -400,30 +395,7 @@ def linear_cross_perturbation(mu, params: PerturbationParams, reads, n: int, gai
     Negative-control material: its raw gain can be driven past the
     contraction threshold of the correction-field operator while the
     declared envelope constants stay whatever the scenario claims.
+    Component i is the read of scenario slot i+1 (cyclically), its reads[i].
     """
-    reads = tuple((int(c), float(l)) for c, l in reads)
-    if len(reads) != n:
-        raise ValueError("cyclic cross coupling needs one read per coordinate")
-
-    def weight(ts):
-        ts = np.asarray(ts, dtype=float)
-        vals = np.asarray(mu.eval(ts), dtype=float)
-        derivs = np.asarray(mu.deriv(ts), dtype=float)
-        return gain * derivs * vals ** (-np.sign(ts) * (params.gamma + params.eps) - 1.0)
-
-    def value_map(W):
-        return np.roll(np.asarray(W, dtype=float), -1, axis=-1)
-
-    def jvp_map(W, V):
-        return np.roll(np.asarray(V, dtype=float), -1, axis=-1)
-
-    return PointReadPerturbation(
-        reads=reads,
-        weight=weight,
-        value_map=value_map,
-        jvp_map=jvp_map,
-        params=params,
-        n=n,
-        label="linear_cross",
-        envelope_scale=gain,
-    )
+    expo = params.gamma + params.eps
+    return _cross_coupling(mu, params, reads, n, gain, expo, lambda W: W, lambda W, V: V, "linear_cross")

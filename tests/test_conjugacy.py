@@ -10,6 +10,8 @@ from mu_lab.conjugacy import (
     F_apply,
     GridSpec,
     TruncationPolicy,
+    _B_CHUNK,
+    _cells,
     _full_sweep,
     conjugacy_residual,
     dF_db_apply,
@@ -28,9 +30,9 @@ from mu_lab.dde_core import (
     linear_cross_perturbation,
     saturating_cross_perturbation,
 )
-from mu_lab.dichotomy import p0_kernel, q0_kernel, unstable_shape
+from mu_lab.dichotomy import p0_kernel, q0_kernel, unstable_flow, unstable_shape
 from mu_lab.errors import NonFiniteState, NotContracting, OutOfDomain, TimeOrder, TruncationUnreachable
-from mu_lab.phase_space import Segment, mu_norm, sup_norm
+from mu_lab.phase_space import Segment, lag_index, mu_norm, sup_norm
 
 
 def zero_field(flagship, grid=DEFAULT_GRID):
@@ -101,8 +103,83 @@ def point_oracle(model, pert, eta, t, b, trunc, D):
     return Segment(model.r, out), Segment(model.r, dout)
 
 
+def block_oracle_sweep(plan, eta, scenario_reads, value_map, jvp_map):
+    """Oracle: the sweep in (S, c, k) blocks, as it was before the read-major block.
+
+    Reads stay in scenario order, and the maps roll them so that component
+    i sees scenario read i+1; each block transposes W and V to (S, c, k),
+    scales the maps' values by the weight per node and transposes them back
+    for the same batched matmul.  Only the plan's orbit data is shared.
+    """
+    model, pert = plan.model, plan.pert
+    n, m, k = eta.n, eta.m, len(scenario_reads)
+    bg = eta.b_grid
+    nbg, nb = len(bg), plan.b.size
+    omega = np.linspace(-model.r, 0.0, m + 1)
+    cs = np.array([c for c, _ in scenario_reads], dtype=int)
+    js = np.array([lag_index(eta.r, m, lag) for _, lag in scenario_reads], dtype=int)
+    u_idx = model.unstable_indices[0]
+    out = np.zeros((len(plan.rows), nb, n, m + 1))
+    dout = np.zeros_like(out)
+    tables = np.concatenate([eta.values.transpose(2, 3, 0, 1)[cs, js], eta.dvalues.transpose(2, 3, 0, 1)[cs, js]])
+    for i, row in enumerate(plan.rows):
+        S = row.taus.size
+        if S == 0:
+            continue
+        lin = np.zeros((k, S))
+        for j, (coord, lag) in enumerate(scenario_reads):
+            if coord == u_idx:
+                lin[j] = unstable_flow(model, row.taus - lag, row.taus)[0]
+        w = np.asarray(pert.weight(row.taus), dtype=float)
+        along_t = np.take(tables, row.it, axis=1)
+        along_t *= 1.0 - row.wt[:, None]
+        upper = np.take(tables, row.it + 1, axis=1)
+        upper *= row.wt[:, None]
+        along_t += upper
+        flat = along_t.reshape(2 * k, S * nbg)
+        row_start = (np.arange(S) * nbg)[:, None]
+        ns = row.n_stable
+        kern = np.concatenate(
+            [p0_kernel(model, row.t, row.taus[:ns], omega), q0_kernel(model, row.t, row.taus[ns:], omega)], axis=1
+        ) * row.weights[:, None]
+        for lo in range(0, nb, _B_CHUNK):
+            hi = min(lo + _B_CHUNK, nb)
+            B = row.factor[:, None] * plan.b[lo:hi]
+            x = (B - bg[0]) / (bg[1] - bg[0])
+            ib = np.clip(np.floor(x).astype(int), 0, nbg - 2)
+            wb = np.clip(x - ib, 0.0, 1.0)
+            at = ib + row_start
+            reads = np.take(flat, np.stack([at, at + 1]), axis=1)
+            reads[:, 0] *= 1.0 - wb
+            reads[:, 1] *= wb
+            reads = reads[:, 0] + reads[:, 1]
+            W = lin[:, :, None] * B + reads[:k]
+            V = row.factor[:, None] * (lin[:, :, None] + reads[k:])
+            W = W.transpose(1, 2, 0)
+            g = np.empty((2, n, S, hi - lo))
+            g[0] = (value_map(W) * w[:, None, None]).transpose(2, 0, 1)
+            g[1] = (jvp_map(W, V.transpose(1, 2, 0)) * w[:, None, None]).transpose(2, 0, 1)
+            both = np.matmul(g.swapaxes(2, 3), kern)
+            out[i, lo:hi] = both[0].swapaxes(0, 1)
+            dout[i, lo:hi] = both[1].swapaxes(0, 1)
+    return out, dout
+
+
+def _rolled(W):
+    return np.roll(W, -1, axis=-1)
+
+
+ROLLED_MAPS = {
+    "saturating": (
+        lambda W: _rolled(W) * _rolled(W) / (2.0 * (1.0 + _rolled(W) * _rolled(W))),
+        lambda W, V: _rolled(W) / (1.0 + _rolled(W) * _rolled(W)) ** 2 * _rolled(V),
+    ),
+    "linear": (lambda W: _rolled(W), lambda W, V: _rolled(V)),
+}
+
+
 def generic_perturbation(flagship):
-    # a segment-level perturbation without the point-read batch interface
+    # a segment-level perturbation without the point-read interface
     zero = np.zeros(2)
     return Perturbation(g=lambda t, seg: zero, d2g=lambda t, seg: (lambda chi: zero), params=flagship["pert"].params)
 
@@ -174,6 +251,42 @@ def test_full_row_matches_point_oracle(flagship_result, row, coupling):
         point, dpoint = point_oracle(model, pert, eta, t, b, DEFAULT_TRUNC, D)
         assert np.max(np.abs(out[0, j] - point.values.T)) < 1e-14
         assert np.max(np.abs(dout[0, j] - dpoint.values.T)) < 1e-14
+
+
+@pytest.mark.parametrize("coupling", ["saturating", "linear"])
+def test_sweep_matches_block_oracle_bit_for_bit(flagship, coupling):
+    # a non-zero field on the coarse grid, queried at more b than one block
+    # holds and past both ends of the b grid, so blocks, clamps and both
+    # sides of every orbit are exercised
+    model, p = flagship["model"], flagship["params"]
+    scenario = [(0, R), (1, R / 2)]
+    if coupling == "saturating":
+        pert = saturating_cross_perturbation(flagship["mu"], flagship["pert"].params, reads=scenario, n=2)
+    else:
+        pert = linear_cross_perturbation(flagship["mu"], flagship["pert"].params, reads=scenario, n=2, gain=0.3)
+    eta = zero_field(flagship, COARSE_GRID)
+    values, dvalues = 0.1 * np.random.default_rng(11).normal(size=(2,) + eta.values.shape)
+    eta = eta.with_data(values, dvalues)
+    bs = np.linspace(-4.5, 4.5, 2 * _B_CHUNK + 17)
+    plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
+    F, dF = _full_sweep(plan, eta)
+    F_ref, dF_ref = block_oracle_sweep(plan, eta, scenario, *ROLLED_MAPS[coupling])
+    assert np.any(F != 0.0) and np.any(dF != 0.0)
+    assert np.array_equal(F, F_ref) and np.array_equal(dF, dF_ref)
+
+
+def test_cells_match_floor_and_clip_bit_for_bit():
+    # below the grid, at 0, inside, at size - 1 exactly and past it
+    size = 5
+    x = np.array([-7.5, -0.5, -1e-300, 0.0, 1e-300, 0.25, 1.0, 2.5, 3.0 - 1e-15, 4.0 - 1e-15, 4.0, 4.0 + 1e-12, 9.0])
+    i, w = _cells(x, size)
+    ref_i = np.clip(np.floor(x).astype(int), 0, size - 2)
+    ref_w = np.clip(x - ref_i, 0.0, 1.0)
+    assert i.tobytes() == ref_i.tobytes() and w.tobytes() == ref_w.tobytes()
+    # a NaN coordinate lands in the first cell, with a NaN weight
+    with np.errstate(invalid="ignore"):
+        i, w = _cells(np.array([np.nan, 2.5]), size)
+    assert list(i) == [0, 2] and np.isnan(w[0]) and w[1] == 0.5
 
 
 def test_operator_needs_point_reads(flagship):
@@ -521,8 +634,8 @@ def _blows_up_after(t_blow: float) -> PointReadPerturbation:
     return PointReadPerturbation(
         reads=((0, R), (1, 0.0)),
         weight=lambda ts: np.where(np.asarray(ts) > t_blow, np.inf, 0.0),
-        value_map=lambda W: np.ones(np.shape(W)),
-        jvp_map=lambda W, V: np.zeros(np.shape(W)[:-1] + (2,)),
+        value_map=lambda W: np.ones((2,) + np.shape(W)[1:]),
+        jvp_map=lambda W, V: np.zeros((2,) + np.shape(W)[1:]),
         params=PerturbationParams(0.0, 1.0, 0.0, 0.0, 0.0),
         n=2,
     )

@@ -178,8 +178,6 @@ def test_perturbed_zero_orbit():
 
 @pytest.mark.parametrize("shape", ["saturating_cross", "linear_cross", "zero"])
 def test_jvp_map_is_the_directional_derivative_of_value_map(shape):
-    # three coordinates, because with two a roll in the wrong direction
-    # reads the same slot as the right one
     n, h = 3, 1e-6
     mu, pp = rate_by_id("exp"), PerturbationParams(0.1, 1.5, 0.01, 0.6, 0.1)
     reads = [(i, 0.5) for i in range(n)]
@@ -189,11 +187,43 @@ def test_jvp_map_is_the_directional_derivative_of_value_map(shape):
         pert = linear_cross_perturbation(mu, pp, reads=reads, n=n, gain=0.3)
     else:
         pert = Perturbation.zero(n)
-    W, V = np.random.default_rng(4).normal(size=(2, 5, 7, n))
+    W, V = np.random.default_rng(4).normal(size=(2, n, 5, 7))  # read axis first
     got = pert.jvp_map(W, V)
     fd = (pert.value_map(W + h * V) - pert.value_map(W - h * V)) / (2 * h)
-    assert got.shape == (5, 7, n)
+    assert got.shape == (n, 5, 7)
     np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", ["saturating_cross", "linear_cross"])
+def test_cross_coupling_component_i_is_driven_by_scenario_read_i_plus_1(shape):
+    # three coordinates, because with two a shift folded the wrong way reads
+    # the same slot as the right one; every sample of the segment and of the
+    # direction differs by coordinate and by lag, so a wrong read shows
+    n, m, r, t = 3, 8, 1.0, 0.3
+    mu, pp = rate_by_id("exp"), PerturbationParams(0.1, 1.5, 0.01, 0.6, 0.1)
+    scenario = [(0, 0.25), (2, 0.5), (1, 1.0)]
+    j, c = np.meshgrid(np.arange(m + 1), np.arange(n), indexing="ij")
+    seg = Segment(r, 1.0 + c + 0.1 * j)
+    chi = Segment(r, 0.5 - 0.3 * c + 0.07 * j)
+    if shape == "saturating_cross":
+        pert = saturating_cross_perturbation(mu, pp, reads=scenario, n=n)
+        # mu = exp: mu'(t) mu(t)^(-sgn(t)(gamma + 2 eps + 3 xi) - 1)
+        w = min(pp.delta, pp.lam) * np.exp(-t * (pp.gamma + 2 * pp.eps + 3 * pp.xi))
+        f = lambda u: u * u / (2.0 * (1.0 + u * u))
+        df = lambda u: u / (1.0 + u * u) ** 2
+    else:
+        pert = linear_cross_perturbation(mu, pp, reads=scenario, n=n, gain=0.3)
+        w = 0.3 * np.exp(-t * (pp.gamma + pp.eps))
+        f = lambda u: u
+        df = lambda u: 1.0
+    # lags 0.25, 0.5 and 1.0 sit on samples 6, 4 and 0
+    at = {0.25: 6, 0.5: 4, 1.0: 0}
+    drive = [scenario[(i + 1) % n] for i in range(n)]
+    want = [w * f(seg.values[at[lag], coord]) for coord, lag in drive]
+    dwant = [w * df(seg.values[at[lag], coord]) * chi.values[at[lag], coord] for coord, lag in drive]
+    assert pert.reads == tuple(drive)
+    np.testing.assert_allclose(pert.g(t, seg), want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(pert.d2g(t, seg)(chi), dwant, rtol=1e-13, atol=0.0)
 
 
 def test_variation_of_constants_consistency():
