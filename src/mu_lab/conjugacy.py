@@ -12,9 +12,12 @@ substituted variable u = mu(tau), where every envelope is a pure power --
 panels are geometric in u with fixed Gauss-Legendre nodes per panel.
 
 Only the field changes between sweeps, so the operator is planned once per
-solve (plan_operator, O(S) numbers per row of S nodes); a sweep
-(_full_sweep) gathers a point-read perturbation's reads from the field in
-read-major blocks, applies its maps there and contracts in one matmul.
+solve (plan_operator, O(S) numbers per row of S nodes, with the clamp
+counts taken from the query geometry alone); a sweep (_full_sweep) gathers
+a point-read perturbation's reads from the field in read-major blocks,
+applies its maps there and contracts in one matmul.  The solve starts from
+the zero field, so its first sweep is the source term F(0): it reads no
+field and gathers nothing.
 
 Off the stored grid the field is evaluated by bilinear interpolation,
 clamped to the boundary value outside; clamp events are counted and
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -38,13 +42,10 @@ from .errors import NonFiniteState, NotContracting, TimeOrder, TruncationUnreach
 from .growth_rate import mu_weight, ratio_bound_N  # noqa: F401  (perfbench/spans.py traces it here)
 from .phase_space import Segment, lag_index, sup_norm
 
-_GL_CACHE: dict = {}
 
-
+@lru_cache
 def _gl(nodes: int):
-    if nodes not in _GL_CACHE:
-        _GL_CACHE[nodes] = np.polynomial.legendre.leggauss(nodes)
-    return _GL_CACHE[nodes]
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 _GL_NODES = 16  # Gauss-Legendre nodes per geometric panel, one panel per octave of u
@@ -84,6 +85,12 @@ def _cells(x: np.ndarray, size: int):
     return i, xc - i
 
 
+def _coords(q, grid: np.ndarray):
+    """Coordinates of queries q on a uniform grid, and where they leave it."""
+    x = (np.asarray(q, dtype=float) - grid[0]) / (grid[1] - grid[0])
+    return x, (x < 0) | (x > len(grid) - 1)
+
+
 @dataclass
 class EtaField:
     """Correction field and its b-derivative on a (t, b) tensor grid.
@@ -119,15 +126,14 @@ class EtaField:
         return EtaField(self.t_grid, self.b_grid, values, dvalues, self.r, self.mu, self.xi, self.eps)
 
     def _weights(self, tq, bq):
-        tg, bg = self.t_grid, self.b_grid
-        xt = (np.asarray(tq, dtype=float) - tg[0]) / (tg[1] - tg[0])
-        xb = (np.asarray(bq, dtype=float) - bg[0]) / (bg[1] - bg[0])
+        xt, out_t = _coords(tq, self.t_grid)
+        xb, out_b = _coords(bq, self.b_grid)
         # a query is clamped when either axis clamps, counted over the
         # broadcast query shape, so clamped / total lies in [0, 1]
-        outside = (xt < 0) | (xt > len(tg) - 1) | (xb < 0) | (xb > len(bg) - 1)
+        outside = out_t | out_b
         clamped, total = int(np.count_nonzero(outside)), outside.size
-        it, wt = _cells(xt, len(tg))
-        ib, wb = _cells(xb, len(bg))
+        it, wt = _cells(xt, len(self.t_grid))
+        ib, wb = _cells(xb, len(self.b_grid))
         return it, ib, wt, wb, clamped, total
 
     def interp_tables(self, tables: np.ndarray, tq, bq):
@@ -246,6 +252,13 @@ def _geometric_edges(u_lo: float, u_hi: float) -> np.ndarray:
     return u_lo * (u_hi / u_lo) ** (np.arange(n_pan + 1) / n_pan)
 
 
+def _gl_panels(edges: np.ndarray, nodes: int):
+    """Gauss-Legendre nodes and weights on every panel between the edges, as (x, w)."""
+    x, w = _gl(nodes)
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
+
+
 def _u_panels(mu, lo_t: float, hi_t: float):
     """Gauss-Legendre nodes in u = mu(tau) on geometric panels, as (taus, w).
 
@@ -258,38 +271,15 @@ def _u_panels(mu, lo_t: float, hi_t: float):
     if u_hi <= u_lo * (1.0 + 1e-13):
         return np.empty(0), np.empty(0)
     if u_lo < 1.0 < u_hi:
-        edges = np.concatenate(
-            [
-                _geometric_edges(u_lo, 1.0)[:-1],
-                _geometric_edges(1.0, u_hi),
-            ]
-        )
+        edges = np.concatenate([_geometric_edges(u_lo, 1.0)[:-1], _geometric_edges(1.0, u_hi)])
     else:
         edges = _geometric_edges(u_lo, u_hi)
-    x, w = _gl(_GL_NODES)
-    taus, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        u = 0.5 * (a + b) + 0.5 * (b - a) * x
-        wu = 0.5 * (b - a) * w
-        tau = np.asarray(mu.inverse(u), dtype=float)
-        weights.append(wu / np.asarray(mu.deriv(tau), dtype=float))
-        taus.append(tau)
-    return np.concatenate(taus), np.concatenate(weights)
+    u, wu = _gl_panels(edges, _GL_NODES)
+    tau = np.asarray(mu.inverse(u), dtype=float)
+    return tau, wu / np.asarray(mu.deriv(tau), dtype=float)
 
 
 _NEAR_NODES = 4
-
-
-def _cell_panels(edges: np.ndarray):
-    """Plain Gauss-Legendre nodes in tau on the given cell edges."""
-    if len(edges) < 2:
-        return np.empty(0), np.empty(0)
-    x, w = _gl(_NEAR_NODES)
-    taus, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        taus.append(0.5 * (a + b) + 0.5 * (b - a) * x)
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(taus), np.concatenate(weights)
 
 
 def _near_cell_edges(t: float, r: float, m: int, lo: float) -> np.ndarray:
@@ -337,7 +327,7 @@ def orbit_quadrature(model: DichotomyModel, pert, t: float, trunc: TruncationPol
     else:
         far_hi = max(t_lo, t - model.r)
         taus_far, w_far = _u_panels(mu, t_lo, far_hi)
-        taus_near, w_near = _cell_panels(_near_cell_edges(t, model.r, m, far_hi))
+        taus_near, w_near = _gl_panels(_near_cell_edges(t, model.r, m, far_hi), _NEAR_NODES)
         taus_s = np.concatenate([taus_far, taus_near])
         w_s = np.concatenate([w_far, w_near])
     taus_u, w_u = _u_panels(mu, t, t_hi)
@@ -391,6 +381,7 @@ class OperatorPlan:
     rows: tuple  # one RowPlan per queried time
     cs: np.ndarray  # (k,) coordinate of each read
     js: np.ndarray  # (k,) segment index of each read's lag
+    m: int  # segment samples per delay of the field's grid
     clamped: int
     total: int
 
@@ -400,7 +391,8 @@ def plan_operator(model: DichotomyModel, pert, eta: EtaField, ts, bs, trunc: Tru
 
     Only eta's grid is used.  A query clamps when either axis of its orbit
     lookup (tau, b unstable_flow(tau, t)) leaves the grid, counted as
-    EtaField._weights counts it over each row's (S, nb) lookups.
+    EtaField._weights counts it over each row's (S, nb) lookups; only the
+    t cells are kept, so no b cell is formed here.
     """
     _require_point_reads(pert, "the operator needs")
     bs = np.asarray(bs, dtype=float)
@@ -414,22 +406,25 @@ def plan_operator(model: DichotomyModel, pert, eta: EtaField, ts, bs, trunc: Tru
         taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, eta.m)
         taus = np.concatenate([taus_s, taus_u])
         factor = unstable_flow(model, taus, t)[0]
-        it, _, wt, _, cl, tot = eta._weights(taus[:, None], factor[:, None] * bs)
-        clamped += cl
-        total += tot
+        xt, out_t = _coords(taus, eta.t_grid)
+        _, out_b = _coords(factor[:, None] * bs, eta.b_grid)
+        outside = out_t[:, None] | out_b
+        clamped += int(np.count_nonzero(outside))
+        total += outside.size
+        it, wt = _cells(xt, len(eta.t_grid))
         lin = np.zeros((len(cs), taus.size))
         for j, (coord, lag) in enumerate(pert.reads):
             if coord == u_idx:
                 lin[j] = unstable_flow(model, taus - lag, taus)[0]
         weights, pert_weight = np.concatenate([w_s, -w_u]), np.asarray(pert.weight(taus), dtype=float)
-        rows.append(RowPlan(t, taus, weights, taus_s.size, factor, pert_weight, it[:, 0], wt[:, 0], lin))
-    return OperatorPlan(model, pert, bs, tuple(rows), cs, js, clamped, total)
+        rows.append(RowPlan(t, taus, weights, taus_s.size, factor, pert_weight, it, wt, lin))
+    return OperatorPlan(model, pert, bs, tuple(rows), cs, js, eta.m, clamped, total)
 
 
 _B_CHUNK = 128  # b columns per gather-and-contract block; bounds the temporaries
 
 
-def _full_sweep(plan: OperatorPlan, eta: EtaField):
+def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
     """The operator and its b-derivative at every planned query, from eta.
 
     Returns (F, dF) of shape (rows, nb, n, m+1).  The read tables are cut
@@ -439,29 +434,33 @@ def _full_sweep(plan: OperatorPlan, eta: EtaField):
     blend into the reads W and directions V, the perturbation's maps write
     the value and derivative planes (2, n, S, c), scaled by its planned
     weight per node, for one batched matmul against the weighted kernels.
+    eta None stands for the zero field, every read of which is 0: that
+    sweep is the source term F(0), with no tables, blends or gathers.
     """
     model, pert = plan.model, plan.pert
-    n, m, k = eta.n, eta.m, len(plan.cs)
-    bg = eta.b_grid
-    nbg, nb = len(bg), plan.b.size
+    n, m, k = model.n, plan.m, len(plan.cs)
+    nb = plan.b.size
     omega = np.linspace(-model.r, 0.0, m + 1)
     out = np.zeros((len(plan.rows), nb, n, m + 1))
     dout = np.zeros_like(out)
-    tables = np.concatenate(
-        [eta.values.transpose(2, 3, 0, 1)[plan.cs, plan.js], eta.dvalues.transpose(2, 3, 0, 1)[plan.cs, plan.js]]
-    )  # (2k, nt, nb)
+    if eta is not None:
+        bg, nbg = eta.b_grid, len(eta.b_grid)
+        tables = np.concatenate(
+            [eta.values.transpose(2, 3, 0, 1)[plan.cs, plan.js], eta.dvalues.transpose(2, 3, 0, 1)[plan.cs, plan.js]]
+        )  # (2k, nt, nb)
     for i, row in enumerate(plan.rows):
         S = row.taus.size
         if S == 0:
             continue
-        along_t = np.take(tables, row.it, axis=1)
-        along_t *= 1.0 - row.wt[:, None]
-        upper = np.take(tables, row.it + 1, axis=1)
-        upper *= row.wt[:, None]
-        along_t += upper  # (2k, S, nb)
-        del upper  # freed before the blocks allocate, which keeps the peak RSS down
-        flat = along_t.reshape(2 * k, S * nbg)
-        row_start = (np.arange(S) * nbg)[:, None]
+        if eta is not None:
+            along_t = np.take(tables, row.it, axis=1)
+            along_t *= 1.0 - row.wt[:, None]
+            upper = np.take(tables, row.it + 1, axis=1)
+            upper *= row.wt[:, None]
+            along_t += upper  # (2k, S, nb)
+            del upper  # freed before the blocks allocate, which keeps the peak RSS down
+            flat = along_t.reshape(2 * k, S * nbg)
+            row_start = (np.arange(S) * nbg)[:, None]
         ns = row.n_stable
         kern = np.concatenate(
             [p0_kernel(model, row.t, row.taus[:ns], omega), q0_kernel(model, row.t, row.taus[ns:], omega)], axis=1
@@ -470,13 +469,18 @@ def _full_sweep(plan: OperatorPlan, eta: EtaField):
         for lo in range(0, nb, _B_CHUNK):
             hi = min(lo + _B_CHUNK, nb)
             B = row.factor[:, None] * plan.b[lo:hi]  # (S, c)
-            ib, wb = _cells((B - bg[0]) / (bg[1] - bg[0]), nbg)
-            at = ib + row_start
-            reads = np.take(flat, at, axis=1)  # (2k, S, c)
-            upper = np.take(flat, at + 1, axis=1)
-            reads *= 1 - wb
-            upper *= wb
-            reads += upper
+            if eta is None:
+                # zeros to add the linear part to, as the gathers' +0.0 sums are:
+                # 0.0 + (-0.0) is +0.0, where assigning lin * B would keep -0.0
+                reads = np.zeros((2 * k, S, hi - lo))
+            else:
+                ib, wb = _cells((B - bg[0]) / (bg[1] - bg[0]), nbg)
+                at = ib + row_start
+                reads = np.take(flat, at, axis=1)  # (2k, S, c)
+                upper = np.take(flat, at + 1, axis=1)
+                reads *= 1 - wb
+                upper *= wb
+                reads += upper
             W, V = reads[:k], reads[k:]
             for j in live:
                 W[j] += row.lin[j][:, None] * B
@@ -489,18 +493,6 @@ def _full_sweep(plan: OperatorPlan, eta: EtaField):
             out[i, lo:hi] = both[0].swapaxes(0, 1)
             dout[i, lo:hi] = both[1].swapaxes(0, 1)
     return out, dout
-
-
-def F_apply(model: DichotomyModel, pert, eta: EtaField, t: float, b: float, trunc: TruncationPolicy, *, D: float) -> Segment:
-    """One evaluation of the defining operator at (t, b), with the constant D."""
-    out, _ = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
-    return Segment(model.r, out[0, 0].T)
-
-
-def dF_db_apply(model: DichotomyModel, pert, eta: EtaField, t: float, b: float, trunc: TruncationPolicy, *, D: float) -> Segment:
-    """Derivative of the operator in the unstable coordinate (one dimension)."""
-    _, dout = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
-    return Segment(model.r, dout[0, 0].T)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +551,11 @@ class ConjugacyResult:
         }
 
 
+def _row_max_diff(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """max |new - old| per time row, with one row's temporaries at a time."""
+    return np.array([np.max(np.abs(a - b)) for a, b in zip(new, old)])
+
+
 def picard_solve(
     model: DichotomyModel,
     pert,
@@ -572,6 +569,7 @@ def picard_solve(
 ) -> ConjugacyResult:
     """Iterate the operator and its derivative jointly from the zero field.
 
+    The first sweep is then the source term F(0), which reads no field.
     Sweeps stop when the combined update norm drops below solver_tol.  A
     measured update ratio >= 1 on two consecutive sweeps raises
     NotContracting: the scenario's perturbation is inconsistent with the
@@ -593,9 +591,9 @@ def picard_solve(
     converged = False
     prev_delta = None
     for k in range(1, max_sweeps + 1):
-        new_vals, new_dvals = _full_sweep(plan, eta)
-        dv = np.max(np.abs(new_vals - eta.values), axis=(1, 2, 3)) * w_t
-        dd = np.max(np.abs(new_dvals - eta.dvalues), axis=(1, 2, 3)) * w_t
+        new_vals, new_dvals = _full_sweep(plan, eta if k > 1 else None)
+        dv = _row_max_diff(new_vals, eta.values) * w_t
+        dd = _row_max_diff(new_dvals, eta.dvalues) * w_t
         delta_inf = float(np.max(dv))
         ddelta_inf = float(np.max(dd))
         delta = delta_inf + ddelta_inf
@@ -616,8 +614,8 @@ def picard_solve(
             break
     # one extra application measures the fixed-point residual without updating
     new_vals, new_dvals = _full_sweep(plan, eta)
-    res_inf = float(np.max(np.max(np.abs(new_vals - eta.values), axis=(1, 2, 3)) * w_t))
-    res_dinf = float(np.max(np.max(np.abs(new_dvals - eta.dvalues), axis=(1, 2, 3)) * w_t))
+    res_inf = float(np.max(_row_max_diff(new_vals, eta.values) * w_t))
+    res_dinf = float(np.max(_row_max_diff(new_dvals, eta.dvalues) * w_t))
     norms = {
         "inf": eta.norm_inf(),
         "inf_mu": eta.norm_inf_mu(),

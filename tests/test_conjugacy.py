@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,14 +8,12 @@ from conftest import COARSE_GRID, COARSE_TRUNC, DEFAULT_GRID, DEFAULT_TRUNC, SOL
 from mu_lab.admissibility import delta_ceiling, lambda_ceiling
 from mu_lab.conjugacy import (
     EtaField,
-    F_apply,
     GridSpec,
     TruncationPolicy,
     _B_CHUNK,
     _cells,
     _full_sweep,
     conjugacy_residual,
-    dF_db_apply,
     invertibility_check,
     lattice_residuals,
     orbit_quadrature,
@@ -38,6 +37,18 @@ from mu_lab.phase_space import Segment, lag_index, mu_norm, sup_norm
 def zero_field(flagship, grid=DEFAULT_GRID):
     p = flagship["params"]
     return EtaField.zero(grid, 2, R, flagship["mu"], p.xi, p.eps)
+
+
+def F_apply(model, pert, eta, t, b, trunc, *, D):
+    """Oracle helper: the planned operator at the one point (t, b)."""
+    out, _ = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
+    return Segment(model.r, out[0, 0].T)
+
+
+def dF_db_apply(model, pert, eta, t, b, trunc, *, D):
+    """Oracle helper: the planned operator's b-derivative at the one point (t, b)."""
+    _, dout = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
+    return Segment(model.r, dout[0, 0].T)
 
 
 def scalar_residuals(eta, model, pert, *, n_samples, horizon, core, b_scale, seed):
@@ -275,6 +286,51 @@ def test_sweep_matches_block_oracle_bit_for_bit(flagship, coupling):
     assert np.array_equal(F, F_ref) and np.array_equal(dF, dF_ref)
 
 
+def _recording(pert, seen):
+    """pert with maps that keep a copy of every W and V they are given."""
+
+    def value_map(W):
+        seen.append(W.copy())
+        return pert.value_map(W)
+
+    def jvp_map(W, V):
+        seen.append(V.copy())
+        return pert.jvp_map(W, V)
+
+    return dataclasses.replace(pert, value_map=value_map, jvp_map=jvp_map)
+
+
+@pytest.mark.parametrize("coupling", ["saturating", "linear", "zero"])
+def test_source_term_sweep_is_the_zero_field_sweep_bit_for_bit(flagship, coupling):
+    # the first Picard sweep passes no field and skips the tables, blends and
+    # gathers; its maps must see the very reads a zero field gives, signed
+    # zeros included: at b = -0.0 the linear part lin * B is -0.0, and the
+    # gathers' +0.0 plus it is +0.0.  The b queries leave a remainder block
+    model, p = flagship["model"], flagship["params"]
+    scenario = [(0, R), (1, R / 2)]
+    if coupling == "saturating":
+        pert = saturating_cross_perturbation(flagship["mu"], flagship["pert"].params, reads=scenario, n=2)
+    elif coupling == "linear":
+        pert = linear_cross_perturbation(flagship["mu"], flagship["pert"].params, reads=scenario, n=2, gain=0.3)
+    else:
+        pert = Perturbation.zero(2)
+    eta = zero_field(flagship, COARSE_GRID)
+    bs = np.concatenate([np.linspace(-4.5, 4.5, 2 * _B_CHUNK + 17), [-0.0]])
+    plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
+    seen, seen_zero = [], []
+    F, dF = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen)), None)
+    F0, dF0 = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen_zero)), eta)
+    assert F.tobytes() == F0.tobytes() and dF.tobytes() == dF0.tobytes()
+    assert [a.tobytes() for a in seen] == [a.tobytes() for a in seen_zero]
+    assert not any(np.any(np.signbit(a) & (a == 0.0)) for a in seen)  # no read is -0.0
+    if coupling == "zero":
+        assert not np.any(F) and not np.any(dF)
+    else:
+        F_ref, dF_ref = block_oracle_sweep(plan, eta, scenario, *ROLLED_MAPS[coupling])
+        assert np.any(F != 0.0) and np.any(dF != 0.0)
+        assert np.array_equal(F, F_ref) and np.array_equal(dF, dF_ref)
+
+
 def test_cells_match_floor_and_clip_bit_for_bit():
     # below the grid, at 0, inside, at size - 1 exactly and past it
     size = 5
@@ -498,6 +554,60 @@ def test_panel_weights_integrate_the_time_measure(mu_id):
         taus, w = _u_panels(mu, lo, hi)
         assert np.sum(w) == pytest.approx(hi - lo, rel=1e-9)
         assert np.all((taus > lo) & (taus < hi))
+
+
+def loop_gl_panels(edges, nodes):
+    """Oracle: Gauss-Legendre nodes and weights panel by panel, as the loop built them."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    if len(edges) < 2:
+        return np.empty(0), np.empty(0)
+    taus, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        taus.append(0.5 * (a + b) + 0.5 * (b - a) * x)
+        weights.append(0.5 * (b - a) * w)
+    return np.concatenate(taus), np.concatenate(weights)
+
+
+def loop_u_panels(mu, lo_t, hi_t):
+    """Oracle: the u-panels with one mu.inverse and mu.deriv call per panel."""
+    from mu_lab.conjugacy import _GL_NODES, _geometric_edges
+
+    u_lo, u_hi = float(mu.eval(lo_t)), float(mu.eval(hi_t))
+    if u_hi <= u_lo * (1.0 + 1e-13):
+        return np.empty(0), np.empty(0)
+    if u_lo < 1.0 < u_hi:
+        edges = np.concatenate([_geometric_edges(u_lo, 1.0)[:-1], _geometric_edges(1.0, u_hi)])
+    else:
+        edges = _geometric_edges(u_lo, u_hi)
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    taus, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        u = 0.5 * (a + b) + 0.5 * (b - a) * x
+        tau = np.asarray(mu.inverse(u), dtype=float)
+        weights.append(0.5 * (b - a) * w / np.asarray(mu.deriv(tau), dtype=float))
+        taus.append(tau)
+    return np.concatenate(taus), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("mu_id", ["exp", "poly", "log"])
+def test_panels_match_the_panel_loop_bit_for_bit(monkeypatch, mu_id):
+    # every node set of the 37 flagship rows, built in one broadcast, equals
+    # the panel-by-panel loop; the log rate's tails need spans past any
+    # finite max_span, so it runs with none
+    from mu_lab import conjugacy
+
+    mu, model, p, pert = build_flagship(mu_id)
+    trunc = TruncationPolicy(DEFAULT_TRUNC.tail_tol, math.inf if mu_id == "log" else DEFAULT_TRUNC.max_span)
+    ts = DEFAULT_GRID.t_grid()
+    got = [orbit_quadrature(model, pert, float(t), trunc, p.D, DEFAULT_GRID.m) for t in ts]
+    monkeypatch.setattr(conjugacy, "_u_panels", loop_u_panels)
+    monkeypatch.setattr(conjugacy, "_gl_panels", loop_gl_panels)
+    want = [orbit_quadrature(model, pert, float(t), trunc, p.D, DEFAULT_GRID.m) for t in ts]
+    assert len(got) == 37
+    for g, w in zip(got, want):
+        assert all(a.size and a.tobytes() == b.tobytes() for a, b in zip(g, w))
+    for edges in (np.empty(0), np.array([0.3])):  # no panel at all
+        assert all(a.size == 0 for a in conjugacy._gl_panels(edges, 4))
 
 
 def test_picard_zero_perturbation_converges_immediately(flagship):
