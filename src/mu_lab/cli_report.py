@@ -38,12 +38,7 @@ from .conjugacy import (
     picard_solve,
     verify_residuals,
 )
-from .dde_core import (
-    Perturbation,
-    PerturbationParams,
-    linear_cross_perturbation,
-    saturating_cross_perturbation,
-)
+from .dde_core import Perturbation, linear_cross_perturbation, saturating_cross_perturbation
 from .dichotomy import (
     DichotomyModel,
     derived_constant_D,
@@ -58,11 +53,13 @@ from .errors import (
     MissingSeries,
     MuLabError,
     NotContracting,
+    OutOfDomain,
     TruncationUnreachable,
     XiOutOfWindow,
 )
 # ratio_bound_N is not called here; perfbench's tracer wraps it under this module's name
 from .growth_rate import rate_by_id, ratio_bound_N  # noqa: F401
+from .phase_space import lag_index
 
 SCHEMA_RUN = "mu-lab/run-report/v1"
 SCHEMA_RESULT = "mu-lab/conjugacy-result/v1"
@@ -84,6 +81,14 @@ def _require(section: dict, key: str, path: str):
     if key not in section:
         raise ConfigError(f"missing required key {key!r} in {path}")
     return section[key]
+
+
+def _number(value, cast, path: str):
+    """value cast to float or int, or a ConfigError naming its path."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} must be {'an integer' if cast is int else 'a number'}, got {value!r}") from exc
 
 
 @dataclass
@@ -109,7 +114,7 @@ class ResolvedScenario:
     mu: object
     model: DichotomyModel
     params: ParamSet
-    pert: object
+    pert: Perturbation
     grid: GridSpec
     trunc: TruncationPolicy
     solver_tol: float
@@ -150,30 +155,20 @@ _PARAM_KEYS = {
 }
 _MODEL_KEYS = {"kind", "stable_power", "unstable_power", "alpha0", "theta0", "theta_override"}
 _PERT_KEYS = {"shape", "reads", "gain"}
-_GRID_KEYS = {"m", "t_min", "t_max", "t_step", "b_max", "b_step"}
-_TOL_KEYS = {"tail_tol", "max_span", "solver_tol", "max_sweeps", "cert_tol"}
-_CHECK_KEYS = {
-    "window",
-    "cert_samples",
-    "cert_m",
-    "residual_samples",
-    "residual_horizon_delays",
-    "core_window",
-    "b_scale",
-    "residual_mu_max",
-}
-
-_GRID_DEFAULTS = {"m": 64, "t_min": -4.5, "t_max": 4.5, "t_step": 0.25, "b_max": 6.0, "b_step": 0.03125}
-_TOL_DEFAULTS = {"tail_tol": 1e-6, "max_span": 60.0, "solver_tol": 1e-6, "max_sweeps": 25, "cert_tol": 0.05}
-_CHECK_DEFAULTS = {
-    "window": [-10.0, 10.0],
-    "cert_samples": 200,
-    "cert_m": 48,
-    "residual_samples": 200,
-    "residual_horizon_delays": 3.0,
-    "core_window": [-2.0, 2.0],
-    "b_scale": 2.0,
-    "residual_mu_max": 5e-3,
+# the optional sections, each key with its default; a scenario may set only these keys
+_DEFAULTS = {
+    "grids": {"m": 64, "t_min": -4.5, "t_max": 4.5, "t_step": 0.25, "b_max": 6.0, "b_step": 0.03125},
+    "tolerances": {"tail_tol": 1e-6, "max_span": 60.0, "solver_tol": 1e-6, "max_sweeps": 25, "cert_tol": 0.05},
+    "checks": {
+        "window": [-10.0, 10.0],
+        "cert_samples": 200,
+        "cert_m": 48,
+        "residual_samples": 200,
+        "residual_horizon_delays": 3.0,
+        "core_window": [-2.0, 2.0],
+        "b_scale": 2.0,
+        "residual_mu_max": 5e-3,
+    },
 }
 
 
@@ -185,28 +180,21 @@ def parse_scenario(doc: dict) -> Scenario:
     growth = str(_require(doc, "growth_rate", "scenario"))
     if growth not in ("exp", "poly", "log"):
         raise ConfigError(f"growth_rate must be exp/poly/log, got {growth!r}")
-    delay = float(_require(doc, "delay", "scenario"))
+    delay = _number(_require(doc, "delay", "scenario"), float, "scenario.delay")
     if delay <= 0:
         raise ConfigError(f"delay must be positive, got {delay}")
-    seed = int(doc.get("seed", 0))
+    seed = _number(doc.get("seed", 0), int, "scenario.seed")
     model = dict(_require(doc, "model", "scenario"))
     _check_keys(model, _MODEL_KEYS, "scenario.model")
     params = dict(doc.get("params", {}))
     _check_keys(params, _PARAM_KEYS, "scenario.params")
     pert = dict(doc.get("perturbation", {"shape": "zero"}))
     _check_keys(pert, _PERT_KEYS, "scenario.perturbation")
-    grids = dict(_GRID_DEFAULTS)
-    user_grids = dict(doc.get("grids", {}))
-    _check_keys(user_grids, _GRID_KEYS, "scenario.grids")
-    grids.update(user_grids)
-    tols = dict(_TOL_DEFAULTS)
-    user_tols = dict(doc.get("tolerances", {}))
-    _check_keys(user_tols, _TOL_KEYS, "scenario.tolerances")
-    tols.update(user_tols)
-    checks = dict(_CHECK_DEFAULTS)
-    user_checks = dict(doc.get("checks", {}))
-    _check_keys(user_checks, _CHECK_KEYS, "scenario.checks")
-    checks.update(user_checks)
+    sections = {}
+    for key, defaults in _DEFAULTS.items():
+        user = dict(doc.get(key, {}))
+        _check_keys(user, set(defaults), f"scenario.{key}")
+        sections[key] = {**defaults, **user}
     for rec in pert.get("reads", []):
         _check_keys(dict(rec), {"coord", "lag_frac"}, "scenario.perturbation.reads[]")
     return Scenario(
@@ -217,24 +205,22 @@ def parse_scenario(doc: dict) -> Scenario:
         model=model,
         params=params,
         perturbation=pert,
-        grids=grids,
-        tolerances=tols,
-        checks=checks,
         raw=doc,
+        **sections,
     )
 
 
-def _read_scenario_json(path):
+def _read_json(path, what: str = "scenario"):
     try:
         return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
-        raise ConfigError(f"scenario file not found: {path}") from exc
+        raise ConfigError(f"{what} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(_read_scenario_json(path))
+    return parse_scenario(_read_json(path))
 
 
 def _resolve_model(sc: Scenario, p: dict):
@@ -242,24 +228,10 @@ def _resolve_model(sc: Scenario, p: dict):
     mu = rate_by_id(sc.growth_rate)
     r = sc.delay
     if kind == "diagonal_flow":
-        alpha = float(p.get("alpha", 0.8))
-        beta = float(p.get("beta", 0.6))
-        coords = [
-            _power_coordinate(mu, float(sc.model.get("stable_power", -alpha))),
-            _power_coordinate(mu, float(sc.model.get("unstable_power", beta))),
-        ]
-        kw = dict(
-            alpha=alpha,
-            beta=beta,
-            theta=float(p.get("theta", 0.4)),
-            nu=float(p.get("nu", 0.2)),
-            eps=float(p.get("eps", 0.1)),
-            a=float(p.get("a", 1.0)),
-        )
-        if "K" in p:
-            kw["K"] = float(p["K"])
-        if "K_tilde" in p:
-            kw["K_tilde"] = float(p["K_tilde"])
+        # the declared constants the scenario sets; diagonal_model holds the defaults
+        kw = {key: float(p[key]) for key in ("alpha", "beta", "theta", "nu", "eps", "a", "K", "K_tilde") if key in p}
+        powers = (sc.model.get("stable_power", -kw.get("alpha", 0.8)), sc.model.get("unstable_power", kw.get("beta", 0.6)))
+        coords = [_power_coordinate(mu, float(power)) for power in powers]
         return mu, diagonal_model(mu, r, coords, label=sc.name, **kw)
     if kind == "sin_wobble":
         if sc.growth_rate != "exp":
@@ -315,7 +287,8 @@ def _resolve_params(sc: Scenario, model: DichotomyModel) -> ParamSet:
     return ParamSet(xi=xi, delta=delta, lam=lam, D=D, **base)
 
 
-def _resolve_perturbation(sc: Scenario, mu, model: DichotomyModel, params: ParamSet):
+def _resolve_perturbation(sc: Scenario, mu, model: DichotomyModel, params: ParamSet, m: int) -> Perturbation:
+    """The scenario's perturbation; every read must sit on the field's segment grid of m + 1 samples."""
     shape = sc.perturbation.get("shape", "zero")
     n = model.n
     if shape == "zero":
@@ -327,46 +300,47 @@ def _resolve_perturbation(sc: Scenario, mu, model: DichotomyModel, params: Param
     for coord, lag in reads:
         if not 0 <= coord < n:
             raise ConfigError(f"perturbation read coordinate {coord} outside 0..{n - 1}")
-        if not 0.0 <= lag <= sc.delay:
-            raise ConfigError(f"perturbation read lag {lag} outside [0, delay]")
-    pp = PerturbationParams(delta=params.delta, gamma=params.gamma, lam=params.lam, xi=params.xi, eps=params.eps)
+        lag_index(sc.delay, m, lag)  # OutOfDomain unless the lag is on the grid, within [0, delay]
     if shape == "saturating_cross":
-        return saturating_cross_perturbation(mu, pp, reads=reads, n=n)
+        return saturating_cross_perturbation(mu, params, reads=reads, n=n)
     if shape == "linear_cross":
         gain = float(_require(sc.perturbation, "gain", "scenario.perturbation"))
-        return linear_cross_perturbation(mu, pp, reads=reads, n=n, gain=gain)
+        return linear_cross_perturbation(mu, params, reads=reads, n=n, gain=gain)
     raise ConfigError(f"unknown perturbation shape {shape!r}")
 
 
 def resolve(sc: Scenario) -> ResolvedScenario:
-    mu, model = _resolve_model(sc, sc.params)
-    params = _resolve_params(sc, model)
-    pert = _resolve_perturbation(sc, mu, model, params)
-    g = sc.grids
-    grid = GridSpec(
-        t_min=float(g["t_min"]),
-        t_max=float(g["t_max"]),
-        t_step=float(g["t_step"]),
-        b_max=float(g["b_max"]),
-        b_step=float(g["b_step"]),
-        m=int(g["m"]),
-    )
-    t = sc.tolerances
-    trunc = TruncationPolicy(tail_tol=float(t["tail_tol"]), max_span=float(t["max_span"]))
-    return ResolvedScenario(
-        scenario=sc,
-        mu=mu,
-        model=model,
-        params=params,
-        pert=pert,
-        grid=grid,
-        trunc=trunc,
-        solver_tol=float(t["solver_tol"]),
-        max_sweeps=int(t["max_sweeps"]),
-        cert_tol=float(t["cert_tol"]),
-        checks=sc.checks,
-        seed=sc.seed,
-    )
+    """Model, params, perturbation and solver settings; a scenario value they reject raises ConfigError."""
+    try:
+        g = sc.grids
+        grid = GridSpec(
+            t_min=float(g["t_min"]),
+            t_max=float(g["t_max"]),
+            t_step=float(g["t_step"]),
+            b_max=float(g["b_max"]),
+            b_step=float(g["b_step"]),
+            m=int(g["m"]),
+        )
+        mu, model = _resolve_model(sc, sc.params)
+        params = _resolve_params(sc, model)
+        pert = _resolve_perturbation(sc, mu, model, params, grid.m)
+        t = sc.tolerances
+        return ResolvedScenario(
+            scenario=sc,
+            mu=mu,
+            model=model,
+            params=params,
+            pert=pert,
+            grid=grid,
+            trunc=TruncationPolicy(tail_tol=float(t["tail_tol"]), max_span=float(t["max_span"])),
+            solver_tol=float(t["solver_tol"]),
+            max_sweeps=int(t["max_sweeps"]),
+            cert_tol=float(t["cert_tol"]),
+            checks=sc.checks,
+            seed=sc.seed,
+        )
+    except (TypeError, ValueError, OutOfDomain) as exc:
+        raise ConfigError(f"scenario {sc.name!r}: {exc}") from exc
 
 
 def run_admissibility(res: ResolvedScenario) -> dict:
@@ -449,13 +423,15 @@ def run_conjugacy(res: ResolvedScenario) -> dict:
     }
 
 
-def run_pipeline(res) -> dict:
-    """Full pipeline with short-circuiting; returns the run report dict.
+_STAGES = (  # stage, the status a failure sets, its exit code
+    ("admissibility", "admissibility_failed", EXIT_ADMISSIBILITY),
+    ("dichotomy", "certificate_failed", EXIT_CERTIFICATE),
+    ("conjugacy", "solver_failed", EXIT_SOLVER),
+)
 
-    Accepts a ResolvedScenario or a parsed Scenario.
-    """
-    if isinstance(res, Scenario):
-        res = resolve(res)
+
+def run_pipeline(res: ResolvedScenario) -> dict:
+    """Full pipeline with short-circuiting; returns the run report dict."""
     report = {
         "schema": SCHEMA_RUN,
         "name": res.scenario.name,
@@ -463,38 +439,16 @@ def run_pipeline(res) -> dict:
         "stages": {},
         "timings": {},
     }
-    t0 = time.perf_counter()
-    adm = run_admissibility(res)
-    report["timings"]["admissibility"] = time.perf_counter() - t0
-    report["stages"]["admissibility"] = adm
-    if adm["status"] != "pass":
-        report["status"] = "admissibility_failed"
-        report["exit_code"] = EXIT_ADMISSIBILITY
-        return report
-
-    t0 = time.perf_counter()
-    dich = run_dichotomy(res)
-    report["timings"]["dichotomy"] = time.perf_counter() - t0
-    report["stages"]["dichotomy"] = dich
-    if dich["status"] != "pass":
-        report["status"] = "certificate_failed"
-        report["exit_code"] = EXIT_CERTIFICATE
-        return report
-
-    t0 = time.perf_counter()
-    conj = run_conjugacy(res)
-    conj.pop("_result", None)
-    report["timings"]["conjugacy"] = time.perf_counter() - t0
-    report["stages"]["conjugacy"] = conj
-    if conj["status"] in ("not_contracting", "truncation_unreachable", "no_convergence"):
-        report["status"] = "solver_failed"
-        report["exit_code"] = EXIT_SOLVER
-        return report
-    if conj["status"] == "converged" and not conj["residuals"]["pass"]:
-        report["status"] = "solver_failed"
-        report["exit_code"] = EXIT_SOLVER
-        return report
-
+    for stage, failed, code in _STAGES:
+        t0 = time.perf_counter()
+        out = globals()[f"run_{stage}"](res)  # looked up per call, so wrappers installed on the module see it
+        out.pop("_result", None)
+        report["timings"][stage] = time.perf_counter() - t0
+        report["stages"][stage] = out
+        if not (out["status"] in ("pass", "trivial") or (out["status"] == "converged" and out["residuals"]["pass"])):
+            report["status"] = failed
+            report["exit_code"] = code
+            return report
     report["status"] = "pass"
     report["exit_code"] = EXIT_PASS
     return report
@@ -591,7 +545,7 @@ def save_conjugacy_result(path, res: ResolvedScenario, conj: dict) -> None:
 
 def load_conjugacy_result(path):
     path = Path(path)
-    doc = json.loads(path.read_text())
+    doc = _read_json(path, "result")
     if doc.get("schema") != SCHEMA_RESULT:
         raise ConfigError(f"{path} is not a conjugacy result document")
     res = resolve(parse_scenario(doc["scenario"]))
@@ -626,14 +580,14 @@ def _apply_tol_overrides(doc: dict, overrides) -> dict:
         if "=" not in item:
             raise ConfigError(f"--tol expects name=value, got {item!r}")
         key, val = item.split("=", 1)
-        if key not in _TOL_KEYS:
-            raise ConfigError(f"--tol key must be one of {sorted(_TOL_KEYS)}, got {key!r}")
-        tols[key] = float(val) if key != "max_sweeps" else int(val)
+        if key not in _DEFAULTS["tolerances"]:
+            raise ConfigError(f"--tol key must be one of {sorted(_DEFAULTS['tolerances'])}, got {key!r}")
+        tols[key] = _number(val, int if key == "max_sweeps" else float, f"--tol {key}")
     return doc
 
 
 def _load_resolved(args) -> ResolvedScenario:
-    doc = _apply_tol_overrides(_read_scenario_json(args.config), getattr(args, "tol", None))
+    doc = _apply_tol_overrides(_read_json(args.config), getattr(args, "tol", None))
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
     return resolve(parse_scenario(doc))
@@ -730,7 +684,7 @@ def _dispatch(args) -> int:
         _emit(args, report_json(report))
         return int(report["exit_code"])
     if args.command == "emit-plot":
-        report = json.loads(Path(args.report).read_text())
+        report = _read_json(args.report, "report")
         _emit(args, emit_plot_data(report, args.kind))
         return EXIT_PASS
     raise ConfigError(f"unknown command {args.command!r}")

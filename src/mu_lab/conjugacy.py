@@ -14,7 +14,7 @@ panels are geometric in u with fixed Gauss-Legendre nodes per panel.
 Only the field changes between sweeps, so the operator is planned once per
 solve (plan_operator, O(S) numbers per row of S nodes, with the clamp
 counts taken from the query geometry alone); a sweep (_full_sweep) gathers
-a point-read perturbation's reads from the field in read-major blocks,
+the perturbation's point reads from the field in read-major blocks,
 applies its maps there and contracts in one matmul.  The solve starts from
 the zero field, so its first sweep is the source term F(0): it reads no
 field and gathers nothing.
@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .admissibility import ParamSet, full_report
-from .dde_core import solve_perturbed_R
+from .dde_core import Perturbation, solve_perturbed_R
 from .dichotomy import DichotomyModel, p0_kernel, q0_kernel, unstable_flow, unstable_shape
 from .errors import NonFiniteState, NotContracting, TimeOrder, TruncationUnreachable
 from .growth_rate import mu_weight, ratio_bound_N  # noqa: F401  (perfbench/spans.py traces it here)
@@ -125,20 +125,10 @@ class EtaField:
     def with_data(self, values: np.ndarray, dvalues: np.ndarray) -> "EtaField":
         return EtaField(self.t_grid, self.b_grid, values, dvalues, self.r, self.mu, self.xi, self.eps)
 
-    def _weights(self, tq, bq):
-        xt, out_t = _coords(tq, self.t_grid)
-        xb, out_b = _coords(bq, self.b_grid)
-        # a query is clamped when either axis clamps, counted over the
-        # broadcast query shape, so clamped / total lies in [0, 1]
-        outside = out_t | out_b
-        clamped, total = int(np.count_nonzero(outside)), outside.size
-        it, wt = _cells(xt, len(self.t_grid))
-        ib, wb = _cells(xb, len(self.b_grid))
-        return it, ib, wt, wb, clamped, total
-
     def interp_tables(self, tables: np.ndarray, tq, bq):
-        """Bilinear lookup of stacked tables (nt, nb, L) at broadcast queries."""
-        it, ib, wt, wb, clamped, total = self._weights(tq, bq)
+        """Bilinear lookup of stacked tables (nt, nb, L) at broadcast queries, clamped to the grid."""
+        it, wt = _cells(_coords(tq, self.t_grid)[0], len(self.t_grid))
+        ib, wb = _cells(_coords(bq, self.b_grid)[0], len(self.b_grid))
         wt = wt[..., None]
         wb = wb[..., None]
         v00 = tables[it, ib]
@@ -146,12 +136,12 @@ class EtaField:
         v01 = tables[it, ib + 1]
         v11 = tables[it + 1, ib + 1]
         out = (1 - wt) * ((1 - wb) * v00 + wb * v01) + wt * ((1 - wb) * v10 + wb * v11)
-        return out, clamped, total
+        return out
 
     def segment_at(self, t: float, b: float, derivative: bool = False) -> Segment:
         data = self.dvalues if derivative else self.values
         stacked = data.reshape(data.shape[0], data.shape[1], -1)
-        out, _, _ = self.interp_tables(stacked, np.array([t]), np.array([b]))
+        out = self.interp_tables(stacked, np.array([t]), np.array([b]))
         return Segment(self.r, out[0].reshape(self.n, self.m + 1).T)
 
     def time_weights(self) -> np.ndarray:
@@ -299,12 +289,7 @@ def _near_cell_edges(t: float, r: float, m: int, lo: float) -> np.ndarray:
     return edges
 
 
-def _envelope_amplitude(pert) -> float:
-    scale = getattr(pert, "envelope_scale", None)
-    return float(scale) if scale is not None else float(pert.params.delta)
-
-
-def orbit_quadrature(model: DichotomyModel, pert, t: float, trunc: TruncationPolicy, D: float, m: int):
+def orbit_quadrature(model: DichotomyModel, pert: Perturbation, t: float, trunc: TruncationPolicy, D: float, m: int):
     """Truncated node sets for both sides of the defining operator at time t.
 
     The truncation scale is D times the honest envelope amplitude of the
@@ -315,13 +300,11 @@ def orbit_quadrature(model: DichotomyModel, pert, t: float, trunc: TruncationPol
     panels there are aligned with the segment grid.
     """
     mu = model.mu
-    gamma = pert.params.gamma
-    amp = _envelope_amplitude(pert)
     mu_t = float(mu.eval(t))
-    scale_s = D * amp * mu_t ** (-model.alpha)
-    scale_u = D * amp * mu_t**model.beta
-    t_lo = _stable_cut(mu, t, scale_s, model.alpha, model.theta, gamma, trunc)
-    t_hi = _unstable_cut(mu, t, scale_u, model.beta, model.nu, gamma, trunc)
+    scale_s = D * pert.envelope_scale * mu_t ** (-model.alpha)
+    scale_u = D * pert.envelope_scale * mu_t**model.beta
+    t_lo = _stable_cut(mu, t, scale_s, model.alpha, model.theta, pert.gamma, trunc)
+    t_hi = _unstable_cut(mu, t, scale_u, model.beta, model.nu, pert.gamma, trunc)
     if t_lo >= t:
         taus_s = w_s = np.empty(0)
     else:
@@ -337,14 +320,6 @@ def orbit_quadrature(model: DichotomyModel, pert, t: float, trunc: TruncationPol
 # ---------------------------------------------------------------------------
 # operator evaluation: plan once, apply many
 # ---------------------------------------------------------------------------
-
-
-def _require_point_reads(pert, what: str, fallback: str = "") -> None:
-    if not (hasattr(pert, "reads") and hasattr(pert, "value_map")):
-        raise TypeError(
-            f"{what} a point-read perturbation (reads and value_map); "
-            f"{type(pert).__name__} has no such interface{fallback}"
-        )
 
 
 @dataclass(frozen=True)
@@ -376,7 +351,7 @@ class OperatorPlan:
     """
 
     model: DichotomyModel
-    pert: object
+    pert: Perturbation
     b: np.ndarray  # (nb,) unstable coordinates queried at every time row
     rows: tuple  # one RowPlan per queried time
     cs: np.ndarray  # (k,) coordinate of each read
@@ -386,15 +361,14 @@ class OperatorPlan:
     total: int
 
 
-def plan_operator(model: DichotomyModel, pert, eta: EtaField, ts, bs, trunc: TruncationPolicy, D: float) -> OperatorPlan:
+def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, bs, trunc: TruncationPolicy, D: float) -> OperatorPlan:
     """Plan the operator at the queries ts x bs on the grid of eta.
 
     Only eta's grid is used.  A query clamps when either axis of its orbit
-    lookup (tau, b unstable_flow(tau, t)) leaves the grid, counted as
-    EtaField._weights counts it over each row's (S, nb) lookups; only the
-    t cells are kept, so no b cell is formed here.
+    lookup (tau, b unstable_flow(tau, t)) leaves the grid, counted once
+    over each row's (S, nb) lookups, so clamped / total lies in [0, 1];
+    only the t cells are kept, so no b cell is formed here.
     """
-    _require_point_reads(pert, "the operator needs")
     bs = np.asarray(bs, dtype=float)
     cs = np.array([c for c, _ in pert.reads], dtype=int)
     js = np.array([lag_index(eta.r, eta.m, lag) for _, lag in pert.reads], dtype=int)
@@ -558,7 +532,7 @@ def _row_max_diff(new: np.ndarray, old: np.ndarray) -> np.ndarray:
 
 def picard_solve(
     model: DichotomyModel,
-    pert,
+    pert: Perturbation,
     params: ParamSet,
     grid: GridSpec,
     trunc: TruncationPolicy,
@@ -680,13 +654,13 @@ def _corrected_segments(eta: EtaField, model: DichotomyModel, t: np.ndarray, b: 
     """Segments b u(t) + eta(t, b) of the corrected linear flow, shape (S, m+1, n)."""
     m = eta.m
     stacked = eta.values.reshape(eta.values.shape[0], eta.values.shape[1], -1)
-    flat, _, _ = eta.interp_tables(stacked, t, b)
+    flat = eta.interp_tables(stacked, t, b)
     segs = flat.reshape(len(t), eta.n, m + 1).transpose(0, 2, 1).copy()
     segs[:, :, model.unstable_indices[0]] += b[:, None] * unstable_shape(model, t, m)[0]
     return segs
 
 
-def lattice_residuals(eta: EtaField, model: DichotomyModel, pert, s, k, b) -> list:
+def lattice_residuals(eta: EtaField, model: DichotomyModel, pert: Perturbation, s, k, b) -> list:
     """Residuals at t = s + k h, h = r/m, with all samples integrated together.
 
     Every sample starts on its own segment, but in time relative to its own
@@ -703,7 +677,6 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert, s, k, b) -> li
     conjugacy_residual stays the scalar path for single, off-lattice
     triples and the reference this one is tested against.
     """
-    _require_point_reads(pert, "batched residuals need", ", use conjugacy_residual per triple")
     s = np.asarray(s, dtype=float)
     k = np.asarray(k, dtype=int)
     b = np.asarray(b, dtype=float)
@@ -771,7 +744,7 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert, s, k, b) -> li
 def verify_residuals(
     eta: EtaField,
     model: DichotomyModel,
-    pert,
+    pert: Perturbation,
     *,
     n_samples: int = 200,
     horizon: float = 1.5,
@@ -786,8 +759,7 @@ def verify_residuals(
     this isolates the conjugacy mismatch from the segment-resampling error
     of off-lattice reads.  s and b remain continuous draws.  The samples are
     integrated together on their shared step lattice (lattice_residuals);
-    conjugacy_residual remains the single-triple scalar path.  The
-    perturbation must be a point-read one, which Perturbation.zero is.
+    conjugacy_residual remains the single-triple scalar path.
     """
     rng = np.random.default_rng(seed)
     h = model.r / eta.m

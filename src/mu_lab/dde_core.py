@@ -17,6 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .admissibility import ParamSet
 from .errors import NonFiniteState, StepMisaligned, TimeOrder
 from .phase_space import JumpSegment, Segment, interpolate
 
@@ -50,47 +51,6 @@ class LinearDelaySystem:
             x = state if term.lag == 0.0 else reader(t - term.lag)
             out += np.asarray(term.matrix(t), dtype=float) @ x
         return out
-
-
-@dataclass(frozen=True)
-class PerturbationParams:
-    delta: float
-    gamma: float
-    lam: float
-    xi: float
-    eps: float
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """Nonlinear term g(t, segment) with its derivative in the segment slot.
-
-    d2g(t, segment) returns a callable sending a direction segment to the
-    derivative's value in R^n.  The scalar envelope parameters travel with
-    the perturbation so norm checks can be run against them.
-    """
-
-    g: Callable[[float, Segment], np.ndarray]
-    d2g: Callable[[float, Segment], Callable[[Segment], np.ndarray]]
-    params: PerturbationParams
-    label: str = ""
-
-    @staticmethod
-    def zero(n: int) -> "PointReadPerturbation":
-        """g = 0, as a point-read perturbation with no reads.
-
-        It carries the point-read interface, so the batched residual check
-        and the row sweep take it like any other point-read perturbation.
-        """
-        return PointReadPerturbation(
-            reads=(),
-            weight=lambda ts: np.ones(np.shape(ts)),
-            value_map=lambda W: np.zeros((n,) + np.shape(W)[1:]),
-            jvp_map=lambda W, V: np.zeros((n,) + np.shape(W)[1:]),
-            params=PerturbationParams(0.0, 1.0, 0.0, 0.0, 0.0),
-            n=n,
-            label="zero",
-        )
 
 
 @dataclass(frozen=True)
@@ -293,13 +253,13 @@ def solve_perturbed_R(
 
 
 # ---------------------------------------------------------------------------
-# point-read perturbations
+# perturbations
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PointReadPerturbation:
-    """Nonlinearity that reads a few lagged point values of the segment.
+class Perturbation:
+    """Nonlinear term g(t, x_t) that reads a few lagged point values of the segment.
 
     The scalar prefactor `weight(t)` carries the whole time envelope; the
     value map and its directional derivative (jvp_map(W, V), the Jacobian
@@ -307,17 +267,24 @@ class PointReadPerturbation:
     first and return the component axis first, vectorized over trailing
     batch axes, so the correction-field solver maps whole read-major
     quadrature blocks.  The cross couplings store reads[i] as the read that
-    drives component i, so their maps are slot-wise.
+    drives component i, so their maps are slot-wise.  The orbit integrals
+    are truncated against the envelope's decay margin and honest amplitude.
     """
 
     reads: tuple[tuple[int, float], ...]  # (coordinate, lag)
     weight: Callable[[np.ndarray], np.ndarray]
     value_map: Callable[[np.ndarray], np.ndarray]  # (k, ...) -> (n, ...)
     jvp_map: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (k, ...), (k, ...) -> (n, ...)
-    params: PerturbationParams
     n: int
+    gamma: float  # decay margin of the envelope
+    envelope_scale: float  # honest amplitude of the envelope
     label: str = ""
-    envelope_scale: Optional[float] = None  # honest amplitude; defaults to params.delta
+
+    @classmethod
+    def zero(cls, n: int) -> "Perturbation":
+        """g = 0: no reads and no envelope."""
+        zeros = lambda W, V=None: np.zeros((n,) + np.shape(W)[1:])  # noqa: E731
+        return cls((), lambda ts: np.ones(np.shape(ts)), zeros, zeros, n, gamma=1.0, envelope_scale=0.0, label="zero")
 
     def _read_vector(self, seg: Segment) -> np.ndarray:
         return np.array([seg.value_at(-lag)[coord] for coord, lag in self.reads])
@@ -327,6 +294,7 @@ class PointReadPerturbation:
         return float(self.weight(np.asarray(t))) * np.asarray(self.value_map(w), dtype=float)
 
     def d2g(self, t: float, seg: Segment):
+        """The derivative in the segment slot, as a callable on direction segments."""
         w = self._read_vector(seg)
         scale = float(self.weight(np.asarray(t)))
 
@@ -370,10 +338,10 @@ def _cross_coupling(mu, params, reads, n: int, scale: float, expo: float, value_
         derivs = np.asarray(mu.deriv(ts), dtype=float)
         return scale * derivs * vals ** (-np.sign(ts) * expo - 1.0)
 
-    return PointReadPerturbation(reads[1:] + reads[:1], weight, value_map, jvp_map, params, n, label, envelope_scale=scale)
+    return Perturbation(reads[1:] + reads[:1], weight, value_map, jvp_map, n, params.gamma, scale, label)
 
 
-def saturating_cross_perturbation(mu, params: PerturbationParams, reads, n: int, scale: Optional[float] = None) -> PointReadPerturbation:
+def saturating_cross_perturbation(mu, params: ParamSet, reads, n: int) -> Perturbation:
     """Cross-coupled saturating nonlinearity honoring both declared envelopes.
 
     Component i saturates the read of scenario slot i+1 (cyclically), its
@@ -383,13 +351,13 @@ def saturating_cross_perturbation(mu, params: PerturbationParams, reads, n: int,
     for the weighted norm inside the min-terms, and the saturator family
     has unit Lipschitz budget for both the value and the slope.
     """
-    c0 = min(params.delta, params.lam) if scale is None else scale
+    c0 = min(params.delta, params.lam)
     expo = params.gamma + 2.0 * params.eps + 3.0 * params.xi
     jvp_map = lambda W, V: _saturator_slope(W) * V  # noqa: E731
     return _cross_coupling(mu, params, reads, n, c0, expo, _saturator, jvp_map, "saturating_cross")
 
 
-def linear_cross_perturbation(mu, params: PerturbationParams, reads, n: int, gain: float) -> PointReadPerturbation:
+def linear_cross_perturbation(mu, params: ParamSet, reads, n: int, gain: float) -> Perturbation:
     """Unsaturated cross coupling; deliberately ignores the min-cap envelope.
 
     Negative-control material: its raw gain can be driven past the

@@ -4,7 +4,7 @@ import pytest
 
 from mu_lab.admissibility import ParamSet, delta_ceiling, lambda_ceiling
 from mu_lab.conjugacy import GridSpec, TruncationPolicy, picard_solve
-from mu_lab.dde_core import PerturbationParams, saturating_cross_perturbation
+from mu_lab.dde_core import saturating_cross_perturbation
 from mu_lab.dichotomy import DEFAULT_SCAN, derived_constant_D, flagship_model
 from mu_lab.growth_rate import rate_by_id, ratio_bound_N
 
@@ -35,10 +35,7 @@ def build_flagship(mu_id: str = "exp", r: float = R):
         D=D,
     )
     params = base.with_(delta=0.5 * delta_ceiling(base), lam=0.5 * lambda_ceiling(base))
-    pp = PerturbationParams(
-        delta=params.delta, gamma=params.gamma, lam=params.lam, xi=params.xi, eps=params.eps
-    )
-    pert = saturating_cross_perturbation(mu, pp, reads=[(0, r), (1, r / 2)], n=2)
+    pert = saturating_cross_perturbation(mu, params, reads=[(0, r), (1, r / 2)], n=2)
     return mu, model, params, pert
 
 

@@ -17,7 +17,6 @@ from mu_lab.conjugacy import EtaField, GridSpec, picard_solve, verify_residuals,
 from mu_lab.dde_core import (
     DelayTerm,
     LinearDelaySystem,
-    PerturbationParams,
     Perturbation,
     linear_cross_perturbation,
     solve_linear,
@@ -162,8 +161,9 @@ def test_criterion_7_negative_controls(flagship):
     # perturbation: the solver must detect non-contraction within 10 sweeps
     p = flagship["params"]
     declared = p.with_(delta=2.0 * delta_ceiling(p))
-    pp = PerturbationParams(delta=declared.delta, gamma=0.5, lam=declared.lam, xi=0.6, eps=0.1)
-    neg = linear_cross_perturbation(flagship["mu"], pp, reads=[(0, R), (1, R / 2)], n=2, gain=2.0)
+    neg = linear_cross_perturbation(
+        flagship["mu"], declared.with_(gamma=0.5, xi=0.6, eps=0.1), reads=[(0, R), (1, R / 2)], n=2, gain=2.0
+    )
     outcome = None
     try:
         out = picard_solve(

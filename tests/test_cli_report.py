@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mu_lab
+from mu_lab import cli_report
 from mu_lab.cli_report import (
     EXIT_ADMISSIBILITY,
     EXIT_CERTIFICATE,
@@ -67,6 +68,49 @@ def test_missing_and_invalid_fields():
     doc["delay"] = -1.0
     with pytest.raises(ConfigError, match="delay"):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, extra",
+    [
+        ({**shipped("wobble_certificate"), "seed": "abc"}, []),
+        ({**shipped("wobble_certificate"), "delay": "half"}, []),
+        ({**shipped("wobble_certificate"), "params": {"alpha": -0.8, "gamma": 0.5}}, []),
+        # one coordinate, two cross-coupling reads
+        ({**shipped("wobble_certificate"), "perturbation": {"shape": "saturating_cross", "reads": [
+            {"coord": 0, "lag_frac": 1.0}, {"coord": 0, "lag_frac": 0.5}]}}, []),
+        (shipped("wobble_certificate"), ["--tol", "max_sweeps=2.5"]),
+        (shipped("wobble_certificate"), ["--tol", "tail_tol=abc"]),
+        (None, []),
+    ],
+    ids=["seed", "delay", "negative_alpha", "reads_per_coordinate", "tol_int", "tol_float", "missing_result"],
+)
+def test_cli_bad_values_are_config_errors(tmp_path, capsys, doc, extra):
+    path = tmp_path / "sc.json"
+    if doc is None:
+        argv = ["verify-conjugacy", "--result", str(tmp_path / "missing.json")]
+    else:
+        path.write_text(json.dumps(doc))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "r.json"), *extra]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_misaligned_read_lag_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # lag 0.3 r sits between samples of the m = 32 segment grid; it is
+    # rejected when the scenario is resolved, before any stage runs
+    doc = coarse_flagship()
+    doc["perturbation"]["reads"][1]["lag_frac"] = 0.3
+    with pytest.raises(ConfigError, match="not grid-aligned"):
+        resolve(parse_scenario(doc))
+    ran = []
+    monkeypatch.setattr(cli_report, "run_admissibility", lambda res: ran.append(res))
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert "not grid-aligned" in capsys.readouterr().err and ran == []
 
 
 def test_resolution_matches_reference_build(flagship):

@@ -12,6 +12,7 @@ from mu_lab.conjugacy import (
     TruncationPolicy,
     _B_CHUNK,
     _cells,
+    _coords,
     _full_sweep,
     conjugacy_residual,
     invertibility_check,
@@ -22,13 +23,7 @@ from mu_lab.conjugacy import (
     propagation_gain,
     verify_residuals,
 )
-from mu_lab.dde_core import (
-    Perturbation,
-    PerturbationParams,
-    PointReadPerturbation,
-    linear_cross_perturbation,
-    saturating_cross_perturbation,
-)
+from mu_lab.dde_core import Perturbation, linear_cross_perturbation, saturating_cross_perturbation
 from mu_lab.dichotomy import p0_kernel, q0_kernel, unstable_flow, unstable_shape
 from mu_lab.errors import NonFiniteState, NotContracting, OutOfDomain, TimeOrder, TruncationUnreachable
 from mu_lab.phase_space import Segment, lag_index, mu_norm, sup_norm
@@ -49,6 +44,12 @@ def dF_db_apply(model, pert, eta, t, b, trunc, *, D):
     """Oracle helper: the planned operator's b-derivative at the one point (t, b)."""
     _, dout = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
     return Segment(model.r, dout[0, 0].T)
+
+
+def clamp_count(eta, tq, bq):
+    """Oracle: the broadcast queries (tq, bq) that leave the grid on either axis, once each, and the total."""
+    outside = _coords(tq, eta.t_grid)[1] | _coords(bq, eta.b_grid)[1]
+    return int(np.count_nonzero(outside)), outside.size
 
 
 def scalar_residuals(eta, model, pert, *, n_samples, horizon, core, b_scale, seed):
@@ -189,12 +190,6 @@ ROLLED_MAPS = {
 }
 
 
-def generic_perturbation(flagship):
-    # a segment-level perturbation without the point-read interface
-    zero = np.zeros(2)
-    return Perturbation(g=lambda t, seg: zero, d2g=lambda t, seg: (lambda chi: zero), params=flagship["pert"].params)
-
-
 def test_zero_perturbation_gives_zero_operator(flagship):
     eta, D = zero_field(flagship), flagship["params"].D
     out = F_apply(flagship["model"], Perturbation.zero(2), eta, 0.4, 1.2, DEFAULT_TRUNC, D=D)
@@ -225,7 +220,7 @@ def test_batch_and_segment_paths_agree(flagship_result):
     # in test_full_row_matches_point_oracle
     model, shipped, eta = flagship_result["model"], flagship_result["pert"], flagship_result["result"].eta
     D = flagship_result["params"].D
-    linear = linear_cross_perturbation(flagship_result["mu"], shipped.params, reads=[(1, R), (0, R / 2)], n=2, gain=0.3)
+    linear = linear_cross_perturbation(flagship_result["mu"], flagship_result["params"], reads=[(1, R), (0, R / 2)], n=2, gain=0.3)
     for pert in (shipped, linear):
         for t, b in [(0.3, 0.7), (-1.1, -1.4), (1.9, 2.3)]:
             batch = F_apply(model, pert, eta, t, b, DEFAULT_TRUNC, D=D)
@@ -247,7 +242,7 @@ def test_full_row_matches_point_oracle(flagship_result, row, coupling):
     model, pert, eta = flagship_result["model"], flagship_result["pert"], flagship_result["result"].eta
     D = flagship_result["params"].D
     if coupling == "linear":
-        pert = linear_cross_perturbation(flagship_result["mu"], pert.params, reads=[(1, R), (0, R / 2)], n=2, gain=0.3)
+        pert = linear_cross_perturbation(flagship_result["mu"], flagship_result["params"], reads=[(1, R), (0, R / 2)], n=2, gain=0.3)
     t, nb = float(eta.t_grid[row]), len(eta.b_grid)
     plan = plan_operator(model, pert, eta, [t], eta.b_grid, DEFAULT_TRUNC, D)
     out, dout = _full_sweep(plan, eta)
@@ -257,8 +252,7 @@ def test_full_row_matches_point_oracle(flagship_result, row, coupling):
     for j in (0, 1, nb // 2, 200, nb - 2, nb - 1):
         b = float(eta.b_grid[j])
         if j in (0, nb - 1):
-            _, _, _, _, clamped, _ = eta._weights(rp.taus, rp.factor * b)
-            assert clamped > 0
+            assert clamp_count(eta, rp.taus, rp.factor * b)[0] > 0
         point, dpoint = point_oracle(model, pert, eta, t, b, DEFAULT_TRUNC, D)
         assert np.max(np.abs(out[0, j] - point.values.T)) < 1e-14
         assert np.max(np.abs(dout[0, j] - dpoint.values.T)) < 1e-14
@@ -272,9 +266,9 @@ def test_sweep_matches_block_oracle_bit_for_bit(flagship, coupling):
     model, p = flagship["model"], flagship["params"]
     scenario = [(0, R), (1, R / 2)]
     if coupling == "saturating":
-        pert = saturating_cross_perturbation(flagship["mu"], flagship["pert"].params, reads=scenario, n=2)
+        pert = saturating_cross_perturbation(flagship["mu"], flagship["params"], reads=scenario, n=2)
     else:
-        pert = linear_cross_perturbation(flagship["mu"], flagship["pert"].params, reads=scenario, n=2, gain=0.3)
+        pert = linear_cross_perturbation(flagship["mu"], flagship["params"], reads=scenario, n=2, gain=0.3)
     eta = zero_field(flagship, COARSE_GRID)
     values, dvalues = 0.1 * np.random.default_rng(11).normal(size=(2,) + eta.values.shape)
     eta = eta.with_data(values, dvalues)
@@ -309,9 +303,9 @@ def test_source_term_sweep_is_the_zero_field_sweep_bit_for_bit(flagship, couplin
     model, p = flagship["model"], flagship["params"]
     scenario = [(0, R), (1, R / 2)]
     if coupling == "saturating":
-        pert = saturating_cross_perturbation(flagship["mu"], flagship["pert"].params, reads=scenario, n=2)
+        pert = saturating_cross_perturbation(flagship["mu"], flagship["params"], reads=scenario, n=2)
     elif coupling == "linear":
-        pert = linear_cross_perturbation(flagship["mu"], flagship["pert"].params, reads=scenario, n=2, gain=0.3)
+        pert = linear_cross_perturbation(flagship["mu"], flagship["params"], reads=scenario, n=2, gain=0.3)
     else:
         pert = Perturbation.zero(2)
     eta = zero_field(flagship, COARSE_GRID)
@@ -345,19 +339,10 @@ def test_cells_match_floor_and_clip_bit_for_bit():
     assert list(i) == [0, 2] and np.isnan(w[0]) and w[1] == 0.5
 
 
-def test_operator_needs_point_reads(flagship):
-    generic = generic_perturbation(flagship)
-    eta = zero_field(flagship, COARSE_GRID)
-    with pytest.raises(TypeError, match="point-read perturbation"):
-        F_apply(flagship["model"], generic, eta, 0.5, 1.0, COARSE_TRUNC, D=flagship["params"].D)
-    with pytest.raises(TypeError, match="point-read perturbation"):
-        picard_solve(flagship["model"], generic, flagship["params"], COARSE_GRID, COARSE_TRUNC)
-
-
 def test_misaligned_read_raises_out_of_domain(flagship):
     # the operator and the batched residuals index reads by phase_space's one lag rule
     pert = saturating_cross_perturbation(
-        flagship["mu"], flagship["pert"].params, reads=[(0, 0.3 * R), (1, R / 2)], n=2
+        flagship["mu"], flagship["params"], reads=[(0, 0.3 * R), (1, R / 2)], n=2
     )
     eta = zero_field(flagship, COARSE_GRID)
     with pytest.raises(OutOfDomain, match="not grid-aligned"):
@@ -367,7 +352,7 @@ def test_misaligned_read_raises_out_of_domain(flagship):
 
 
 def test_plan_counts_clamps_once_from_the_query_geometry(flagship_result):
-    # every row's (S, nb) orbit lookups, counted as EtaField._weights counts
+    # every row's (S, nb) orbit lookups, counted by the clamp_count oracle
     # them; the Picard solve reports the same rate
     model, pert, eta = flagship_result["model"], flagship_result["pert"], flagship_result["result"].eta
     D = flagship_result["params"].D
@@ -378,7 +363,7 @@ def test_plan_counts_clamps_once_from_the_query_geometry(flagship_result):
         taus_s, _, taus_u, _ = orbit_quadrature(model, pert, float(t), DEFAULT_TRUNC, D, eta.m)
         taus = np.concatenate([taus_s, taus_u])
         factor = np.exp(u.log_flow(taus) - u.log_flow(np.array([t])))
-        _, _, _, _, cl, tot = eta._weights(taus[:, None], factor[:, None] * eta.b_grid)
+        cl, tot = clamp_count(eta, taus[:, None], factor[:, None] * eta.b_grid)
         clamped += cl
         total += tot
     assert (plan.clamped, plan.total) == (clamped, total)
@@ -457,8 +442,7 @@ def test_operator_matches_direct_quadrature_oracle(flagship, reads):
     # whole segments against the panel machinery
     mu, model, p = flagship["mu"], flagship["model"], flagship["params"]
     gain = 0.3
-    pp = PerturbationParams(delta=p.delta, gamma=p.gamma, lam=p.lam, xi=p.xi, eps=p.eps)
-    pert = linear_cross_perturbation(mu, pp, reads=list(reads), n=2, gain=gain)
+    pert = linear_cross_perturbation(mu, p, reads=list(reads), n=2, gain=gain)
     eta = zero_field(flagship)
     trunc = TruncationPolicy(tail_tol=1e-10, max_span=80.0)
 
@@ -722,7 +706,7 @@ def test_lattice_residuals_mixed_offsets(flagship_result, reads):
     # the second read set has a lag-0 read (the stage state) and a one-step lag
     eta, model, pert = flagship_result["result"].eta, flagship_result["model"], flagship_result["pert"]
     if reads is not None:
-        pert = saturating_cross_perturbation(flagship_result["mu"], pert.params, reads=reads, n=2)
+        pert = saturating_cross_perturbation(flagship_result["mu"], flagship_result["params"], reads=reads, n=2)
     h = R / eta.m
     s = np.array([0.3, -1.2, 0.3, 1.1, -0.45, 0.3])
     k = np.array([0, 5, 17, 0, 96, 1])
@@ -739,15 +723,16 @@ def test_verify_residuals_without_samples(flagship):
     assert verify_residuals(zero_field(flagship), flagship["model"], flagship["pert"], n_samples=0) == []
 
 
-def _blows_up_after(t_blow: float) -> PointReadPerturbation:
+def _blows_up_after(t_blow: float) -> Perturbation:
     # g is zero until t_blow and infinite after it
-    return PointReadPerturbation(
+    return Perturbation(
         reads=((0, R), (1, 0.0)),
         weight=lambda ts: np.where(np.asarray(ts) > t_blow, np.inf, 0.0),
         value_map=lambda W: np.ones((2,) + np.shape(W)[1:]),
         jvp_map=lambda W, V: np.zeros((2,) + np.shape(W)[1:]),
-        params=PerturbationParams(0.0, 1.0, 0.0, 0.0, 0.0),
         n=2,
+        gamma=1.0,
+        envelope_scale=0.0,
     )
 
 
@@ -766,27 +751,14 @@ def test_lattice_residuals_blow_up_only_within_own_steps(flagship):
         assert abs(row.raw - conjugacy_residual(eta, model, pert, si + h * ki, si, bi).raw) <= 1e-12
 
 
-def test_batched_residuals_need_point_reads(flagship):
-    # a generic segment perturbation still has the scalar path, not the batch
-    generic = generic_perturbation(flagship)
-    eta = zero_field(flagship, COARSE_GRID)
-    with pytest.raises(TypeError, match="point-read"):
-        verify_residuals(eta, flagship["model"], generic, n_samples=3)
-    assert conjugacy_residual(eta, flagship["model"], generic, 0.5, 0.0, 1.0).raw <= 1e-6
-
-
 def test_clamp_rate_counts_queries():
     # a query is clamped when its t or its b leaves the grid, once, even
     # when both do; t queries broadcast as (S, 1) against b as (S, nb)
     tg = bg = np.array([0.0, 1.0, 2.0])
     eta = EtaField(tg, bg, np.zeros((3, 3, 1, 2)), np.zeros((3, 3, 1, 2)), R, None, 0.0, 0.0)
-    tables = np.zeros((3, 3, 1))
-    _, clamped, total = eta.interp_tables(tables, np.array([[-1.0], [0.5]]), np.array([[0.5, 0.5, 0.5], [0.5, 3.0, -1.0]]))
-    assert (clamped, total) == (5, 6)
-    _, clamped, total = eta.interp_tables(tables, np.array([[-1.0], [5.0]]), np.array([[-1.0, 9.0], [-2.0, 7.0]]))
-    assert (clamped, total) == (4, 4)
-    _, clamped, total = eta.interp_tables(tables, np.array([0.5, 1.5]), np.array([1.0, 2.0]))
-    assert (clamped, total) == (0, 2)
+    assert clamp_count(eta, np.array([[-1.0], [0.5]]), np.array([[0.5, 0.5, 0.5], [0.5, 3.0, -1.0]])) == (5, 6)
+    assert clamp_count(eta, np.array([[-1.0], [5.0]]), np.array([[-1.0, 9.0], [-2.0, 7.0]])) == (4, 4)
+    assert clamp_count(eta, np.array([0.5, 1.5]), np.array([1.0, 2.0])) == (0, 2)
 
 
 def test_invertibility_report(flagship_result):
@@ -802,8 +774,7 @@ def test_invertibility_report(flagship_result):
 def test_negative_control_gain_diverges(flagship):
     p = flagship["params"]
     declared = p.with_(delta=2.0 * delta_ceiling(p))
-    pp = PerturbationParams(delta=declared.delta, gamma=0.5, lam=declared.lam, xi=0.6, eps=0.1)
-    neg = linear_cross_perturbation(flagship["mu"], pp, reads=[(0, R), (1, R / 2)], n=2, gain=2.0)
+    neg = linear_cross_perturbation(flagship["mu"], declared.with_(gamma=0.5, xi=0.6, eps=0.1), reads=[(0, R), (1, R / 2)], n=2, gain=2.0)
     with pytest.raises(NotContracting) as err:
         picard_solve(
             flagship["model"], neg, declared, COARSE_GRID, COARSE_TRUNC,
@@ -824,10 +795,10 @@ def test_doubled_deriv_scale_shrinks_margin(flagship):
     # solver still contracts, and the recorded margin shrinks
     p = flagship["params"]
     base = picard_solve(flagship["model"], flagship["pert"], p, COARSE_GRID, COARSE_TRUNC, solver_tol=SOLVER_TOL)
-    pp = PerturbationParams(delta=p.delta, gamma=p.gamma, lam=2.0 * lambda_ceiling(p), xi=p.xi, eps=p.eps)
-    hot = saturating_cross_perturbation(flagship["mu"], pp, reads=[(0, R), (1, R / 2)], n=2)
+    hot_params = p.with_(lam=2.0 * lambda_ceiling(p))
+    hot = saturating_cross_perturbation(flagship["mu"], hot_params, reads=[(0, R), (1, R / 2)], n=2)
     res = picard_solve(
-        flagship["model"], hot, p.with_(lam=pp.lam), COARSE_GRID, COARSE_TRUNC,
+        flagship["model"], hot, hot_params, COARSE_GRID, COARSE_TRUNC,
         solver_tol=SOLVER_TOL, require_admissible=False,
     )
     assert res.derivative_margin < base.derivative_margin

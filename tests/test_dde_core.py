@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from mu_lab.admissibility import ParamSet
 from mu_lab.dde_core import (
     DelayTerm,
     LinearDelaySystem,
     Perturbation,
-    PerturbationParams,
     fundamental_jump,
     linear_cross_perturbation,
     saturating_cross_perturbation,
@@ -150,15 +150,25 @@ def test_fundamental_jump_history_reads_zero_before_start():
     assert traj.state_at(2.0)[0] == pytest.approx(0.0, abs=1e-9)  # x(t)=2-t on [1,2]
 
 
+# envelope constants for the couplings below: delta 0.1, gamma 1.5, lam 0.01, xi 0.6, eps 0.1
+ENVELOPE = ParamSet(
+    alpha=0.8, beta=0.6, theta=0.4, nu=0.2, eps=0.1, a=1.0, gamma=1.5, xi=0.6,
+    delta=0.1, lam=0.01, q=1.0, K=1.0, K_tilde=1.0, N=1.0, D=1.0,
+)
+
+
 def small_perturbation(r: float = 1.0) -> Perturbation:
-    def g(t, seg):
-        return np.array([0.1 * np.sin(t) * np.tanh(seg.value_at(-r)[0])])
-
-    def d2g(t, seg):
-        base = seg.value_at(-r)[0]
-        return lambda chi: np.array([0.1 * np.sin(t) * chi.value_at(-r)[0] / np.cosh(base) ** 2])
-
-    return Perturbation(g=g, d2g=d2g, params=PerturbationParams(0.1, 1.0, 0.1, 0.0, 0.0), label="tanh")
+    # g(t, x_t) = 0.1 sin(t) tanh(x(t - r))
+    return Perturbation(
+        reads=((0, r),),
+        weight=lambda ts: 0.1 * np.sin(ts),
+        value_map=np.tanh,
+        jvp_map=lambda W, V: V / np.cosh(W) ** 2,
+        n=1,
+        gamma=1.0,
+        envelope_scale=0.1,
+        label="tanh",
+    )
 
 
 def test_perturbed_reduces_to_linear_for_zero_g():
@@ -179,7 +189,7 @@ def test_perturbed_zero_orbit():
 @pytest.mark.parametrize("shape", ["saturating_cross", "linear_cross", "zero"])
 def test_jvp_map_is_the_directional_derivative_of_value_map(shape):
     n, h = 3, 1e-6
-    mu, pp = rate_by_id("exp"), PerturbationParams(0.1, 1.5, 0.01, 0.6, 0.1)
+    mu, pp = rate_by_id("exp"), ENVELOPE
     reads = [(i, 0.5) for i in range(n)]
     if shape == "saturating_cross":
         pert = saturating_cross_perturbation(mu, pp, reads=reads, n=n)
@@ -200,7 +210,7 @@ def test_cross_coupling_component_i_is_driven_by_scenario_read_i_plus_1(shape):
     # the same slot as the right one; every sample of the segment and of the
     # direction differs by coordinate and by lag, so a wrong read shows
     n, m, r, t = 3, 8, 1.0, 0.3
-    mu, pp = rate_by_id("exp"), PerturbationParams(0.1, 1.5, 0.01, 0.6, 0.1)
+    mu, pp = rate_by_id("exp"), ENVELOPE
     scenario = [(0, 0.25), (2, 0.5), (1, 1.0)]
     j, c = np.meshgrid(np.arange(m + 1), np.arange(n), indexing="ij")
     seg = Segment(r, 1.0 + c + 0.1 * j)
@@ -239,13 +249,15 @@ def test_variation_of_constants_consistency():
         ),
     )
 
-    def g(t, seg):
-        return np.array([0.2 * np.cos(t) * np.tanh(seg.value_at(0.0)[0])])
-
+    # g(t, x_t) = 0.2 cos(t) tanh(x(t))
     pert = Perturbation(
-        g=g,
-        d2g=lambda t, seg: (lambda chi: np.array([0.0])),
-        params=PerturbationParams(0.2, 1.0, 0.0, 0.0, 0.0),
+        reads=((0, 0.0),),
+        weight=lambda ts: 0.2 * np.cos(ts),
+        value_map=np.tanh,
+        jvp_map=lambda W, V: V / np.cosh(W) ** 2,
+        n=1,
+        gamma=1.0,
+        envelope_scale=0.2,
     )
     m = 32
     step = r / m
