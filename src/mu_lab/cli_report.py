@@ -84,11 +84,28 @@ def _require(section: dict, key: str, path: str):
 
 
 def _number(value, cast, path: str):
-    """value cast to float or int, or a ConfigError naming its path."""
+    """value cast to float or int, or a ConfigError naming its path; an int is never truncated."""
     try:
+        if cast is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return cast(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path} must be {'an integer' if cast is int else 'a number'}, got {value!r}") from exc
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object, got {value!r}")
+    return dict(value)
+
+
+def _typed(value, default, path: str):
+    """value cast to its default's type: a number, or a pair of numbers for a window."""
+    if isinstance(default, list):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise ConfigError(f"{path} must be a pair of numbers, got {value!r}")
+        return [_number(v, float, path) for v in value]
+    return _number(value, type(default), path)
 
 
 @dataclass
@@ -184,19 +201,25 @@ def parse_scenario(doc: dict) -> Scenario:
     if delay <= 0:
         raise ConfigError(f"delay must be positive, got {delay}")
     seed = _number(doc.get("seed", 0), int, "scenario.seed")
-    model = dict(_require(doc, "model", "scenario"))
+    model = _object(_require(doc, "model", "scenario"), "scenario.model")
     _check_keys(model, _MODEL_KEYS, "scenario.model")
-    params = dict(doc.get("params", {}))
+    params = _object(doc.get("params", {}), "scenario.params")
     _check_keys(params, _PARAM_KEYS, "scenario.params")
-    pert = dict(doc.get("perturbation", {"shape": "zero"}))
+    pert = _object(doc.get("perturbation", {"shape": "zero"}), "scenario.perturbation")
     _check_keys(pert, _PERT_KEYS, "scenario.perturbation")
     sections = {}
     for key, defaults in _DEFAULTS.items():
-        user = dict(doc.get(key, {}))
+        user = _object(doc.get(key, {}), f"scenario.{key}")
         _check_keys(user, set(defaults), f"scenario.{key}")
-        sections[key] = {**defaults, **user}
-    for rec in pert.get("reads", []):
-        _check_keys(dict(rec), {"coord", "lag_frac"}, "scenario.perturbation.reads[]")
+        sections[key] = {name: _typed(user.get(name, d), d, f"scenario.{key}.{name}") for name, d in defaults.items()}
+    reads = pert.get("reads", [])
+    if not isinstance(reads, list):
+        raise ConfigError(f"scenario.perturbation.reads must be a list, got {reads!r}")
+    for rec in reads:
+        rec = _object(rec, "scenario.perturbation.reads[]")
+        _check_keys(rec, {"coord", "lag_frac"}, "scenario.perturbation.reads[]")
+        for key in ("coord", "lag_frac"):
+            _require(rec, key, "scenario.perturbation.reads[]")
     return Scenario(
         name=name,
         growth_rate=growth,
@@ -312,15 +335,7 @@ def _resolve_perturbation(sc: Scenario, mu, model: DichotomyModel, params: Param
 def resolve(sc: Scenario) -> ResolvedScenario:
     """Model, params, perturbation and solver settings; a scenario value they reject raises ConfigError."""
     try:
-        g = sc.grids
-        grid = GridSpec(
-            t_min=float(g["t_min"]),
-            t_max=float(g["t_max"]),
-            t_step=float(g["t_step"]),
-            b_max=float(g["b_max"]),
-            b_step=float(g["b_step"]),
-            m=int(g["m"]),
-        )
+        grid = GridSpec(**sc.grids)
         mu, model = _resolve_model(sc, sc.params)
         params = _resolve_params(sc, model)
         pert = _resolve_perturbation(sc, mu, model, params, grid.m)
@@ -332,10 +347,10 @@ def resolve(sc: Scenario) -> ResolvedScenario:
             params=params,
             pert=pert,
             grid=grid,
-            trunc=TruncationPolicy(tail_tol=float(t["tail_tol"]), max_span=float(t["max_span"])),
-            solver_tol=float(t["solver_tol"]),
-            max_sweeps=int(t["max_sweeps"]),
-            cert_tol=float(t["cert_tol"]),
+            trunc=TruncationPolicy(tail_tol=t["tail_tol"], max_span=t["max_span"]),
+            solver_tol=t["solver_tol"],
+            max_sweeps=t["max_sweeps"],
+            cert_tol=t["cert_tol"],
             checks=sc.checks,
             seed=sc.seed,
         )
@@ -358,10 +373,10 @@ def run_dichotomy(res: ResolvedScenario, samples: Optional[int] = None, seed: Op
     cert = verify_bounds(
         res.model,
         tuple(res.checks["window"]),
-        samples if samples is not None else int(res.checks["cert_samples"]),
+        samples if samples is not None else res.checks["cert_samples"],
         seed=seed if seed is not None else res.seed,
         tol=res.cert_tol,
-        m=int(res.checks["cert_m"]),
+        m=res.checks["cert_m"],
     )
     doc = cert.to_dict()
     doc["series"] = {
@@ -377,13 +392,13 @@ def _residual_check(res: ResolvedScenario, eta: EtaField, n_samples: int, seed: 
         res.model,
         res.pert,
         n_samples=n_samples,
-        horizon=float(res.checks["residual_horizon_delays"]) * res.scenario.delay,
+        horizon=res.checks["residual_horizon_delays"] * res.scenario.delay,
         core=tuple(res.checks["core_window"]),
-        b_scale=float(res.checks["b_scale"]),
+        b_scale=res.checks["b_scale"],
         seed=seed,
     )
     max_mu = max((r.weighted for r in rows), default=0.0)
-    return rows, max_mu, max_mu <= float(res.checks["residual_mu_max"])
+    return rows, max_mu, max_mu <= res.checks["residual_mu_max"]
 
 
 def run_conjugacy(res: ResolvedScenario) -> dict:
@@ -406,7 +421,7 @@ def run_conjugacy(res: ResolvedScenario) -> dict:
         return {"status": "truncation_unreachable", "error": str(exc)}
     if not result.converged:
         return {"status": "no_convergence", "summary": result.summary()}
-    rows, max_mu, residual_ok = _residual_check(res, result.eta, int(res.checks["residual_samples"]), res.seed + 1)
+    rows, max_mu, residual_ok = _residual_check(res, result.eta, res.checks["residual_samples"], res.seed + 1)
     inv = invertibility_check(result, res.model)
     return {
         "status": "converged",
@@ -582,7 +597,7 @@ def _apply_tol_overrides(doc: dict, overrides) -> dict:
         key, val = item.split("=", 1)
         if key not in _DEFAULTS["tolerances"]:
             raise ConfigError(f"--tol key must be one of {sorted(_DEFAULTS['tolerances'])}, got {key!r}")
-        tols[key] = _number(val, int if key == "max_sweeps" else float, f"--tol {key}")
+        tols[key] = _number(val, type(_DEFAULTS["tolerances"][key]), f"--tol {key}")
     return doc
 
 
@@ -672,7 +687,7 @@ def _dispatch(args) -> int:
             {
                 "samples": len(rows),
                 "max_mu": max_mu,
-                "threshold": float(res.checks["residual_mu_max"]),
+                "threshold": res.checks["residual_mu_max"],
                 "pass": ok,
             }
         )

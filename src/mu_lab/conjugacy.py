@@ -15,9 +15,11 @@ Only the field changes between sweeps, so the operator is planned once per
 solve (plan_operator, O(S) numbers per row of S nodes, with the clamp
 counts taken from the query geometry alone); a sweep (_full_sweep) gathers
 the perturbation's point reads from the field in read-major blocks,
-applies its maps there and contracts in one matmul.  The solve starts from
-the zero field, so its first sweep is the source term F(0): it reads no
-field and gathers nothing.
+applies its maps there, sums them over the node groups on which the
+diagonal kernels' step is constant and contracts those sums with a small
+per-row matrix (_group_kernels).  The solve starts from the zero field, so
+its first sweep is the source term F(0): it reads no field and gathers
+nothing.
 
 Off the stored grid the field is evaluated by bilinear interpolation,
 clamped to the boundary value outside; clamp events are counted and
@@ -37,7 +39,8 @@ import numpy as np
 
 from .admissibility import ParamSet, full_report
 from .dde_core import Perturbation, solve_perturbed_R
-from .dichotomy import DichotomyModel, p0_kernel, q0_kernel, unstable_flow, unstable_shape
+from .dichotomy import DichotomyModel, _rho_matrix, unstable_flow, unstable_shape
+from .dichotomy import p0_kernel, q0_kernel  # noqa: F401  (perfbench/spans.py traces them here)
 from .errors import NonFiniteState, NotContracting, TimeOrder, TruncationUnreachable
 from .growth_rate import mu_weight, ratio_bound_N  # noqa: F401  (perfbench/spans.py traces it here)
 from .phase_space import Segment, lag_index, sup_norm
@@ -326,14 +329,17 @@ def orbit_quadrature(model: DichotomyModel, pert: Perturbation, t: float, trunc:
 class RowPlan:
     """The part of one time row of the operator that does not depend on eta.
 
-    Every array has one entry per quadrature node, S in all (stable nodes
-    first), so a row holds O(S) numbers: nothing with a b or a segment axis.
+    Every array has one entry per quadrature node, S in all, so a row holds
+    O(S) numbers: nothing with a b or a segment axis.  The nodes come in
+    the groups the sweep contracts by: n_far far stable nodes, the near
+    panels of _NEAR_NODES each up to n_stable, then the unstable side.
     """
 
     t: float
     taus: np.ndarray  # (S,) orbit_quadrature nodes, stable then unstable
     weights: np.ndarray  # (S,) quadrature weights, negated on the unstable side
     n_stable: int
+    n_far: int  # stable nodes before t - r, where the kernels have no step
     factor: np.ndarray  # (S,) orbit factor unstable_flow(tau, t)
     pert_weight: np.ndarray  # (S,) perturbation weight pert.weight(tau)
     it: np.ndarray  # (S,) t-interpolation cell of each node
@@ -391,11 +397,44 @@ def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, 
             if coord == u_idx:
                 lin[j] = unstable_flow(model, taus - lag, taus)[0]
         weights, pert_weight = np.concatenate([w_s, -w_u]), np.asarray(pert.weight(taus), dtype=float)
-        rows.append(RowPlan(t, taus, weights, taus_s.size, factor, pert_weight, it, wt, lin))
+        n_far = int(np.count_nonzero(taus_s < t - model.r))
+        rows.append(RowPlan(t, taus, weights, taus_s.size, n_far, factor, pert_weight, it, wt, lin))
     return OperatorPlan(model, pert, bs, tuple(rows), cs, js, eta.m, clamped, total)
 
 
 _B_CHUNK = 128  # b columns per gather-and-contract block; bounds the temporaries
+
+
+def _group_kernels(model: DichotomyModel, row: RowPlan, omega: np.ndarray):
+    """The row's jump-response kernels, factored: node factors (n, S) and group kernels (n, P+2, m+1).
+
+    Every kernel entry is exp(rho_i(t + omega) - rho_i(tau)) under a step
+    mask, so it is the node factor exp(rho_i(t) - rho_i(tau)) times
+    exp(rho_i(t + omega) - rho_i(t)) times the mask.  The mask is one
+    column per group of nodes: the far stable nodes, which every t + omega
+    is ahead of, each near panel of _NEAR_NODES, inside one segment cell,
+    and the unstable side.  On the stable side p0_kernel's mask is "ahead"
+    for stable coordinates and -(not ahead) for unstable ones; on the
+    unstable side q0_kernel's is 1.  The node factors carry the quadrature
+    and perturbation weights, and are 0 wherever the kernel is (unstable
+    coordinates at far nodes, stable ones on the unstable side), so an
+    overflowing exp never meets a zero mask.
+    """
+    unstable = np.array([c.role == "unstable" for c in model.coords])
+    nf, ns = row.n_far, row.n_stable
+    grid = row.t + omega
+    rho_g = _rho_matrix(model.coords, grid)  # (n, m+1), rho_i(t) last
+    expo = rho_g[:, -1:] - _rho_matrix(model.coords, row.taus)
+    expo[unstable, :nf] = -np.inf
+    expo[~unstable, ns:] = -np.inf
+    node = np.exp(expo) * (row.weights * row.pert_weight)
+    # first column ahead of each stable-side group: 0 for the far nodes, a
+    # panel's first grid point at or past its nodes (p0_kernel's tolerance)
+    first = np.concatenate([[0], np.searchsorted(grid, row.taus[nf:ns:_NEAR_NODES] - 1e-12)])
+    mask = np.empty((model.n, first.size + 1, omega.size))
+    mask[:, :-1] = (np.arange(omega.size) >= first[:, None]) - unstable[:, None, None].astype(float)
+    mask[:, -1] = 1.0
+    return node, mask * np.exp(rho_g - rho_g[:, -1:])[:, None]
 
 
 def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
@@ -404,10 +443,12 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
     Returns (F, dF) of shape (rows, nb, n, m+1).  The read tables are cut
     once in read-major layout (2k, nt, nb); per row they are blended along
     t with the planned weights.  A block of c b columns stays read-major,
-    (k, S, c), from the gathers to the matmul operand: two takes along b
-    blend into the reads W and directions V, the perturbation's maps write
-    the value and derivative planes (2, n, S, c), scaled by its planned
-    weight per node, for one batched matmul against the weighted kernels.
+    (k, S, c), from the gathers to the maps: two takes along b blend into
+    the reads W and directions V, and the perturbation's maps give the
+    value and derivative planes (n, S, c).  Each plane is summed over the
+    row's node groups with the node factors of _group_kernels, (n, P+2, c)
+    for P near panels, and contracted with the group kernels by one small
+    matmul per plane, written straight into the output.
     eta None stands for the zero field, every read of which is 0: that
     sweep is the source term F(0), with no tables, blends or gathers.
     """
@@ -435,10 +476,9 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
             del upper  # freed before the blocks allocate, which keeps the peak RSS down
             flat = along_t.reshape(2 * k, S * nbg)
             row_start = (np.arange(S) * nbg)[:, None]
-        ns = row.n_stable
-        kern = np.concatenate(
-            [p0_kernel(model, row.t, row.taus[:ns], omega), q0_kernel(model, row.t, row.taus[ns:], omega)], axis=1
-        ) * row.weights[:, None]  # (n, S, m+1), quadrature weights folded in
+        nf, ns = row.n_far, row.n_stable
+        node, kern = _group_kernels(model, row, omega)
+        panels = kern.shape[1] - 2
         live = [j for j in range(k) if row.lin[j].any()]  # reads of the unstable coordinate
         for lo in range(0, nb, _B_CHUNK):
             hi = min(lo + _B_CHUNK, nb)
@@ -460,12 +500,13 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
                 W[j] += row.lin[j][:, None] * B
                 V[j] += row.lin[j][:, None]
             V *= row.factor[:, None]
-            g = np.empty((2, n, S, hi - lo))
-            np.multiply(pert.value_map(W), row.pert_weight[:, None], out=g[0])
-            np.multiply(pert.jvp_map(W, V), row.pert_weight[:, None], out=g[1])
-            both = np.matmul(g.swapaxes(2, 3), kern)  # (2, n, c, m+1)
-            out[i, lo:hi] = both[0].swapaxes(0, 1)
-            dout[i, lo:hi] = both[1].swapaxes(0, 1)
+            for dst, mapped in zip((out, dout), (pert.value_map(W), pert.jvp_map(W, V))):  # (n, S, c) each
+                sums = np.empty((n, panels + 2, hi - lo))  # weighted per group: far, each near panel, unstable
+                np.matmul(node[:, None, :nf], mapped[:, :nf], out=sums[:, :1])
+                near = mapped[:, nf:ns] * node[:, nf:ns, None]
+                np.sum(near.reshape(n, panels, _NEAR_NODES, hi - lo), axis=2, out=sums[:, 1:-1])
+                np.matmul(node[:, None, ns:], mapped[:, ns:], out=sums[:, -1:])
+                np.matmul(sums.swapaxes(1, 2), kern, out=dst[i, lo:hi].swapaxes(0, 1))  # (n, c, m+1)
     return out, dout
 
 

@@ -98,6 +98,39 @@ def test_cli_bad_values_are_config_errors(tmp_path, capsys, doc, extra):
     assert not (tmp_path / "r.json").exists()
 
 
+def _without_lag_frac(doc):
+    doc["perturbation"]["reads"][1] = {"coord": 1}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**shipped("example5_2d"), "grids": 5},
+        {**shipped("example5_2d"), "tolerances": [1]},
+        _without_lag_frac(shipped("example5_2d")),
+        {**shipped("example5_2d"), "perturbation": {"shape": "saturating_cross", "reads": 5}},
+        {**shipped("example5_2d"), "checks": {"cert_samples": "abc"}},
+        {**shipped("example5_2d"), "checks": {"residual_samples": "abc"}},
+        {**shipped("example5_2d"), "checks": {"window": "wide"}},
+        {**shipped("example5_2d"), "checks": {"cert_samples": 0.5}},
+    ],
+    ids=["grids_number", "tolerances_list", "read_without_lag_frac", "reads_number", "cert_samples", "residual_samples",
+         "window", "fractional_count"],
+)
+def test_bad_sections_fail_before_any_stage(tmp_path, capsys, monkeypatch, doc):
+    # every section is an object and every value has its default's type when
+    # the scenario is parsed, so a bad one never reaches the stage that uses it
+    ran = []
+    monkeypatch.setattr(cli_report, "run_admissibility", lambda res: ran.append(res))
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert ran == [] and not (tmp_path / "r.json").exists()
+
+
 def test_misaligned_read_lag_is_a_config_error(tmp_path, capsys, monkeypatch):
     # lag 0.3 r sits between samples of the m = 32 segment grid; it is
     # rejected when the scenario is resolved, before any stage runs
