@@ -34,6 +34,7 @@ from .conjugacy import (
     EtaField,
     GridSpec,
     TruncationPolicy,
+    check_solver_settings,
     invertibility_check,
     picard_solve,
     verify_residuals,
@@ -340,6 +341,7 @@ def resolve(sc: Scenario) -> ResolvedScenario:
         params = _resolve_params(sc, model)
         pert = _resolve_perturbation(sc, mu, model, params, grid.m)
         t = sc.tolerances
+        check_solver_settings(t["solver_tol"], t["max_sweeps"])
         return ResolvedScenario(
             scenario=sc,
             mu=mu,

@@ -19,7 +19,9 @@ applies its maps there, sums them over the node groups on which the
 diagonal kernels' step is constant and contracts those sums with a small
 per-row matrix (_group_kernels).  The solve starts from the zero field, so
 its first sweep is the source term F(0): it reads no field and gathers
-nothing.
+nothing.  Every sweep measures the update ||F(eta) - eta|| of the field it
+reads, and the solve returns the last field so measured: its reported
+fixed-point residual is that update, and no sweep is run only to measure it.
 
 Off the stored grid the field is evaluated by bilinear interpolation,
 clamped to the boundary value outside; clamp events are counted and
@@ -571,6 +573,14 @@ def _row_max_diff(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return np.array([np.max(np.abs(a - b)) for a, b in zip(new, old)])
 
 
+def check_solver_settings(solver_tol: float, max_sweeps: int) -> None:
+    """Raise ValueError unless max_sweeps >= 1 and solver_tol is finite and >= 0."""
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    if not (math.isfinite(solver_tol) and solver_tol >= 0.0):
+        raise ValueError(f"solver_tol must be finite and non-negative, got {solver_tol}")
+
+
 def picard_solve(
     model: DichotomyModel,
     pert: Perturbation,
@@ -585,11 +595,17 @@ def picard_solve(
     """Iterate the operator and its derivative jointly from the zero field.
 
     The first sweep is then the source term F(0), which reads no field.
-    Sweeps stop when the combined update norm drops below solver_tol.  A
-    measured update ratio >= 1 on two consecutive sweeps raises
+    Sweep k measures the combined weighted update norm
+    delta = ||F(eta_{k-1}) - eta_{k-1}||_{1,mu} and stops once it is at most
+    solver_tol, or at max_sweeps.  Either way the field returned is
+    eta_{k-1}, the last one whose update was measured, and
+    fixed_point_residual_1mu is that delta; F(eta_{k-1}) itself is dropped.
+    A measured update ratio >= 1 on two consecutive sweeps raises
     NotContracting: the scenario's perturbation is inconsistent with the
-    declared contraction constants.
+    declared contraction constants.  Settings under which no solve can
+    converge raise ValueError (check_solver_settings).
     """
+    check_solver_settings(solver_tol, max_sweeps)
     if model.d_u != 1:
         raise ValueError("the field solver handles one-dimensional unstable coordinates")
     if require_admissible:
@@ -603,7 +619,6 @@ def picard_solve(
     w_t = eta.time_weights()
     sweeps: list[SweepStats] = []
     ratios: list[float] = []
-    converged = False
     prev_delta = None
     for k in range(1, max_sweeps + 1):
         new_vals, new_dvals = _full_sweep(plan, eta if k > 1 else None)
@@ -616,7 +631,6 @@ def picard_solve(
         sweeps.append(SweepStats(k, delta_inf, ddelta_inf, delta, ratio))
         if ratio is not None:
             ratios.append(ratio)
-        eta = eta.with_data(new_vals, new_dvals)
         if ratio is not None and len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
             exc = NotContracting(
                 f"update ratios {ratios[-2]:.3f}, {ratios[-1]:.3f} on consecutive sweeps"
@@ -624,13 +638,10 @@ def picard_solve(
             exc.sweeps = [s.to_dict() for s in sweeps]
             raise exc
         prev_delta = delta
-        if delta <= solver_tol:
-            converged = True
-            break
-    # one extra application measures the fixed-point residual without updating
-    new_vals, new_dvals = _full_sweep(plan, eta)
-    res_inf = float(np.max(_row_max_diff(new_vals, eta.values) * w_t))
-    res_dinf = float(np.max(_row_max_diff(new_dvals, eta.dvalues) * w_t))
+        converged = delta <= solver_tol
+        if converged or k == max_sweeps:
+            break  # eta is the field whose update delta was just measured
+        eta = eta.with_data(new_vals, new_dvals)
     norms = {
         "inf": eta.norm_inf(),
         "inf_mu": eta.norm_inf_mu(),
@@ -642,7 +653,7 @@ def picard_solve(
         params=params,
         sweeps=sweeps,
         converged=converged,
-        fixed_point_residual_1mu=res_inf + res_dinf,
+        fixed_point_residual_1mu=delta,
         contraction_rate_measured=float(max(ratios)) if ratios else 0.0,
         contraction_rate_theoretical=params.q / (1.0 + params.q),
         sup_rate_theoretical=params.D * params.delta * (params.alpha + params.beta) / (params.alpha * params.beta),

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,12 @@ def test_missing_and_invalid_fields():
         parse_scenario(doc)
 
 
+def _with_tolerance(key, value) -> dict:
+    doc = shipped("example5_2d")
+    doc["tolerances"][key] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, extra",
     [
@@ -81,9 +88,19 @@ def test_missing_and_invalid_fields():
             {"coord": 0, "lag_frac": 1.0}, {"coord": 0, "lag_frac": 0.5}]}}, []),
         (shipped("wobble_certificate"), ["--tol", "max_sweeps=2.5"]),
         (shipped("wobble_certificate"), ["--tol", "tail_tol=abc"]),
+        (_with_tolerance("max_sweeps", 0), []),
+        (_with_tolerance("max_sweeps", -3), []),
+        (_with_tolerance("solver_tol", -1.0), []),
+        (_with_tolerance("solver_tol", math.nan), []),
+        (shipped("example5_2d"), ["--tol", "max_sweeps=0"]),
+        (shipped("example5_2d"), ["--tol", "solver_tol=-1"]),
+        (shipped("example5_2d"), ["--tol", "solver_tol=nan"]),
+        (shipped("example5_2d"), ["--tol", "solver_tol=inf"]),
         (None, []),
     ],
-    ids=["seed", "delay", "negative_alpha", "reads_per_coordinate", "tol_int", "tol_float", "missing_result"],
+    ids=["seed", "delay", "negative_alpha", "reads_per_coordinate", "tol_int", "tol_float",
+         "file_no_sweeps", "file_negative_sweeps", "file_negative_tol", "file_nan_tol",
+         "flag_no_sweeps", "flag_negative_tol", "flag_nan_tol", "flag_infinite_tol", "missing_result"],
 )
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, doc, extra):
     path = tmp_path / "sc.json"
@@ -200,6 +217,31 @@ def test_solver_failure_exits_four():
     assert rep["exit_code"] == EXIT_SOLVER
     assert rep["stages"]["conjugacy"]["status"] == "not_contracting"
     assert len(rep["stages"]["conjugacy"]["sweeps"]) <= 10
+
+
+def test_unconverged_solve_exits_four():
+    # the gain-0.3 linear coupling needs more than three sweeps on the coarse grid
+    doc = coarse_flagship()
+    doc["perturbation"] = {
+        "shape": "linear_cross",
+        "reads": [{"coord": 0, "lag_frac": 1.0}, {"coord": 1, "lag_frac": 0.5}],
+        "gain": 0.3,
+    }
+    doc["tolerances"]["max_sweeps"] = 3
+    rep = run_pipeline(resolve(parse_scenario(doc)))
+    assert rep["status"] == "solver_failed"
+    assert rep["exit_code"] == EXIT_SOLVER
+    conj = rep["stages"]["conjugacy"]
+    assert conj["status"] == "no_convergence"
+    summary = conj["summary"]
+    assert not summary["converged"] and len(summary["sweeps"]) == 3
+    assert summary["fixed_point_residual_1mu"] == summary["sweeps"][-1]["delta_1mu"] > summary["solver_tol"]
+
+
+def test_zero_solver_tol_is_a_legal_setting():
+    doc = coarse_flagship()
+    doc["tolerances"]["solver_tol"] = 0.0
+    assert resolve(parse_scenario(doc)).solver_tol == 0.0
 
 
 def test_negative_delta_scenario_fails_admissibility():

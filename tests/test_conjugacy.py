@@ -666,6 +666,72 @@ def test_picard_contraction_and_norm_bounds(flagship_result):
     assert 0.0 <= res.clamp_rate < 1.0
 
 
+def _stress_coupling(flagship):
+    """Linear cross coupling at gain 0.3: it takes several sweeps to converge on the coarse grid."""
+    return linear_cross_perturbation(flagship["mu"], flagship["params"], reads=[(0, R), (1, R / 2)], n=2, gain=0.3)
+
+
+def _coarse_solve(flagship, pert, solver_tol=SOLVER_TOL, **kw):
+    return picard_solve(
+        flagship["model"], pert, flagship["params"], COARSE_GRID, COARSE_TRUNC, solver_tol=solver_tol, **kw
+    )
+
+
+def _update_norm(flagship, pert, eta):
+    """||F(eta) - eta||_{1,mu} by one freshly planned sweep over eta."""
+    plan = plan_operator(flagship["model"], pert, eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, flagship["params"].D)
+    F, dF = _full_sweep(plan, eta)
+    w = eta.time_weights()
+    delta = float(np.max(np.max(np.abs(F - eta.values), axis=(1, 2, 3)) * w))
+    ddelta = float(np.max(np.max(np.abs(dF - eta.dvalues), axis=(1, 2, 3)) * w))
+    return delta + ddelta
+
+
+@pytest.mark.parametrize("coupling, max_sweeps", [("saturating", 25), ("linear", 25), ("linear", 3)])
+def test_reported_residual_is_the_returned_fields_update(flagship, coupling, max_sweeps):
+    # a solve stopped by max_sweeps also returns the last field whose update it measured
+    pert = flagship["pert"] if coupling == "saturating" else _stress_coupling(flagship)
+    res = _coarse_solve(flagship, pert, max_sweeps=max_sweeps)
+    assert len(res.sweeps) >= 2
+    assert res.converged == (res.fixed_point_residual_1mu <= res.solver_tol) == (max_sweeps > 3)
+    assert _update_norm(flagship, pert, res.eta) == res.fixed_point_residual_1mu == res.sweeps[-1].delta_1mu
+
+
+@pytest.mark.parametrize("case, sweeps", [("saturating", 2), ("zero", 1), ("limited", 3)])
+def test_solve_runs_one_sweep_per_reported_sweep(flagship, monkeypatch, case, sweeps):
+    from mu_lab import conjugacy
+
+    calls = []
+    full_sweep = conjugacy._full_sweep
+    monkeypatch.setattr(conjugacy, "_full_sweep", lambda plan, eta: calls.append(eta) or full_sweep(plan, eta))
+    if case == "saturating":
+        res = _coarse_solve(flagship, flagship["pert"])
+    elif case == "zero":
+        res = _coarse_solve(flagship, Perturbation.zero(2))
+    else:
+        res = _coarse_solve(flagship, _stress_coupling(flagship), max_sweeps=3)
+    assert len(calls) == len(res.sweeps) == sweeps
+    assert res.converged == (case != "limited")
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"max_sweeps": 0}, {"max_sweeps": -3}, {"solver_tol": -1.0}, {"solver_tol": math.nan}, {"solver_tol": math.inf}],
+    ids=["no_sweeps", "negative_sweeps", "negative_tol", "nan_tol", "infinite_tol"],
+)
+def test_settings_that_cannot_converge_raise(flagship, monkeypatch, settings):
+    from mu_lab import conjugacy
+
+    monkeypatch.setattr(conjugacy, "plan_operator", None)  # rejected before any planning
+    with pytest.raises(ValueError, match="max_sweeps|solver_tol"):
+        _coarse_solve(flagship, flagship["pert"], **settings)
+
+
+def test_zero_solver_tol_converges_to_an_exact_fixed_point(flagship):
+    res = _coarse_solve(flagship, flagship["pert"], solver_tol=0.0)
+    assert res.converged and res.fixed_point_residual_1mu == 0.0
+
+
 def test_refinement_stability(flagship):
     fine_grid = GridSpec(t_min=-4.5, t_max=4.5, t_step=0.125, b_max=6.0, b_step=0.015625, m=64)
     fine_trunc = TruncationPolicy(tail_tol=5e-7, max_span=60.0)
