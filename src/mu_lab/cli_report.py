@@ -42,8 +42,9 @@ from .conjugacy import (
 from .dde_core import Perturbation, linear_cross_perturbation, saturating_cross_perturbation
 from .dichotomy import (
     DichotomyModel,
-    derived_constant_D,
     diagonal_model,
+    flagship_model,
+    model_params,
     sin_wobble_model,
     verify_bounds,
     _power_coordinate,
@@ -154,24 +155,10 @@ _TOP_KEYS = {
     "tolerances",
     "checks",
 }
-_PARAM_KEYS = {
-    "alpha",
-    "beta",
-    "theta",
-    "nu",
-    "eps",
-    "a",
-    "gamma",
-    "xi",
-    "q",
-    "K",
-    "K_tilde",
-    "delta",
-    "delta_frac",
-    "lambda",
-    "lambda_frac",
-}
-_MODEL_KEYS = {"kind", "stable_power", "unstable_power", "alpha0", "theta0", "theta_override"}
+# the dichotomy constants a scenario declares for its model; the ParamSet copies them from the model
+_DECLARED_KEYS = ("alpha", "beta", "theta", "nu", "eps", "a", "K", "K_tilde")
+_PARAM_KEYS = {*_DECLARED_KEYS, "gamma", "xi", "q", "delta_frac", "lambda_frac"}
+_MODEL_KEYS = {"kind", "stable_power", "unstable_power", "alpha0", "theta0"}
 _PERT_KEYS = {"shape", "reads", "gain"}
 # the optional sections, each key with its default; a scenario may set only these keys
 _DEFAULTS = {
@@ -247,89 +234,59 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(_read_json(path))
 
 
-def _resolve_model(sc: Scenario, p: dict):
+def _resolve_model(sc: Scenario) -> DichotomyModel:
+    """The scenario's model; every declared constant in params overrides the builder's, for either kind."""
     kind = _require(sc.model, "kind", "scenario.model")
-    mu = rate_by_id(sc.growth_rate)
-    r = sc.delay
+    declared = {key: float(sc.params[key]) for key in _DECLARED_KEYS if key in sc.params}
     if kind == "diagonal_flow":
-        # the declared constants the scenario sets; diagonal_model holds the defaults
-        kw = {key: float(p[key]) for key in ("alpha", "beta", "theta", "nu", "eps", "a", "K", "K_tilde") if key in p}
-        powers = (sc.model.get("stable_power", -kw.get("alpha", 0.8)), sc.model.get("unstable_power", kw.get("beta", 0.6)))
-        coords = [_power_coordinate(mu, float(power)) for power in powers]
-        return mu, diagonal_model(mu, r, coords, label=sc.name, **kw)
+        mu = rate_by_id(sc.growth_rate)
+        model = flagship_model(mu, sc.delay, label=sc.name, **declared)
+        if "stable_power" in sc.model or "unstable_power" in sc.model:
+            powers = (sc.model.get("stable_power", -model.alpha), sc.model.get("unstable_power", model.beta))
+            coords = [_power_coordinate(mu, float(power)) for power in powers]
+            model = diagonal_model(mu, sc.delay, coords, label=sc.name, **declared)
+        return model
     if kind == "sin_wobble":
         if sc.growth_rate != "exp":
             raise ConfigError("sin_wobble model requires growth_rate 'exp'")
-        return mu, sin_wobble_model(
-            r,
-            alpha0=float(sc.model.get("alpha0", 1.0)),
-            theta0=float(sc.model.get("theta0", 0.1)),
-            theta=(float(sc.model["theta_override"]) if "theta_override" in sc.model else None),
-        )
+        shape = {key: float(sc.model[key]) for key in ("alpha0", "theta0") if key in sc.model}
+        return sin_wobble_model(sc.delay, **shape, **declared)
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def _resolve_params(sc: Scenario, model: DichotomyModel) -> ParamSet:
-    """The scenario's params over the model's declared constants; N and D always come from the model."""
+    """The model's ParamSet; the scenario adds only gamma, q, xi and the delta/lambda fractions of their ceilings."""
     p = sc.params
-
-    def get(key):
-        return float(p.get(key, getattr(model, key)))
-
-    base = dict(
-        alpha=get("alpha"),
-        beta=get("beta"),
-        theta=get("theta"),
-        nu=get("nu"),
-        eps=get("eps"),
-        a=get("a"),
-        gamma=float(p.get("gamma", 1.5)),
-        q=float(p.get("q", 1.0)),
-        K=get("K"),
-        K_tilde=get("K_tilde"),
-        N=model.N,
-    )
-    D = derived_constant_D(model)
-    probe = ParamSet(xi=1.0, delta=1.0, lam=1.0, D=D, **base)
+    probe = model_params(model, gamma=float(p.get("gamma", 1.5)), q=float(p.get("q", 1.0)), xi=1.0, delta=1.0, lam=1.0)
     try:
-        xi = float(p["xi"]) if "xi" in p else default_xi(probe)
+        probe = probe.with_(xi=float(p["xi"]) if "xi" in p else default_xi(probe))
     except EmptyWindow as exc:
         raise ConfigError(f"scenario.params: {exc}") from exc
-    probe = probe.with_(xi=xi)
-    if "delta" in p and "delta_frac" in p:
-        raise ConfigError("scenario.params: give delta or delta_frac, not both")
-    if "lambda" in p and "lambda_frac" in p:
-        raise ConfigError("scenario.params: give lambda or lambda_frac, not both")
-    delta = float(p["delta"]) if "delta" in p else float(p.get("delta_frac", 0.5)) * delta_ceiling(probe)
-    if "lambda" in p:
-        lam = float(p["lambda"])
-    else:
-        try:
-            lam = float(p.get("lambda_frac", 0.5)) * lambda_ceiling(probe)
-        except (EmptyWindow, XiOutOfWindow) as exc:
-            raise ConfigError(f"scenario.params: lambda_frac needs xi inside its window ({exc})") from exc
-    return ParamSet(xi=xi, delta=delta, lam=lam, D=D, **base)
+    delta = float(p.get("delta_frac", 0.5)) * delta_ceiling(probe)
+    try:
+        lam = float(p.get("lambda_frac", 0.5)) * lambda_ceiling(probe)
+    except (EmptyWindow, XiOutOfWindow) as exc:
+        raise ConfigError(f"scenario.params: lambda_frac needs xi inside its window ({exc})") from exc
+    return probe.with_(delta=delta, lam=lam)
 
 
-def _resolve_perturbation(sc: Scenario, mu, model: DichotomyModel, params: ParamSet, m: int) -> Perturbation:
+def _resolve_perturbation(sc: Scenario, model: DichotomyModel, params: ParamSet, m: int) -> Perturbation:
     """The scenario's perturbation; every read must sit on the field's segment grid of m + 1 samples."""
     shape = sc.perturbation.get("shape", "zero")
     n = model.n
     if shape == "zero":
         return Perturbation.zero(n)
-    reads_spec = sc.perturbation.get("reads")
-    if reads_spec is None:
-        reads_spec = [{"coord": 0, "lag_frac": 1.0}, {"coord": 1, "lag_frac": 0.5}][:n]
+    reads_spec = _require(sc.perturbation, "reads", "scenario.perturbation")
     reads = [(int(rec["coord"]), float(rec["lag_frac"]) * sc.delay) for rec in reads_spec]
     for coord, lag in reads:
         if not 0 <= coord < n:
             raise ConfigError(f"perturbation read coordinate {coord} outside 0..{n - 1}")
         lag_index(sc.delay, m, lag)  # OutOfDomain unless the lag is on the grid, within [0, delay]
     if shape == "saturating_cross":
-        return saturating_cross_perturbation(mu, params, reads=reads, n=n)
+        return saturating_cross_perturbation(model.mu, params, reads=reads, n=n)
     if shape == "linear_cross":
         gain = float(_require(sc.perturbation, "gain", "scenario.perturbation"))
-        return linear_cross_perturbation(mu, params, reads=reads, n=n, gain=gain)
+        return linear_cross_perturbation(model.mu, params, reads=reads, n=n, gain=gain)
     raise ConfigError(f"unknown perturbation shape {shape!r}")
 
 
@@ -337,14 +294,14 @@ def resolve(sc: Scenario) -> ResolvedScenario:
     """Model, params, perturbation and solver settings; a scenario value they reject raises ConfigError."""
     try:
         grid = GridSpec(**sc.grids)
-        mu, model = _resolve_model(sc, sc.params)
+        model = _resolve_model(sc)
         params = _resolve_params(sc, model)
-        pert = _resolve_perturbation(sc, mu, model, params, grid.m)
+        pert = _resolve_perturbation(sc, model, params, grid.m)
         t = sc.tolerances
         check_solver_settings(t["solver_tol"], t["max_sweeps"])
         return ResolvedScenario(
             scenario=sc,
-            mu=mu,
+            mu=model.mu,
             model=model,
             params=params,
             pert=pert,
@@ -371,12 +328,12 @@ def run_admissibility(res: ResolvedScenario) -> dict:
     }
 
 
-def run_dichotomy(res: ResolvedScenario, samples: Optional[int] = None, seed: Optional[int] = None) -> dict:
+def run_dichotomy(res: ResolvedScenario, samples: Optional[int] = None) -> dict:
     cert = verify_bounds(
         res.model,
         tuple(res.checks["window"]),
         samples if samples is not None else res.checks["cert_samples"],
-        seed=seed if seed is not None else res.seed,
+        seed=res.seed,
         tol=res.cert_tol,
         m=res.checks["cert_m"],
     )

@@ -22,12 +22,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .admissibility import ParamSet
 from .dde_core import DelayTerm, LinearDelaySystem, fundamental_jump, solution_op_T
 from .errors import TimeOrder
 from .growth_rate import GrowthRate, mu_weight, rate_by_id, ratio_bound_N
 from .phase_space import JumpSegment, Segment
-
-DEFAULT_SCAN = np.linspace(-50.0, 50.0, 20001)
 
 
 @dataclass(frozen=True)
@@ -216,11 +215,10 @@ def diagonal_model(
     Declared constants default to a reference set; K defaults to the honest
     worst case for these projections: the unstable projector has norm one,
     so the transient of I - Q on one delay interval costs a factor 2, and
-    reading the segment at omega = -r costs N(r)^alpha.  N is scanned here,
-    once per model.
+    reading the segment at omega = -r costs N(r)^alpha.
     """
     coords = tuple(coords)
-    N = ratio_bound_N(mu, r, DEFAULT_SCAN)
+    N = ratio_bound_N(mu, r)
     if K is None:
         K = (2.0 if any(c.role == "unstable" for c in coords) else 1.0) * N**alpha
 
@@ -274,24 +272,18 @@ def three_dim_model(mu: GrowthRate, r: float, **kw) -> DichotomyModel:
     return diagonal_model(mu, r, coords, **kw)
 
 
-def sin_wobble_model(
-    r: float,
-    *,
-    alpha0: float = 1.0,
-    theta0: float = 0.1,
-    theta: Optional[float] = None,
-    K: Optional[float] = None,
-) -> DichotomyModel:
+def sin_wobble_model(r: float, *, alpha0: float = 1.0, theta0: float = 0.1, **declared) -> DichotomyModel:
     """Stable scalar whose decay wobbles with d/dt(t sin t), under mu = e^t.
 
     The primitive of the coefficient is rho(t) = -alpha0 t - theta0 t sin t,
     so the flow is exp(rho(t) - rho(s)).  The honest declaration weakens the
-    rate to alpha0 - theta0 and charges the wobble to the nonuniformity
-    exponent 2*theta0; setting theta = 0 is the shipped negative control.
+    rate to alpha = alpha0 - theta0 and charges the wobble to the
+    nonuniformity exponents theta = eps = 2*theta0; K is diagonal_model's
+    default N^alpha = e^(alpha r).  declared overrides any of these constants
+    (diagonal_model's keywords), so theta = 0 is the shipped negative control.
     """
     mu = rate_by_id("exp")
-    alpha = alpha0 - theta0
-    if alpha <= 0:
+    if alpha0 <= theta0:
         raise ValueError("alpha0 must exceed theta0")
 
     def log_flow(ts):
@@ -302,20 +294,8 @@ def sin_wobble_model(
         return -alpha0 - theta0 * (np.sin(t) + t * np.cos(t))
 
     coord = FlowCoordinate(role="stable", log_flow=log_flow, coeff=coeff)
-    return diagonal_model(
-        mu,
-        r,
-        [coord],
-        label="wobble",
-        K=K if K is not None else float(np.exp(alpha * r)),
-        alpha=alpha,
-        beta=0.6,
-        theta=2.0 * theta0 if theta is None else theta,
-        nu=0.0,
-        K_tilde=1.0,
-        a=0.5,
-        eps=2.0 * theta0,
-    )
+    honest = dict(alpha=alpha0 - theta0, beta=0.6, theta=2.0 * theta0, nu=0.0, K_tilde=1.0, a=0.5, eps=2.0 * theta0)
+    return diagonal_model(mu, r, [coord], label="wobble", **{**honest, **declared})
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +344,15 @@ def derived_constant_D(c) -> float:
     N = c.N
     K1 = c.K * c.K_tilde * N ** (abs(c.a - c.beta) + c.nu)
     return float(max(K1, c.K_tilde * N**c.a * (1.0 + K1), c.K * c.K_tilde * N ** (c.a + c.alpha + c.theta)))
+
+
+def model_params(model: DichotomyModel, **rest) -> ParamSet:
+    """The ParamSet of a model: its declared constants and N, D = derived_constant_D(model), and rest.
+
+    rest holds what the model does not declare: gamma, xi, delta, lam and q.
+    """
+    declared = {key: getattr(model, key) for key in ("K", "alpha", "beta", "theta", "nu", "K_tilde", "a", "eps", "N")}
+    return ParamSet(D=derived_constant_D(model), **declared, **rest)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 A rate mu has mu(0) = 1, tends to 0 at -inf and to +inf at +inf.  The
 delay-compatibility constant N(r) bounds mu(s + r) / mu(s) uniformly in s;
-the three built-in rates carry closed forms for it, plus closed-form
-inverses used by the change-of-variable quadratures elsewhere.
+every rate carries its closed form, plus a closed-form inverse used by the
+change-of-variable quadratures elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,15 +24,15 @@ class GrowthRate:
 
     eval, deriv and inverse accept scalars or numpy arrays.  inverse is the
     functional inverse of eval, which the truncated improper integrals need.
-    closed_form_N maps a delay r to the ratio bound N(r) > 1 when one is
-    known analytically.
+    closed_form_N maps a delay r to the ratio bound N(r) > 1, the exact
+    supremum of mu(s+r)/mu(s) over s.
     """
 
     label: str
     eval: Callable
     deriv: Callable
     inverse: Callable
-    closed_form_N: Optional[Callable] = None
+    closed_form_N: Callable
 
     def __call__(self, t):
         return self.eval(t)
@@ -44,28 +44,11 @@ def mu_weight(g: GrowthRate, t: float, exponent: float) -> float:
     return np.asarray(g.eval(t)) ** (-s * exponent)
 
 
-def _candidate_points(r: float) -> np.ndarray:
-    # Analytic argmax candidates: the catalogued piecewise rates attain the
-    # ratio supremum at s = -r/2, with seams at -r and 0.
-    return np.array([-r / 2.0, -r, 0.0])
-
-
-def ratio_bound_N(g: GrowthRate, r: float, grid) -> float:
-    """Bound on mu(s+r)/mu(s): max of the closed form (if any) and a scan.
-
-    The scan always includes the analytic candidates -r/2, -r, 0 on top of
-    the supplied grid.
-    """
+def ratio_bound_N(g: GrowthRate, r: float) -> float:
+    """sup_s mu(s+r)/mu(s), from the rate's closed form; every catalogued rate attains it at s = -r/2."""
     if r <= 0:
         raise NonPositiveDelay(f"delay must be positive, got {r}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise DegenerateGrid("empty grid for ratio scan")
-    pts = np.concatenate([grid.ravel(), _candidate_points(r)])
-    sup = float(np.max(g.eval(pts + r) / g.eval(pts)))
-    if g.closed_form_N is not None:
-        sup = max(sup, float(g.closed_form_N(r)))
-    return sup
+    return float(g.closed_form_N(r))
 
 
 def verify_property_H(g: GrowthRate, r: float, grid, N: float) -> bool:

@@ -2,11 +2,11 @@ import time
 
 import pytest
 
-from mu_lab.admissibility import ParamSet, delta_ceiling, lambda_ceiling
+from mu_lab.admissibility import delta_ceiling, lambda_ceiling
 from mu_lab.conjugacy import GridSpec, TruncationPolicy, picard_solve
 from mu_lab.dde_core import saturating_cross_perturbation
-from mu_lab.dichotomy import DEFAULT_SCAN, derived_constant_D, flagship_model
-from mu_lab.growth_rate import rate_by_id, ratio_bound_N
+from mu_lab.dichotomy import flagship_model, model_params
+from mu_lab.growth_rate import rate_by_id
 
 R = 0.5
 
@@ -15,25 +15,7 @@ def build_flagship(mu_id: str = "exp", r: float = R):
     """Reference two-coordinate scenario pieces used across the suite."""
     mu = rate_by_id(mu_id)
     model = flagship_model(mu, r)
-    N = ratio_bound_N(mu, r, DEFAULT_SCAN)
-    D = derived_constant_D(model)
-    base = ParamSet(
-        alpha=0.8,
-        beta=0.6,
-        theta=0.4,
-        nu=0.2,
-        eps=0.1,
-        a=1.0,
-        gamma=1.5,
-        xi=0.6,
-        delta=1e-3,
-        lam=1e-6,
-        q=1.0,
-        K=model.K,
-        K_tilde=model.K_tilde,
-        N=N,
-        D=D,
-    )
+    base = model_params(model, gamma=1.5, xi=0.6, delta=1e-3, lam=1e-6, q=1.0)
     params = base.with_(delta=0.5 * delta_ceiling(base), lam=0.5 * lambda_ceiling(base))
     pert = saturating_cross_perturbation(mu, params, reads=[(0, r), (1, r / 2)], n=2)
     return mu, model, params, pert

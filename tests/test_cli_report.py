@@ -21,6 +21,7 @@ from mu_lab.cli_report import (
     run_pipeline,
     strip_timings,
 )
+from mu_lab.dichotomy import derived_constant_D
 from mu_lab.errors import ConfigError, MissingSeries
 
 SCENARIOS = Path(mu_lab.__file__).parent / "scenarios"
@@ -77,6 +78,13 @@ def _with_tolerance(key, value) -> dict:
     return doc
 
 
+def _absolute_param(key, frac, value) -> dict:
+    doc = shipped("example5_2d")
+    del doc["params"][frac]
+    doc["params"][key] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, extra",
     [
@@ -97,10 +105,15 @@ def _with_tolerance(key, value) -> dict:
         (shipped("example5_2d"), ["--tol", "solver_tol=nan"]),
         (shipped("example5_2d"), ["--tol", "solver_tol=inf"]),
         (None, []),
+        # a constant has one declaration, in params; absolute Lipschitz scales are not scenario keys
+        ({**shipped("wobble_certificate"), "model": {"kind": "sin_wobble", "theta_override": 0.0}}, []),
+        (_absolute_param("delta", "delta_frac", 1e-3), []),
+        (_absolute_param("lambda", "lambda_frac", 1e-6), []),
     ],
     ids=["seed", "delay", "negative_alpha", "reads_per_coordinate", "tol_int", "tol_float",
          "file_no_sweeps", "file_negative_sweeps", "file_negative_tol", "file_nan_tol",
-         "flag_no_sweeps", "flag_negative_tol", "flag_nan_tol", "flag_infinite_tol", "missing_result"],
+         "flag_no_sweeps", "flag_negative_tol", "flag_nan_tol", "flag_infinite_tol", "missing_result",
+         "theta_override", "absolute_delta", "absolute_lambda"],
 )
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, doc, extra):
     path = tmp_path / "sc.json"
@@ -148,6 +161,13 @@ def test_bad_sections_fail_before_any_stage(tmp_path, capsys, monkeypatch, doc):
     assert ran == [] and not (tmp_path / "r.json").exists()
 
 
+def test_perturbation_without_reads_is_a_config_error():
+    doc = coarse_flagship()
+    del doc["perturbation"]["reads"]
+    with pytest.raises(ConfigError, match="'reads' in scenario.perturbation"):
+        resolve(parse_scenario(doc))
+
+
 def test_misaligned_read_lag_is_a_config_error(tmp_path, capsys, monkeypatch):
     # lag 0.3 r sits between samples of the m = 32 segment grid; it is
     # rejected when the scenario is resolved, before any stage runs
@@ -172,6 +192,23 @@ def test_resolution_matches_reference_build(flagship):
     assert res.model.d_u == 1
 
 
+@pytest.mark.parametrize("name", ["example5_2d", "example5_2d_negative_theta", "negative_delta", "wobble_certificate"])
+def test_params_copy_the_models_constants(name):
+    res = resolve(parse_scenario(shipped(name)))
+    for field in ("K", "alpha", "beta", "theta", "nu", "K_tilde", "a", "eps", "N"):
+        assert getattr(res.params, field) == getattr(res.model, field), field
+    assert res.params.D == derived_constant_D(res.model)
+
+
+def test_flow_powers_change_the_flow_not_the_declaration():
+    doc = shipped("example5_2d")
+    doc["model"]["stable_power"] = -1.0
+    model = resolve(parse_scenario(doc)).model
+    assert (model.alpha, model.beta) == (0.8, 0.6)
+    # under mu = e^t a power coordinate's coefficient is the power itself
+    assert [float(c.coeff(0.3)) for c in model.coords] == [-1.0, 0.6]
+
+
 def test_xi_defaults_to_window_midpoint():
     doc = shipped("example5_2d")
     del doc["params"]["xi"]
@@ -190,16 +227,39 @@ def test_negative_theta_short_circuits():
 
 
 def test_certificate_failure_exits_three():
-    # the params block keeps the honest nonuniformity exponent, so the
-    # scalar hypotheses pass, while the model's certificate claims theta = 0
+    # a uniform dichotomy (theta = eps = 0) satisfies the scalar hypotheses,
+    # but the wobbling flow is not uniform, so its certificate fails
     doc = shipped("wobble_certificate")
-    doc["model"]["theta_override"] = 0.0
-    doc["params"]["theta"] = 0.2
+    doc["params"].update(theta=0.0, eps=0.0)
     rep = run_pipeline(resolve(parse_scenario(doc)))
     assert rep["stages"]["admissibility"]["status"] == "pass"
     assert rep["status"] == "certificate_failed"
     assert rep["exit_code"] == EXIT_CERTIFICATE
     assert "conjugacy" not in rep["stages"]
+
+
+@pytest.mark.parametrize(
+    "name, declared, code",
+    [
+        ("wobble_certificate", {"theta": 0.0, "eps": 0.0}, EXIT_CERTIFICATE),
+        ("wobble_certificate", {"alpha": 1.0}, EXIT_CERTIFICATE),
+        ("wobble_certificate", {"theta": 0.0}, EXIT_ADMISSIBILITY),
+        ("example5_2d", {"K": 1.0}, EXIT_CERTIFICATE),
+    ],
+    ids=["wobble_uniform", "wobble_alpha0_rate", "wobble_theta_only", "flagship_unit_K"],
+)
+def test_declared_constants_reach_the_certificate(tmp_path, name, declared, code):
+    # the constants that params declare are the ones the certificate checks
+    doc = shipped(name)
+    doc["params"].update(declared)
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == code
+    rep = json.loads(out.read_text())
+    if code == EXIT_CERTIFICATE:
+        assert rep["stages"]["admissibility"]["status"] == "pass"
+        assert rep["status"] == "certificate_failed"
 
 
 def test_solver_failure_exits_four():
@@ -375,7 +435,7 @@ def test_cli_verify_dichotomy(tmp_path):
     path.write_text(json.dumps(shipped("wobble_certificate")))
     assert main(["verify-dichotomy", "--config", str(path), "--samples", "50"]) == EXIT_PASS
     doc = shipped("wobble_certificate")
-    doc["model"]["theta_override"] = 0.0
+    doc["params"].update(theta=0.0, eps=0.0)
     path.write_text(json.dumps(doc))
     assert main(["verify-dichotomy", "--config", str(path), "--samples", "50"]) == EXIT_CERTIFICATE
 

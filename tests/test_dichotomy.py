@@ -6,7 +6,6 @@ import pytest
 
 from mu_lab.dde_core import fundamental_jump, solution_op_T
 from mu_lab.dichotomy import (
-    DEFAULT_SCAN,
     apply_P0,
     apply_Q0,
     derived_constant_D,
@@ -396,7 +395,7 @@ def oracle_certificate(model, window, samples, seed, m):
     lo, hi = window
     rng = np.random.default_rng(seed)
     mu = model.mu
-    D = derived_constant_D(dataclasses.replace(model, N=ratio_bound_N(mu, model.r, DEFAULT_SCAN)))
+    D = derived_constant_D(dataclasses.replace(model, N=ratio_bound_N(mu, model.r)))
     probes, vectors = oracle_probes(model, m, rng)
     families = {name: [] for name in ("stable", "unstable", "bounded_growth", "jump_stable", "jump_unstable")}
 
