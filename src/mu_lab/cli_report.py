@@ -158,7 +158,8 @@ _TOP_KEYS = {
 # the dichotomy constants a scenario declares for its model; the ParamSet copies them from the model
 _DECLARED_KEYS = ("alpha", "beta", "theta", "nu", "eps", "a", "K", "K_tilde")
 _PARAM_KEYS = {*_DECLARED_KEYS, "gamma", "xi", "q", "delta_frac", "lambda_frac"}
-_MODEL_KEYS = {"kind", "stable_power", "unstable_power", "alpha0", "theta0"}
+# each model kind with the numbers its section may set besides "kind"
+_MODEL_KEYS = {"diagonal_flow": ("stable_power", "unstable_power"), "sin_wobble": ("alpha0", "theta0")}
 _PERT_KEYS = {"shape", "reads", "gain"}
 # the optional sections, each key with its default; a scenario may set only these keys
 _DEFAULTS = {
@@ -177,6 +178,16 @@ _DEFAULTS = {
 }
 
 
+def _parse_model(model: dict) -> dict:
+    """The model section: a known kind, and only that kind's keys, each a number."""
+    kind = _require(model, "kind", "scenario.model")
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model kind {kind!r} in scenario.model")
+    keys = _MODEL_KEYS[kind]
+    _check_keys(model, {"kind", *keys}, f"scenario.model of kind {kind!r}")
+    return {"kind": kind, **{key: _number(model[key], float, f"scenario.model.{key}") for key in keys if key in model}}
+
+
 def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigError("scenario root must be a JSON object")
@@ -189,8 +200,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if delay <= 0:
         raise ConfigError(f"delay must be positive, got {delay}")
     seed = _number(doc.get("seed", 0), int, "scenario.seed")
-    model = _object(_require(doc, "model", "scenario"), "scenario.model")
-    _check_keys(model, _MODEL_KEYS, "scenario.model")
+    model = _parse_model(_object(_require(doc, "model", "scenario"), "scenario.model"))
     params = _object(doc.get("params", {}), "scenario.params")
     _check_keys(params, _PARAM_KEYS, "scenario.params")
     pert = _object(doc.get("perturbation", {"shape": "zero"}), "scenario.perturbation")
@@ -236,22 +246,21 @@ def load_scenario(path) -> Scenario:
 
 def _resolve_model(sc: Scenario) -> DichotomyModel:
     """The scenario's model; every declared constant in params overrides the builder's, for either kind."""
-    kind = _require(sc.model, "kind", "scenario.model")
+    kind = sc.model["kind"]
     declared = {key: float(sc.params[key]) for key in _DECLARED_KEYS if key in sc.params}
     if kind == "diagonal_flow":
         mu = rate_by_id(sc.growth_rate)
         model = flagship_model(mu, sc.delay, label=sc.name, **declared)
         if "stable_power" in sc.model or "unstable_power" in sc.model:
             powers = (sc.model.get("stable_power", -model.alpha), sc.model.get("unstable_power", model.beta))
-            coords = [_power_coordinate(mu, float(power)) for power in powers]
+            coords = [_power_coordinate(mu, power) for power in powers]
             model = diagonal_model(mu, sc.delay, coords, label=sc.name, **declared)
         return model
-    if kind == "sin_wobble":
-        if sc.growth_rate != "exp":
-            raise ConfigError("sin_wobble model requires growth_rate 'exp'")
-        shape = {key: float(sc.model[key]) for key in ("alpha0", "theta0") if key in sc.model}
-        return sin_wobble_model(sc.delay, **shape, **declared)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    # parse_scenario admits no other kind than these two
+    if sc.growth_rate != "exp":
+        raise ConfigError("sin_wobble model requires growth_rate 'exp'")
+    shape = {key: value for key, value in sc.model.items() if key != "kind"}
+    return sin_wobble_model(sc.delay, **shape, **declared)
 
 
 def _resolve_params(sc: Scenario, model: DichotomyModel) -> ParamSet:

@@ -642,12 +642,8 @@ def picard_solve(
         if converged or k == max_sweeps:
             break  # eta is the field whose update delta was just measured
         eta = eta.with_data(new_vals, new_dvals)
-    norms = {
-        "inf": eta.norm_inf(),
-        "inf_mu": eta.norm_inf_mu(),
-        "dinf_mu": eta.dnorm_inf_mu(),
-        "one_mu": eta.norm_1mu(),
-    }
+    inf_mu, dinf_mu = eta.norm_inf_mu(), eta.dnorm_inf_mu()
+    norms = {"inf": eta.norm_inf(), "inf_mu": inf_mu, "dinf_mu": dinf_mu, "one_mu": inf_mu + dinf_mu}
     return ConjugacyResult(
         eta=eta,
         params=params,

@@ -108,13 +108,23 @@ def _log_flows(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray):
     return rho_g, _rho_matrix(model.coords, taus)[:, :, None], grid >= taus[:, None] - 1e-12
 
 
+def _flows(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray):
+    """The flows exp(rho_i(t + omega) - rho_i(tau)) (n, n_tau, n_omega) and the mask t + omega >= tau of _log_flows."""
+    rho_g, rho_t, ahead = _log_flows(model, t, taus, omega)
+    return np.exp(rho_g - rho_t), ahead
+
+
+def _p0_masked(model: DichotomyModel, flow: np.ndarray, ahead: np.ndarray) -> np.ndarray:
+    """p0_kernel from _flows: the stable flow ahead of tau, the negated unstable flow before it."""
+    out = np.empty_like(flow)
+    for i, c in enumerate(model.coords):
+        out[i] = np.where(ahead, flow[i], 0.0) if c.role == "stable" else np.where(ahead, 0.0, -flow[i])
+    return out
+
+
 def p0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Per-coordinate kernels (n, n_tau, n_omega) of v -> T0(t,tau) P0(tau) v; t as in _log_flows."""
-    rho_g, rho_t, ahead = _log_flows(model, t, taus, omega)
-    out = np.exp(rho_g - rho_t)
-    for i, c in enumerate(model.coords):
-        out[i] = np.where(ahead, out[i], 0.0) if c.role == "stable" else np.where(ahead, 0.0, -out[i])
-    return out
+    return _p0_masked(model, *_flows(model, t, taus, omega))
 
 
 def q0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -141,8 +151,7 @@ def seg_T_closed(model: DichotomyModel, t: np.ndarray, s: np.ndarray, values: np
         raise TimeOrder(f"t earlier than s in {np.count_nonzero(t < s)} of {t.size} pairs")
     r, m = model.r, values.shape[-2] - 1
     omega = np.linspace(-r, 0.0, m + 1)
-    rho_g, rho_s, ahead = _log_flows(model, t, s, omega)
-    flow = np.exp(rho_g - rho_s)
+    flow, ahead = _flows(model, t, s, omega)
     x = (np.clip(t[:, None] + omega - s[:, None], -r, 0.0) + r) / r * m
     j = np.minimum(np.floor(x).astype(int), m - 1)[:, None, :, None]
     w = x[:, None, :, None] - j
@@ -425,13 +434,20 @@ def _probe_segments(model: DichotomyModel, m: int, rng: np.random.Generator) -> 
     return np.stack(probes)
 
 
-_PAIR_BLOCK = 16  # time pairs measured together; bounds the (pairs, probes, m+1, n) temporaries
+# time pairs measured together; a block of near pairs evolves (block, probes, m+1, n) segments,
+# so larger blocks raise peak memory for little speed
+_PAIR_BLOCK = 64
 
 
-def _jump_gain(kern: np.ndarray, vecs: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Per pair, max over vecs of sup_norm(kern applied to v) / norm(v); kern is (n, pairs, m+1)."""
-    peak = np.max(np.abs(kern), axis=2)  # (n, pairs)
-    return np.max(np.max(np.abs(vecs)[:, :, None] * peak, axis=1) / norms[:, None], axis=0)
+def _end_gain(peak: np.ndarray, ends: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Per pair, max over probes of max_i |ends_i| * peak_i / norm.
+
+    peak (n, pairs) is each coordinate's largest kernel or flow sample, ends
+    (probes, n, 1) or (probes, n, pairs) the probes' values at omega = 0.
+    Rounding is monotone, so this is the sup norm of the endpoint carried by
+    the kernel, bit for bit.
+    """
+    return np.max(np.max(np.abs(ends) * peak, axis=1) / norms[:, None], axis=0)
 
 
 def _unit_gain(kern: np.ndarray) -> np.ndarray:
@@ -443,8 +459,12 @@ def _measure_pairs(model: DichotomyModel, t, s, probes: np.ndarray) -> np.ndarra
     """Measured norms (5, pairs) of the five families, in verify_bounds' order.
 
     The forward families evolve from s to t; the unstable ones pull back
-    from t to s.  The unstable family's jumps are the probes' endpoints;
-    the projected-jump families take the sup-norm unit vectors, and because
+    from t to s.  A pair a delay or more apart (t + omega >= s for every
+    omega) carries only the probe's endpoint, along the flow, so its two
+    segment families are the endpoint times each coordinate's flow peak;
+    only closer pairs evolve whole probe segments through seg_T_closed.
+    The unstable family's jumps are the probes' endpoints; the
+    projected-jump families take the sup-norm unit vectors, and because
     every kernel is diagonal, coordinate i of the response to v is |v_i| <= 1
     times kernel i, so the unit vectors e_i attain the norm exactly.  The
     bounded-growth family needs no jump part: p0 + q0 is the flow where
@@ -453,19 +473,33 @@ def _measure_pairs(model: DichotomyModel, t, s, probes: np.ndarray) -> np.ndarra
     omega = np.linspace(-model.r, 0.0, probes.shape[1])
     probe_norms = np.max(np.abs(probes), axis=(1, 2))
     ends = probes[:, -1]  # (probes, n)
+    flow, ahead = _flows(model, t, s, omega)
+    peak = np.max(flow, axis=2)  # (n, pairs)
+    # P(s) of a probe: the probe minus its unstable endpoint spread along the
+    # backward solution, which is the endpoint itself at omega = 0
+    spread_end = q0_kernel(model, s, s, omega[-1:])[:, :, 0]  # (n, pairs)
+    stable = _end_gain(peak, ends[:, :, None] - ends[:, :, None] * spread_end, probe_norms)
+    growth = _end_gain(peak, ends[:, :, None], probe_norms)
 
-    def probe_gain(values):
-        return np.max(np.max(np.abs(seg_T_closed(model, t, s, values)), axis=(2, 3)) / probe_norms, axis=1)
+    near = ~np.all(ahead, axis=1)
+    if np.any(near):
+        t_near, s_near = t[near], s[near]
 
-    # P(s) of a probe: the probe minus its unstable endpoint spread along the backward solution
-    spread = q0_kernel(model, s, s, omega).transpose(1, 2, 0)[:, None]  # (pairs, 1, m+1, n)
+        def probe_gain(values):
+            evolved = seg_T_closed(model, t_near, s_near, values)
+            return np.max(np.max(np.abs(evolved), axis=(2, 3)) / probe_norms, axis=1)
+
+        spread = q0_kernel(model, s_near, s_near, omega).transpose(1, 2, 0)[:, None]  # (near, 1, m+1, n)
+        stable[near] = probe_gain(probes - ends[:, None, :] * spread)
+        growth[near] = probe_gain(probes[None])
+
     back = q0_kernel(model, s, t, omega)
     return np.stack(
         [
-            probe_gain(probes - ends[:, None, :] * spread),
-            _jump_gain(back, ends, probe_norms),
-            probe_gain(probes[None]),
-            _unit_gain(p0_kernel(model, t, s, omega)),
+            stable,
+            _end_gain(np.max(back, axis=2), ends[:, :, None], probe_norms),
+            growth,
+            _unit_gain(_p0_masked(model, flow, ahead)),
             _unit_gain(back),
         ]
     )
@@ -482,13 +516,16 @@ def verify_bounds(
 ) -> DichotomyCertificate:
     """Measure all five bound families on random time pairs in the window.
 
-    Pairs s <= t are measured as arrays, _PAIR_BLOCK at a time; the two
-    unstable families use them with the times swapped.  Failures are
-    recorded in the certificate, never raised.  The diagonal closed forms
-    are what make this affordable: sampling windows of +-10 sit far outside
-    what step-by-step integration covers in reasonable time.  The three
-    segment families probe a finite family and so measure lower bounds; the
-    two projected-jump families probe the unit vectors, which is exact for
+    Pairs s <= t are measured as arrays, _PAIR_BLOCK at a time in order of
+    t - s; the two unstable families use them with the times swapped.
+    Pairs a delay or more apart are measured from the probes' endpoints and
+    the flow's peak; only closer pairs evolve whole probe segments, and the
+    order gathers them into the first blocks.  Failures are recorded
+    in the certificate, never raised.  The diagonal closed forms are what
+    make this affordable: sampling windows of +-10 sit far outside what
+    step-by-step integration covers in reasonable time.  The three segment
+    families probe a finite family and so measure lower bounds; the two
+    projected-jump families probe the unit vectors, which is exact for
     diagonal kernels (see _measure_pairs).
     """
     lo, hi = window
@@ -499,8 +536,9 @@ def verify_bounds(
     rng.normal(size=(3, model.n))  # keeps the stream, so time pairs and recorded reports stay as they were
     s, t = np.sort(rng.uniform(lo, hi, size=(samples, 2)), axis=1).T
     measured = np.empty((5, samples))
+    by_gap = np.argsort(t - s, kind="stable")  # blocks of closer pairs first, so the rest are all far
     for i in range(0, samples, _PAIR_BLOCK):
-        blk = slice(i, i + _PAIR_BLOCK)
+        blk = by_gap[i : i + _PAIR_BLOCK]
         measured[:, blk] = _measure_pairs(model, t[blk], s[blk], probes)
 
     mu_s, mu_t = np.asarray(mu.eval(s), dtype=float), np.asarray(mu.eval(t), dtype=float)

@@ -144,9 +144,16 @@ def _without_lag_frac(doc):
         {**shipped("example5_2d"), "checks": {"residual_samples": "abc"}},
         {**shipped("example5_2d"), "checks": {"window": "wide"}},
         {**shipped("example5_2d"), "checks": {"cert_samples": 0.5}},
+        {**shipped("example5_2d"), "model": {"kind": "diagonal_flow", "theta0": 0.7}},
+        {**shipped("example5_2d"), "model": {"kind": "diagonal_flow", "alpha0": 1.0}},
+        {**shipped("wobble_certificate"), "model": {"kind": "sin_wobble", "stable_power": -3.0}},
+        {**shipped("wobble_certificate"), "model": {"kind": "sin_wobble", "unstable_power": 0.6}},
+        {**shipped("example5_2d"), "model": {"kind": "diagonal_flow", "stable_power": "steep"}},
+        {**shipped("example5_2d"), "model": {"kind": ["diagonal_flow"]}},
     ],
     ids=["grids_number", "tolerances_list", "read_without_lag_frac", "reads_number", "cert_samples", "residual_samples",
-         "window", "fractional_count"],
+         "window", "fractional_count", "flow_theta0", "flow_alpha0", "wobble_stable_power", "wobble_unstable_power",
+         "power_string", "kind_list"],
 )
 def test_bad_sections_fail_before_any_stage(tmp_path, capsys, monkeypatch, doc):
     # every section is an object and every value has its default's type when

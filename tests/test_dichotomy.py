@@ -6,6 +6,8 @@ import pytest
 
 from mu_lab.dde_core import fundamental_jump, solution_op_T
 from mu_lab.dichotomy import (
+    _measure_pairs,
+    _probe_segments,
     apply_P0,
     apply_Q0,
     derived_constant_D,
@@ -515,3 +517,86 @@ def test_certificate_memory_stays_per_block(diag2):
         tracemalloc.stop()
     assert len(cert.checks[0].samples) == 2000
     assert peak <= 4_000_000
+
+
+# ---------------------------------------------------------------------------
+# near/far split: far pairs from the endpoint and the flow's peak
+# ---------------------------------------------------------------------------
+
+
+def segment_path(model, t, s, probes):
+    """The five families' measures (5, pairs) with every pair evolved as whole probe segments by seg_T_closed."""
+    omega = np.linspace(-model.r, 0.0, probes.shape[1])
+    probe_norms = np.max(np.abs(probes), axis=(1, 2))
+    ends = probes[:, -1]
+
+    def probe_gain(values):
+        return np.max(np.max(np.abs(seg_T_closed(model, t, s, values)), axis=(2, 3)) / probe_norms, axis=1)
+
+    def jump_gain(kern):
+        peak = np.max(np.abs(kern), axis=2)
+        return np.max(np.max(np.abs(ends)[:, :, None] * peak, axis=1) / probe_norms[:, None], axis=0)
+
+    spread = q0_kernel(model, s, s, omega).transpose(1, 2, 0)[:, None]
+    back = q0_kernel(model, s, t, omega)
+    return np.stack(
+        [
+            probe_gain(probes - ends[:, None, :] * spread),
+            jump_gain(back),
+            probe_gain(probes[None]),
+            np.max(np.abs(p0_kernel(model, t, s, omega)), axis=(0, 2)),
+            np.max(np.abs(back), axis=(0, 2)),
+        ]
+    )
+
+
+def all_ahead(model, t, s, m):
+    """Per pair, whether every column t + omega lies at or past s, with the kernels' 1e-12 tolerance."""
+    return np.all(t[:, None] + np.linspace(-model.r, 0.0, m + 1) >= s[:, None] - 1e-12, axis=1)
+
+
+SPLIT_MODELS = [
+    pytest.param(lambda mu, r: sin_wobble_model(r), EXP, id="wobble"),
+    pytest.param(flagship_model, EXP, id="flagship_model"),
+    pytest.param(three_dim_model, EXP, id="three_dim_model"),
+] + [pytest.param(flagship_model, mu, id=f"flagship_model-{mu.label}") for mu in builtin_catalogue() if mu.label != EXP.label]
+
+
+@pytest.mark.parametrize("build, mu", SPLIT_MODELS)
+def test_near_far_split_at_the_delay_matches_segment_path(build, mu):
+    # gaps at r, r +- 1e-13 sit inside the 1e-12 "ahead" tolerance, so those
+    # pairs are far; r - 2e-12 and closer are near; every sample row equal
+    model, m = build(mu, R), 48
+    probes = _probe_segments(model, m, np.random.default_rng(4))
+    offsets = np.array([0.0, 1e-13, -1e-13, 5e-13, -5e-13, -2e-12, -1e-11, -1e-3, 1e-3, -R, 2.0])
+    s = np.repeat(np.array([-7.3, -0.2, 0.0, 3.1, 8.9]), offsets.size)
+    t = s + np.tile(R + offsets, 5)
+    ahead = all_ahead(model, t, s, m)
+    assert ahead[np.tile(np.abs(offsets) <= 5e-13, 5)].all()
+    assert not ahead[np.tile(offsets <= -2e-12, 5)].any()
+    assert np.array_equal(_measure_pairs(model, t, s, probes), segment_path(model, t, s, probes))
+
+
+@pytest.mark.parametrize("build, mu", SPLIT_MODELS)
+def test_far_only_pairs_match_segment_path(build, mu):
+    model, m = build(mu, R), 40
+    rng = np.random.default_rng(21)
+    s = rng.uniform(-9.0, 5.0, size=150)
+    t = s + rng.uniform(R, 4.0, size=150)
+    probes = _probe_segments(model, m, rng)
+    assert all_ahead(model, t, s, m).all()
+    assert np.array_equal(_measure_pairs(model, t, s, probes), segment_path(model, t, s, probes))
+
+
+@pytest.mark.parametrize("build, mu", SPLIT_MODELS)
+@pytest.mark.parametrize("window, samples", [((0.0, 0.4), 150), ((-10.0, 10.0), 300)], ids=["all_near", "mixed"])
+def test_certificate_rows_match_segment_path(build, mu, window, samples):
+    # a window narrower than r holds only near pairs; +-10 mixes both over
+    # several blocks, which verify_bounds measures in order of t - s
+    model, seed, m = build(mu, R), 13, 32
+    cert = verify_bounds(model, window, samples=samples, seed=seed, m=m)
+    t, s = np.array(cert.check("stable").samples)[:, :2].T
+    near = ~all_ahead(model, t, s, m)
+    assert near.all() if window[1] - window[0] < R else 0 < near.sum() < samples
+    want = segment_path(model, t, s, _probe_segments(model, m, np.random.default_rng(seed)))
+    assert np.array_equal(np.array([np.array(c.samples)[:, 2] for c in cert.checks]), want)
