@@ -8,7 +8,6 @@ Lipschitz scales delta and lambda.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 from .errors import EmptyWindow, XiOutOfWindow
@@ -85,9 +84,6 @@ class AdmissibilityReport:
 
     def to_dict(self) -> dict:
         return {"entries": [e.to_dict() for e in self.entries], "pass": self.passed}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def check_core(p: ParamSet) -> AdmissibilityReport:

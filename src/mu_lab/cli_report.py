@@ -176,6 +176,11 @@ _DEFAULTS = {
         "residual_mu_max": 5e-3,
     },
 }
+# the grids/checks numbers that a stage divides by, counts with or draws over: each must be positive
+_POSITIVE = {
+    "grids": ("m", "t_step", "b_max", "b_step"),
+    "checks": ("cert_samples", "cert_m", "residual_samples", "residual_horizon_delays", "b_scale"),
+}
 
 
 def _parse_model(model: dict) -> dict:
@@ -186,6 +191,20 @@ def _parse_model(model: dict) -> dict:
     keys = _MODEL_KEYS[kind]
     _check_keys(model, {"kind", *keys}, f"scenario.model of kind {kind!r}")
     return {"kind": kind, **{key: _number(model[key], float, f"scenario.model.{key}") for key in keys if key in model}}
+
+
+def _check_ranges(sections: dict) -> None:
+    """Reject grids/checks values no stage can run on: a non-positive count, step or scale, or a reversed window."""
+    for key, names in _POSITIVE.items():
+        for name in names:
+            if not sections[key][name] > 0:
+                raise ConfigError(f"scenario.{key}.{name} must be positive, got {sections[key][name]!r}")
+    grids, checks = sections["grids"], sections["checks"]
+    windows = {"grids.t_min/t_max": (grids["t_min"], grids["t_max"])}
+    windows.update({f"checks.{name}": checks[name] for name in ("window", "core_window")})
+    for path, (lo, hi) in windows.items():
+        if not lo < hi:
+            raise ConfigError(f"scenario.{path} must be increasing, got {[lo, hi]}")
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -210,6 +229,7 @@ def parse_scenario(doc: dict) -> Scenario:
         user = _object(doc.get(key, {}), f"scenario.{key}")
         _check_keys(user, set(defaults), f"scenario.{key}")
         sections[key] = {name: _typed(user.get(name, d), d, f"scenario.{key}.{name}") for name, d in defaults.items()}
+    _check_ranges(sections)
     reads = pert.get("reads", [])
     if not isinstance(reads, list):
         raise ConfigError(f"scenario.perturbation.reads must be a list, got {reads!r}")
@@ -347,9 +367,7 @@ def run_dichotomy(res: ResolvedScenario, samples: Optional[int] = None) -> dict:
         m=res.checks["cert_m"],
     )
     doc = cert.to_dict()
-    doc["series"] = {
-        c.name: [list(row) for row in c.samples] for c in cert.checks
-    }
+    doc["series"] = {c.name: c.samples.tolist() for c in cert.checks}
     return {"status": "pass" if cert.passed else "fail", "certificate": doc}
 
 

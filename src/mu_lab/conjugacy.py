@@ -691,7 +691,7 @@ def conjugacy_residual(eta: EtaField, model: DichotomyModel, pert, t: float, s: 
     lin_s = np.zeros((m + 1, model.n))
     lin_s[:, u_idx] = b * unstable_shape(model, s, m)[0]
     start = Segment(model.r, lin_s) + eta.segment_at(s, b)
-    rhs = solve_perturbed_R(model.sys, pert, t, s, start, step=model.r / m)
+    rhs = solve_perturbed_R(model, pert, t, s, start, step=model.r / m)
 
     raw = sup_norm(lhs - rhs)
     weighted = raw * float(mu_weight(model.mu, t, eta.xi + eta.eps))
@@ -849,6 +849,6 @@ def invertibility_check(result: ConjugacyResult, model: DichotomyModel) -> dict:
 def propagation_gain(model: DichotomyModel, pert, tau: float, t: float, seg: Segment, scale: float = 1e-4) -> float:
     """Measured local Lipschitz gain of the nonlinear evolution over [tau, t]."""
     bumped = Segment(seg.r, seg.values + scale)
-    a = solve_perturbed_R(model.sys, pert, t, tau, seg, step=model.r / seg.m)
-    bb = solve_perturbed_R(model.sys, pert, t, tau, bumped, step=model.r / seg.m)
+    a = solve_perturbed_R(model, pert, t, tau, seg, step=model.r / seg.m)
+    bb = solve_perturbed_R(model, pert, t, tau, bumped, step=model.r / seg.m)
     return sup_norm(bb - a) / (scale if scale > 0 else 1.0)

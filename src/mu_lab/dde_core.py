@@ -1,13 +1,16 @@
-"""Method-of-steps integration of linear and perturbed delay equations.
+"""Method-of-steps integration of a diagonal model, optionally perturbed.
 
-The right-hand side of x'(t) = sum_k A_k(t) x(t - r_k) [+ g(t, x_t)] reads
-history through piecewise-linear interpolation.  The step is forced to
-divide the delay so that the derivative-discontinuity points s, s+r,
-s+2r, ... of the solution sit exactly on the integration grid; between
-them the classical RK4 order is preserved.  Jump initial data keeps exact
-semantics: reads strictly left of the start time are zero, the read at the
-start time itself returns the jump vector, and no interpolation ever
-blends across the start.
+The right-hand side of x_i'(t) = coeff_i(t) x_i(t) [+ g(t, x_t)] takes the
+linear part from the model's diagonal coordinates; the delay enters only
+through the perturbation's point reads, which see history through
+piecewise-linear interpolation.  The step is forced to divide the delay so
+that the derivative-discontinuity points s, s+r, s+2r, ... of the solution
+sit exactly on the integration grid; between them the classical RK4 order
+is preserved.  Jump initial data keeps exact semantics: reads strictly left
+of the start time are zero, the read at the start time itself returns the
+jump vector, and no interpolation ever blends across the start.  This
+integrator is the scalar reference that the closed-form kernels and the
+batched residual lattice are tested against.
 """
 
 from __future__ import annotations
@@ -22,35 +25,6 @@ from .errors import NonFiniteState, StepMisaligned, TimeOrder
 from .phase_space import JumpSegment, Segment, interpolate
 
 History = Union[Segment, JumpSegment]
-
-
-@dataclass(frozen=True)
-class DelayTerm:
-    """One point-delay term: coefficient matrix A(t) acting on x(t - lag)."""
-
-    lag: float
-    matrix: Callable[[float], np.ndarray]
-
-
-@dataclass(frozen=True)
-class LinearDelaySystem:
-    r: float
-    n: int
-    terms: tuple[DelayTerm, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        for term in self.terms:
-            if not 0.0 <= term.lag <= self.r + 1e-12:
-                raise ValueError(f"lag {term.lag} outside [0, r={self.r}]")
-
-    def apply(self, t: float, reader: Callable[[float], np.ndarray], state: np.ndarray) -> np.ndarray:
-        """L(t) applied to the segment exposed by `reader`, with x(t) = state."""
-        out = np.zeros(self.n)
-        for term in self.terms:
-            x = state if term.lag == 0.0 else reader(t - term.lag)
-            out += np.asarray(term.matrix(t), dtype=float) @ x
-        return out
 
 
 @dataclass(frozen=True)
@@ -81,22 +55,15 @@ class Trajectory:
         return Segment(self.r, vals)
 
 
-def _read(
-    history: History, s: float, times: np.ndarray, states: np.ndarray, t: float, left: bool = False
-) -> np.ndarray:
-    """Value of the solution (or its history) at time t, jump-exact at s.
-
-    `left` selects the limit from below at the start time, where jump data
-    is discontinuous; closing RK4 stages need it so each step integrates a
-    smooth branch.
-    """
+def _read(history: History, s: float, times: np.ndarray, states: np.ndarray, t: float) -> np.ndarray:
+    """Value of the solution (or its history) at time t, jump-exact at s."""
     if t < s - 1e-12:
         if isinstance(history, JumpSegment):
             return np.zeros(history.n)
         return interpolate(history, max(-history.r, t - s))
     if abs(t - s) <= 1e-12:
         if isinstance(history, JumpSegment):
-            return np.zeros(history.n) if left else history.jump.copy()
+            return history.jump.copy()
         return history.values[-1].copy()
     # forward region: linear interpolation on the computed grid
     idx = int(np.searchsorted(times, t))
@@ -109,32 +76,27 @@ def _read(
     return (1.0 - w) * states[idx - 1] + w * states[idx]
 
 
-def _check_step(sys: LinearDelaySystem, step: float) -> int:
+def _check_step(r: float, step: float) -> int:
     if step <= 0:
         raise StepMisaligned(f"step must be positive, got {step}")
-    ratio = sys.r / step
+    ratio = r / step
     if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
-        raise StepMisaligned(f"step {step} does not divide the delay {sys.r}")
-    for term in sys.terms:
-        if 0.0 < term.lag < step - 1e-12:
-            raise StepMisaligned(
-                f"lag {term.lag} smaller than the step {step}; stage reads would "
-                "need values ahead of the integration front"
-            )
+        raise StepMisaligned(f"step {step} does not divide the delay {r}")
     return int(round(ratio))
 
 
 def _integrate(
-    sys: LinearDelaySystem,
+    model,
     s: float,
     phi: History,
     t_end: float,
     step: float,
     pert: Optional[Perturbation] = None,
 ) -> Trajectory:
+    """RK4 method of steps for a DichotomyModel, duck-typed (r, n and coords) as dichotomy imports this module."""
     if t_end < s:
         raise TimeOrder(f"t_end {t_end} earlier than start {s}")
-    _check_step(sys, step)
+    m_seg = _check_step(model.r, step)
     if isinstance(phi, JumpSegment):
         x0 = phi.jump.astype(float).copy()
     else:
@@ -149,22 +111,21 @@ def _integrate(
     else:
         times = np.concatenate([[s], s + rem + step * np.arange(n_full + 1)])
     n_steps = len(times) - 1
-    states = np.empty((n_steps + 1, sys.n))
+    states = np.empty((n_steps + 1, model.n))
     states[0] = x0
 
-    m_seg = int(round(sys.r / step))
-    seg_offsets = np.linspace(-sys.r, 0.0, m_seg + 1)
+    seg_offsets = np.linspace(-model.r, 0.0, m_seg + 1)
     # sampled history prepended to the computed grid; the duplicated start
     # abscissa makes np.interp return the jump value at s and zero below it
     if isinstance(phi, JumpSegment):
         hist_t = s + np.linspace(-phi.r, 0.0, phi.m + 1)
-        hist_x = np.zeros((phi.m + 1, sys.n))
+        hist_x = np.zeros((phi.m + 1, model.n))
     else:
         hist_t = s + phi.omega_grid
         hist_x = phi.values
     n_hist = len(hist_t)
     known_t = np.concatenate([hist_t, times])
-    known_x = np.empty((n_hist + len(times), sys.n))
+    known_x = np.empty((n_hist + len(times), model.n))
     known_x[:n_hist] = hist_x
     known_x[n_hist] = states[0]
 
@@ -173,59 +134,52 @@ def _integrate(
             t = times[i]
             h = times[i + 1] - times[i]
             y = states[i]
-            view_t = times[: i + 1]
-            view_x = states[: i + 1]
             kt = known_t[: n_hist + i + 1]
             kx = known_x[: n_hist + i + 1]
 
-            def rhs(tt: float, yy: np.ndarray, left: bool = False) -> np.ndarray:
-                def rd(tau: float) -> np.ndarray:
-                    return _read(phi, s, view_t, view_x, tau, left=left)
-
-                out = sys.apply(tt, rd, yy)
+            def rhs(tt: float, yy: np.ndarray) -> np.ndarray:
+                out = np.array([c.coeff(tt) for c in model.coords], dtype=float) * yy
                 if pert is not None:
                     q = tt + seg_offsets
-                    vals = np.empty((m_seg + 1, sys.n))
-                    for c in range(sys.n):
+                    vals = np.empty((m_seg + 1, model.n))
+                    for c in range(model.n):
                         vals[:, c] = np.interp(q, kt, kx[:, c])
                     vals[-1] = yy
-                    out = out + np.asarray(pert.g(tt, Segment(sys.r, vals)), dtype=float)
+                    out = out + np.asarray(pert.g(tt, Segment(model.r, vals)), dtype=float)
                 return out
 
             k1 = rhs(t, y)
             k2 = rhs(t + h / 2.0, y + h / 2.0 * k1)
             k3 = rhs(t + h / 2.0, y + h / 2.0 * k2)
-            k4 = rhs(t + h, y + h * k3, left=True)
+            k4 = rhs(t + h, y + h * k3)
             states[i + 1] = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             known_x[n_hist + i + 1] = states[i + 1]
             if not np.all(np.isfinite(states[i + 1])):
                 raise NonFiniteState(f"state blew up at t = {times[i + 1]}")
-    return Trajectory(s=s, t_end=max(t_end, s), r=sys.r, step=step, times=times, states=states, history=phi)
+    return Trajectory(s=s, t_end=max(t_end, s), r=model.r, step=step, times=times, states=states, history=phi)
 
 
-def solve_linear(sys: LinearDelaySystem, s: float, phi: History, t_end: float, step: float) -> Trajectory:
-    """Integrate x'(t) = L(t) x_t from the segment (or jump data) phi."""
-    return _integrate(sys, s, phi, t_end, step)
+def solve_linear(model, s: float, phi: History, t_end: float, step: float) -> Trajectory:
+    """Integrate x_i'(t) = coeff_i(t) x_i(t) from the segment (or jump data) phi."""
+    return _integrate(model, s, phi, t_end, step)
 
 
-def solve_perturbed(
-    sys: LinearDelaySystem, pert: Perturbation, s: float, phi: History, t_end: float, step: float
-) -> Trajectory:
-    """Integrate x'(t) = L(t) x_t + g(t, x_t); g sees interpolated segments."""
-    return _integrate(sys, s, phi, t_end, step, pert=pert)
+def solve_perturbed(model, pert: Perturbation, s: float, phi: History, t_end: float, step: float) -> Trajectory:
+    """Integrate x_i'(t) = coeff_i(t) x_i(t) + g_i(t, x_t); g sees interpolated segments."""
+    return _integrate(model, s, phi, t_end, step, pert=pert)
 
 
-def solution_op_T(sys: LinearDelaySystem, t: float, s: float, phi: Segment, step: Optional[float] = None) -> Segment:
+def solution_op_T(model, t: float, s: float, phi: Segment, step: Optional[float] = None) -> Segment:
     """Segment view of the linear solution at time t; identity at t = s."""
     if t < s:
         raise TimeOrder(f"t={t} earlier than s={s}")
     if t == s:
         return phi
-    step = step if step is not None else sys.r / 64
-    return solve_linear(sys, s, phi, t, step).segment_at(t)
+    step = step if step is not None else model.r / 64
+    return solve_linear(model, s, phi, t, step).segment_at(t)
 
 
-def fundamental_jump(sys: LinearDelaySystem, t: float, s: float, p, step: Optional[float] = None, m: int = 64):
+def fundamental_jump(model, t: float, s: float, p, step: Optional[float] = None, m: int = 64):
     """Evolve jump data p at time s to the segment at time t.
 
     Returns the JumpSegment itself at t = s; a Segment for t > s (continuous
@@ -235,21 +189,21 @@ def fundamental_jump(sys: LinearDelaySystem, t: float, s: float, p, step: Option
         raise TimeOrder(f"t={t} earlier than s={s}")
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if t == s:
-        return JumpSegment(sys.r, p, m)
-    step = step if step is not None else sys.r / m
-    return solve_linear(sys, s, JumpSegment(sys.r, p, m), t, step).segment_at(t)
+        return JumpSegment(model.r, p, m)
+    step = step if step is not None else model.r / m
+    return solve_linear(model, s, JumpSegment(model.r, p, m), t, step).segment_at(t)
 
 
 def solve_perturbed_R(
-    sys: LinearDelaySystem, pert: Perturbation, t: float, s: float, phi: Segment, step: Optional[float] = None
+    model, pert: Perturbation, t: float, s: float, phi: Segment, step: Optional[float] = None
 ) -> Segment:
     """Segment of the perturbed solution at t; reduces to T(t,s) for g = 0."""
     if t < s:
         raise TimeOrder(f"t={t} earlier than s={s}")
     if t == s:
         return phi
-    step = step if step is not None else sys.r / 64
-    return solve_perturbed(sys, pert, s, phi, t, step).segment_at(t)
+    step = step if step is not None else model.r / 64
+    return solve_perturbed(model, pert, s, phi, t, step).segment_at(t)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,13 @@ certificate tolerance absorbs that slack.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .admissibility import ParamSet
-from .dde_core import DelayTerm, LinearDelaySystem, fundamental_jump, solution_op_T
+from .dde_core import fundamental_jump, solution_op_T
 from .errors import TimeOrder
 from .growth_rate import GrowthRate, mu_weight, rate_by_id, ratio_bound_N
 from .phase_space import JumpSegment, Segment
@@ -49,7 +48,6 @@ class DichotomyModel:
     label: str
     mu: GrowthRate
     r: float
-    sys: LinearDelaySystem
     coords: tuple[FlowCoordinate, ...]
     K: float
     alpha: float
@@ -63,7 +61,7 @@ class DichotomyModel:
 
     @property
     def n(self) -> int:
-        return self.sys.n
+        return len(self.coords)
 
     @property
     def d_u(self) -> int:
@@ -231,14 +229,10 @@ def diagonal_model(
     if K is None:
         K = (2.0 if any(c.role == "unstable" for c in coords) else 1.0) * N**alpha
 
-    terms = (DelayTerm(0.0, lambda t, cs=coords: np.diag([c.coeff(t) for c in cs])),)
-    sys = LinearDelaySystem(r=r, n=len(coords), terms=terms, label=label)
-
     return DichotomyModel(
         label=label,
         mu=mu,
         r=r,
-        sys=sys,
         coords=coords,
         K=K,
         alpha=alpha,
@@ -325,7 +319,7 @@ def apply_Q0(model: DichotomyModel, t: float, p, *, m: int = 64) -> Segment:
     vals = np.zeros((m + 1, model.n))
     if idx:
         s_up = t + model.r
-        ahead = fundamental_jump(model.sys, s_up, t, p, m=m).values[-1, idx]
+        ahead = fundamental_jump(model, s_up, t, p, m=m).values[-1, idx]
         vals[:, idx] = ((ahead * unstable_flow(model, t, s_up))[:, None] * unstable_shape(model, t, m)).T
     return Segment(model.r, vals)
 
@@ -338,10 +332,10 @@ def apply_P0(model: DichotomyModel, t: float, p, *, m: int = 64) -> P0Composite:
 
 def evolve_P0(model: DichotomyModel, t_to: float, t: float, comp: P0Composite, *, m: int = 64) -> Segment:
     """T0(t_to, t) applied to a (jump, continuous) composite, by integration with step r/m."""
-    jumped = fundamental_jump(model.sys, t_to, t, comp.jump, m=m)
+    jumped = fundamental_jump(model, t_to, t, comp.jump, m=m)
     if isinstance(jumped, JumpSegment):
         raise TimeOrder("evolve_P0 needs t_to > t")
-    return jumped + solution_op_T(model.sys, t_to, t, comp.segment, step=model.r / m)
+    return jumped + solution_op_T(model, t_to, t, comp.segment, step=model.r / m)
 
 
 def derived_constant_D(c) -> float:
@@ -375,7 +369,7 @@ class BoundCheck:
     worst_ratio: float
     argmax_pair: tuple[float, float]
     passed: bool
-    samples: tuple = field(default=(), repr=False)
+    samples: np.ndarray = field(repr=False, compare=False)  # (pairs, 5): the row's two times, measured, bound, ratio
 
     def to_dict(self) -> dict:
         return {
@@ -409,9 +403,6 @@ class DichotomyCertificate:
             "pass": self.passed,
             "bounds": [c.to_dict() for c in self.checks],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _probe_segments(model: DichotomyModel, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -564,7 +555,7 @@ def verify_bounds(
                 worst_ratio=float(ratios[worst]),
                 argmax_pair=(float(first[worst]), float(second[worst])),
                 passed=bool(ratios[worst] <= 1.0 + tol),
-                samples=tuple(zip(first.tolist(), second.tolist(), meas.tolist(), bound.tolist(), ratios.tolist())),
+                samples=np.column_stack([first, second, meas, bound, ratios]),
             )
         )
     return DichotomyCertificate(window=(float(lo), float(hi)), checks=tuple(checks), tolerance=tol)

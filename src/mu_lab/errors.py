@@ -18,7 +18,7 @@ class OutOfDomain(MuLabError):
 
 
 class StepMisaligned(MuLabError):
-    """Integrator step does not divide the delay, or a lag is unresolvable."""
+    """Integrator step is not positive or does not divide the delay."""
 
 
 class NonFiniteState(MuLabError):

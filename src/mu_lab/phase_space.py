@@ -8,7 +8,6 @@ type so interpolation can never smooth the discontinuity away.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,18 +81,6 @@ class Segment:
     def _check_compatible(self, other: "Segment") -> None:
         if self.values.shape != other.values.shape or self.r != other.r:
             raise ValueError("segments live on different grids")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"r": self.r, "n": self.n, "m": self.m, "values": self.values.ravel().tolist()},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Segment":
-        doc = json.loads(text)
-        vals = np.asarray(doc["values"], dtype=float).reshape(doc["m"] + 1, doc["n"])
-        return cls(doc["r"], vals)
 
 
 @dataclass(frozen=True)

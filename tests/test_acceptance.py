@@ -14,16 +14,10 @@ import mu_lab
 from conftest import COARSE_GRID, COARSE_TRUNC, R
 from mu_lab.admissibility import ParamSet, check_core, delta_ceiling, lambda_ceiling, xi_window
 from mu_lab.conjugacy import EtaField, GridSpec, picard_solve, verify_residuals, invertibility_check
-from mu_lab.dde_core import (
-    DelayTerm,
-    LinearDelaySystem,
-    Perturbation,
-    linear_cross_perturbation,
-    solve_linear,
-)
-from mu_lab.dichotomy import scalar_stable_model, scalar_unstable_model, verify_bounds
+from mu_lab.dde_core import Perturbation, linear_cross_perturbation, solve_linear
+from mu_lab.dichotomy import FlowCoordinate, diagonal_model, scalar_stable_model, scalar_unstable_model, verify_bounds
 from mu_lab.errors import NotContracting
-from mu_lab.growth_rate import builtin_catalogue
+from mu_lab.growth_rate import builtin_catalogue, rate_by_id
 from mu_lab.phase_space import Segment
 from mu_lab.cli_report import load_scenario, resolve, run_pipeline
 
@@ -182,11 +176,13 @@ def test_criterion_7_negative_controls(flagship):
 
 
 def test_criterion_8_integrator_order():
-    sys = LinearDelaySystem(r=1.0, n=1, terms=(DelayTerm(0.0, lambda t: np.array([[-1.0]])),))
+    # x'(t) = -x(t), a diagonal model with flow exp(-(t - s))
+    coord = FlowCoordinate("stable", log_flow=lambda ts: -np.asarray(ts), coeff=lambda ts: np.full(np.shape(ts), -1.0))
+    model = diagonal_model(rate_by_id("exp"), 1.0, [coord])
     phi = Segment.constant(1.0, [1.0], 8)
     errs = []
     for step in (1.0 / 8, 1.0 / 16):
-        traj = solve_linear(sys, 0.0, phi, 2.0, step)
+        traj = solve_linear(model, 0.0, phi, 2.0, step)
         errs.append(abs(traj.state_at(2.0)[0] - np.exp(-2.0)))
     ratio = errs[0] / errs[1]
     ok = 15.0 <= ratio <= 17.0

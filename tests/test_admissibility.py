@@ -163,8 +163,8 @@ def test_delta_ceiling_maximal_at_q_one():
 
 def test_report_determinism():
     p = params(D=3.3, K_tilde=1.2, delta=1e-4, lam=1e-6)
-    a = full_report(p).to_json()
-    b = full_report(ParamSet(**json.loads(json.dumps(p.__dict__)))).to_json()
+    a = full_report(p).to_dict()
+    b = full_report(ParamSet(**json.loads(json.dumps(p.__dict__)))).to_dict()
     assert a == b
 
 

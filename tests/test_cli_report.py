@@ -133,6 +133,31 @@ def _without_lag_frac(doc):
     return doc
 
 
+def _with(section: str, key: str, value):
+    """The shipped flagship with one grids/checks value replaced."""
+    doc = shipped("example5_2d")
+    doc[section][key] = value
+    return doc
+
+
+# grids/checks values no stage can run on; unchecked, each crashed, exited 3 or passed vacuously
+_OUT_OF_RANGE = {
+    "cert_samples_zero": ("checks", "cert_samples", 0),
+    "cert_samples_negative": ("checks", "cert_samples", -3),
+    "window_reversed": ("checks", "window", [10.0, -10.0]),
+    "core_window_reversed": ("checks", "core_window", [2.0, -2.0]),
+    "b_scale_negative": ("checks", "b_scale", -1.0),
+    "t_step_zero": ("grids", "t_step", 0.0),
+    "m_zero": ("grids", "m", 0),
+    "b_step_negative": ("grids", "b_step", -0.25),
+    "t_window_reversed": ("grids", "t_min", 5.0),
+    "residual_samples_negative": ("checks", "residual_samples", -1),
+    "residual_samples_zero": ("checks", "residual_samples", 0),
+    "cert_m_zero": ("checks", "cert_m", 0),
+    "residual_horizon_negative": ("checks", "residual_horizon_delays", -1.0),
+}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -150,10 +175,11 @@ def _without_lag_frac(doc):
         {**shipped("wobble_certificate"), "model": {"kind": "sin_wobble", "unstable_power": 0.6}},
         {**shipped("example5_2d"), "model": {"kind": "diagonal_flow", "stable_power": "steep"}},
         {**shipped("example5_2d"), "model": {"kind": ["diagonal_flow"]}},
+        *(_with(*case) for case in _OUT_OF_RANGE.values()),
     ],
     ids=["grids_number", "tolerances_list", "read_without_lag_frac", "reads_number", "cert_samples", "residual_samples",
          "window", "fractional_count", "flow_theta0", "flow_alpha0", "wobble_stable_power", "wobble_unstable_power",
-         "power_string", "kind_list"],
+         "power_string", "kind_list", *_OUT_OF_RANGE],
 )
 def test_bad_sections_fail_before_any_stage(tmp_path, capsys, monkeypatch, doc):
     # every section is an object and every value has its default's type when

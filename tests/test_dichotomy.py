@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mu_lab.dde_core import fundamental_jump, solution_op_T
+from mu_lab.dde_core import fundamental_jump, solution_op_T, solve_linear
 from mu_lab.dichotomy import (
     _measure_pairs,
     _probe_segments,
@@ -118,7 +118,7 @@ def test_apply_P0_proof_identity(diag2):
     t, p = -0.4, np.array([0.7, -1.2])
     comp = apply_P0(diag2, t, p, m=48)
     lhs = evolve_P0(diag2, t + R, t, comp, m=48)
-    rhs = project_P(diag2, t + R, fundamental_jump(diag2.sys, t + R, t, p, m=48))
+    rhs = project_P(diag2, t + R, fundamental_jump(diag2, t + R, t, p, m=48))
     assert sup_norm(lhs - rhs) < 1e-6
 
 
@@ -126,8 +126,8 @@ def test_round_trip_factorization(diag2):
     # forward evolution of the jump projection recovers Q(t+r) T0(t+r,t) X0 p
     t, p = 0.9, np.array([0.3, 0.8])
     q0 = apply_Q0(diag2, t, p, m=48)
-    lhs = solution_op_T(diag2.sys, t + R, t, q0, step=R / 48)
-    rhs = project_Q(diag2, t + R, fundamental_jump(diag2.sys, t + R, t, p, m=48))
+    lhs = solution_op_T(diag2, t + R, t, q0, step=R / 48)
+    rhs = project_Q(diag2, t + R, fundamental_jump(diag2, t + R, t, p, m=48))
     assert sup_norm(lhs - rhs) < 1e-6
 
 
@@ -194,7 +194,7 @@ def test_stable_flow_value_is_exact_power_law():
 def test_coefficients_are_vectorized_flow_derivatives(mu):
     # rho' takes whole time arrays (the batched residual check evaluates a
     # stage for every sample at once), matches rho by central difference,
-    # and the system assembled from it still takes a scalar time
+    # and the scalar integrator's linear part is coeff_i(t) x_i at a scalar time
     model = flagship_model(mu, R)
     ts = np.array([-2.3, -0.4, 0.0, 0.7, 3.1])
     h = 1e-6
@@ -204,8 +204,14 @@ def test_coefficients_are_vectorized_flow_derivatives(mu):
         np.testing.assert_allclose(got, [float(c.coeff(t)) for t in ts], rtol=1e-15, atol=0.0)
         fd = (c.log_flow(ts + h) - c.log_flow(ts - h)) / (2 * h)
         np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8)
-    A = model.sys.terms[0].matrix(0.7)
-    assert np.array_equal(A, np.diag([float(c.coeff(0.7)) for c in model.coords]))
+    t, h, y = 0.7, R / 16, np.array([0.9, -1.3])
+    a0, a1, a2 = (np.array([float(c.coeff(tt)) for c in model.coords]) for tt in (t, t + h / 2.0, t + h))
+    k1 = a0 * y
+    k2 = a1 * (y + h / 2.0 * k1)
+    k3 = a1 * (y + h / 2.0 * k2)
+    k4 = a2 * (y + h * k3)
+    traj = solve_linear(model, t, Segment.constant(R, y, 16), t + h, h)
+    assert np.array_equal(traj.states[-1], y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 def test_unstable_backward_bound_with_unit_constants():
@@ -247,8 +253,10 @@ def test_certificate_monotone_in_constants(diag2):
 def test_certificate_json_shape(diag2):
     import json
 
+    from mu_lab.cli_report import report_json
+
     cert = verify_bounds(diag2, (-3.0, 3.0), samples=20, seed=1, m=24)
-    doc = json.loads(cert.to_json())
+    doc = json.loads(report_json(cert.to_dict()))
     assert set(doc) == {"window", "tolerance", "pass", "bounds"}
     names = {b["bound_name"] for b in doc["bounds"]}
     assert names == {"stable", "unstable", "bounded_growth", "jump_stable", "jump_unstable"}
@@ -453,7 +461,7 @@ def test_certificate_matches_per_pair_oracle(build, mu):
     assert 3 <= sum(short) < samples
     for check in cert.checks:
         rows = want[check.name]
-        got = np.array(check.samples)
+        got = check.samples
         ref = np.array([(t, s, meas, bnd, meas / bnd) for t, s, meas, bnd in rows])
         assert got.shape == ref.shape == (samples, 5)
         assert np.array_equal(got[:, :2], ref[:, :2])
@@ -595,8 +603,8 @@ def test_certificate_rows_match_segment_path(build, mu, window, samples):
     # several blocks, which verify_bounds measures in order of t - s
     model, seed, m = build(mu, R), 13, 32
     cert = verify_bounds(model, window, samples=samples, seed=seed, m=m)
-    t, s = np.array(cert.check("stable").samples)[:, :2].T
+    t, s = cert.check("stable").samples[:, :2].T
     near = ~all_ahead(model, t, s, m)
     assert near.all() if window[1] - window[0] < R else 0 < near.sum() < samples
     want = segment_path(model, t, s, _probe_segments(model, m, np.random.default_rng(seed)))
-    assert np.array_equal(np.array([np.array(c.samples)[:, 2] for c in cert.checks]), want)
+    assert np.array_equal(np.array([c.samples[:, 2] for c in cert.checks]), want)

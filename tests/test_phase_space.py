@@ -107,13 +107,6 @@ def test_lag_index_alignment():
         lag_index(0.5, 64, 0.21)
 
 
-def test_json_round_trip():
-    seg = Segment.from_function(lambda w: [w, np.exp(w)], 0.5, 2, 6)
-    back = Segment.from_json(seg.to_json())
-    assert back.r == seg.r and back.m == seg.m and back.n == seg.n
-    assert np.allclose(back.values, seg.values)
-
-
 def test_segment_arithmetic_and_grid_checks():
     a = Segment.constant(1.0, [1.0, 2.0], 4)
     b = Segment.constant(1.0, [0.5, -1.0], 4)
