@@ -40,15 +40,7 @@ from .conjugacy import (
     verify_residuals,
 )
 from .dde_core import Perturbation, linear_cross_perturbation, saturating_cross_perturbation
-from .dichotomy import (
-    DichotomyModel,
-    diagonal_model,
-    flagship_model,
-    model_params,
-    sin_wobble_model,
-    verify_bounds,
-    _power_coordinate,
-)
+from .dichotomy import REFERENCE_CONSTANTS, DichotomyModel, model_params, power_model, sin_wobble_model, verify_bounds
 from .errors import (
     ConfigError,
     EmptyWindow,
@@ -176,9 +168,10 @@ _DEFAULTS = {
         "residual_mu_max": 5e-3,
     },
 }
-# the grids/checks numbers that a stage divides by, counts with or draws over: each must be positive
+# the numbers that a stage divides by, counts with, draws over or cuts a tail at: each must be positive
 _POSITIVE = {
     "grids": ("m", "t_step", "b_max", "b_step"),
+    "tolerances": ("tail_tol", "max_span"),
     "checks": ("cert_samples", "cert_m", "residual_samples", "residual_horizon_delays", "b_scale"),
 }
 
@@ -194,11 +187,14 @@ def _parse_model(model: dict) -> dict:
 
 
 def _check_ranges(sections: dict) -> None:
-    """Reject grids/checks values no stage can run on: a non-positive count, step or scale, or a reversed window."""
+    """Reject values no stage can run on: a non-positive count, step, scale or tolerance, or a reversed window."""
     for key, names in _POSITIVE.items():
         for name in names:
             if not sections[key][name] > 0:
                 raise ConfigError(f"scenario.{key}.{name} must be positive, got {sections[key][name]!r}")
+    cert_tol = sections["tolerances"]["cert_tol"]
+    if not cert_tol >= 0:
+        raise ConfigError(f"scenario.tolerances.cert_tol must be non-negative, got {cert_tol!r}")
     grids, checks = sections["grids"], sections["checks"]
     windows = {"grids.t_min/t_max": (grids["t_min"], grids["t_max"])}
     windows.update({f"checks.{name}": checks[name] for name in ("window", "core_window")})
@@ -269,13 +265,10 @@ def _resolve_model(sc: Scenario) -> DichotomyModel:
     kind = sc.model["kind"]
     declared = {key: float(sc.params[key]) for key in _DECLARED_KEYS if key in sc.params}
     if kind == "diagonal_flow":
-        mu = rate_by_id(sc.growth_rate)
-        model = flagship_model(mu, sc.delay, label=sc.name, **declared)
-        if "stable_power" in sc.model or "unstable_power" in sc.model:
-            powers = (sc.model.get("stable_power", -model.alpha), sc.model.get("unstable_power", model.beta))
-            coords = [_power_coordinate(mu, power) for power in powers]
-            model = diagonal_model(mu, sc.delay, coords, label=sc.name, **declared)
-        return model
+        # the powers default to the declared rates: (mu(t)/mu(s))^(-alpha) and ^beta
+        rates = {**REFERENCE_CONSTANTS, **declared}
+        powers = (sc.model.get("stable_power", -rates["alpha"]), sc.model.get("unstable_power", rates["beta"]))
+        return power_model(rate_by_id(sc.growth_rate), sc.delay, powers, label=sc.name, **declared)
     # parse_scenario admits no other kind than these two
     if sc.growth_rate != "exp":
         raise ConfigError("sin_wobble model requires growth_rate 'exp'")
@@ -371,13 +364,13 @@ def run_dichotomy(res: ResolvedScenario, samples: Optional[int] = None) -> dict:
     return {"status": "pass" if cert.passed else "fail", "certificate": doc}
 
 
-def _residual_check(res: ResolvedScenario, eta: EtaField, n_samples: int, seed: int):
+def _residual_check(res: ResolvedScenario, eta: EtaField, seed: int):
     """Residual rows on the scenario's checks, their largest weighted value, and the residual_mu_max gate."""
     rows = verify_residuals(
         eta,
         res.model,
         res.pert,
-        n_samples=n_samples,
+        n_samples=res.checks["residual_samples"],
         horizon=res.checks["residual_horizon_delays"] * res.scenario.delay,
         core=tuple(res.checks["core_window"]),
         b_scale=res.checks["b_scale"],
@@ -399,7 +392,6 @@ def run_conjugacy(res: ResolvedScenario) -> dict:
             res.trunc,
             solver_tol=res.solver_tol,
             max_sweeps=res.max_sweeps,
-            require_admissible=False,
         )
     except NotContracting as exc:
         return {"status": "not_contracting", "sweeps": getattr(exc, "sweeps", []), "error": str(exc)}
@@ -407,7 +399,7 @@ def run_conjugacy(res: ResolvedScenario) -> dict:
         return {"status": "truncation_unreachable", "error": str(exc)}
     if not result.converged:
         return {"status": "no_convergence", "summary": result.summary()}
-    rows, max_mu, residual_ok = _residual_check(res, result.eta, res.checks["residual_samples"], res.seed + 1)
+    rows, max_mu, residual_ok = _residual_check(res, result.eta, res.seed + 1)
     inv = invertibility_check(result, res.model)
     return {
         "status": "converged",
@@ -544,12 +536,13 @@ def save_conjugacy_result(path, res: ResolvedScenario, conj: dict) -> None:
     path.write_text(report_json(doc))
 
 
-def load_conjugacy_result(path):
+def load_conjugacy_result(path, **checks):
+    """The result document, its resolved scenario with checks overriding the scenario's, and its field."""
     path = Path(path)
     doc = _read_json(path, "result")
     if doc.get("schema") != SCHEMA_RESULT:
         raise ConfigError(f"{path} is not a conjugacy result document")
-    res = resolve(parse_scenario(doc["scenario"]))
+    res = resolve(parse_scenario(_apply_overrides(doc["scenario"], None, **checks)))
     npz_path = Path(str(path) + ".eta.npz")
     if not npz_path.exists():
         raise ConfigError(f"field sidecar missing: {npz_path}")
@@ -572,24 +565,30 @@ def load_conjugacy_result(path):
 # ---------------------------------------------------------------------------
 
 
-def _apply_tol_overrides(doc: dict, overrides) -> dict:
-    if not overrides:
-        return doc
-    doc = json.loads(json.dumps(doc))
-    tols = doc.setdefault("tolerances", {})
-    for item in overrides:
+def _apply_overrides(doc: dict, tol_overrides, **checks) -> dict:
+    """A copy of the scenario document with the --tol name=value items and the given checks set in it.
+
+    parse_scenario then checks the overrides as it checks the document's own values.
+    """
+    overrides = {"tolerances": {}, "checks": {key: value for key, value in checks.items() if value is not None}}
+    for item in tol_overrides or ():
         if "=" not in item:
             raise ConfigError(f"--tol expects name=value, got {item!r}")
         key, val = item.split("=", 1)
         if key not in _DEFAULTS["tolerances"]:
             raise ConfigError(f"--tol key must be one of {sorted(_DEFAULTS['tolerances'])}, got {key!r}")
-        tols[key] = _number(val, type(_DEFAULTS["tolerances"][key]), f"--tol {key}")
+        overrides["tolerances"][key] = _number(val, type(_DEFAULTS["tolerances"][key]), f"--tol {key}")
+    doc = json.loads(json.dumps(doc))
+    for section, values in overrides.items():
+        # a document or section that is not an object is left for parse_scenario to reject
+        if values and isinstance(doc, dict) and isinstance(doc.setdefault(section, {}), dict):
+            doc[section].update(values)
     return doc
 
 
-def _load_resolved(args) -> ResolvedScenario:
-    doc = _apply_tol_overrides(_read_json(args.config), getattr(args, "tol", None))
-    if getattr(args, "seed", None) is not None:
+def _load_resolved(args, **checks) -> ResolvedScenario:
+    doc = _apply_overrides(_read_json(args.config), args.tol, **checks)
+    if args.seed is not None:
         doc["seed"] = args.seed
     return resolve(parse_scenario(doc))
 
@@ -651,13 +650,18 @@ def _dispatch(args) -> int:
         _emit(args, report_json(out))
         return EXIT_PASS if out["status"] == "pass" else EXIT_ADMISSIBILITY
     if args.command == "verify-dichotomy":
-        res = _load_resolved(args)
-        out = run_dichotomy(res, samples=args.samples)
+        res = _load_resolved(args, cert_samples=args.samples)
+        out = run_dichotomy(res)
         slim = {"status": out["status"], "certificate": {k: v for k, v in out["certificate"].items() if k != "series"}}
         _emit(args, report_json(slim))
         return EXIT_PASS if out["status"] == "pass" else EXIT_CERTIFICATE
     if args.command == "build-conjugacy":
         res = _load_resolved(args)
+        adm = run_admissibility(res)
+        if adm["status"] != "pass":
+            failed = [e["name"] for e in adm["report"]["entries"] if not e["pass"]]
+            print(f"{res.scenario.name}: admissibility failed {failed}; no conjugacy built", file=_sys.stderr)
+            return EXIT_ADMISSIBILITY
         out = run_conjugacy(res)
         target = args.out or "result.json"
         save_conjugacy_result(target, res, out)
@@ -667,8 +671,8 @@ def _dispatch(args) -> int:
             return EXIT_PASS
         return EXIT_SOLVER
     if args.command == "verify-conjugacy":
-        doc, res, eta = load_conjugacy_result(args.result)
-        rows, max_mu, ok = _residual_check(res, eta, args.samples, args.seed)
+        doc, res, eta = load_conjugacy_result(args.result, residual_samples=args.samples)
+        rows, max_mu, ok = _residual_check(res, eta, args.seed)
         payload = report_json(
             {
                 "samples": len(rows),

@@ -39,9 +39,9 @@ from typing import Optional
 
 import numpy as np
 
-from .admissibility import ParamSet, full_report
+from .admissibility import ParamSet, full_report  # noqa: F401  (perfbench/spans.py traces full_report here)
 from .dde_core import Perturbation, solve_perturbed_R
-from .dichotomy import DichotomyModel, _rho_matrix, unstable_flow, unstable_shape
+from .dichotomy import DichotomyModel, unstable_flow, unstable_shape
 from .dichotomy import p0_kernel, q0_kernel  # noqa: F401  (perfbench/spans.py traces them here)
 from .errors import NonFiniteState, NotContracting, TimeOrder, TruncationUnreachable
 from .growth_rate import mu_weight, ratio_bound_N  # noqa: F401  (perfbench/spans.py traces it here)
@@ -174,70 +174,43 @@ class EtaField:
 # ---------------------------------------------------------------------------
 
 
-def _stable_cut(mu, t: float, scale: float, alpha: float, theta: float, gamma: float, trunc: TruncationPolicy) -> float:
-    """Largest T_lo <= t with integral_{-inf}^{T_lo} envelope <= tail_tol.
+def _tail_cut(mu, t: float, scale: float, k1: float, k2: float, sign: float, trunc: TruncationPolicy) -> float:
+    """The cut T of one envelope tail: integral of the envelope beyond T <= tail_tol.
 
-    The envelope is mu'(tau) mu(tau)^(alpha-1) mu(tau)^(sgn(tau)(theta-gamma)),
-    scaled by `scale` = D delta mu(t)^(-alpha); its tail has the closed form
-    of a mu-power on each side of zero.
+    sign 1 is the stable side: the tail runs over tau <= T_lo <= t and the
+    envelope is mu'(tau) mu(tau)^(alpha-1) mu(tau)^(sgn(tau)(theta-gamma)),
+    with k1 = alpha + gamma - theta and k2 = alpha + theta - gamma.  sign -1
+    is the unstable side, tau >= T_hi >= t, with k1 = beta + gamma - nu and
+    k2 = -(gamma - nu - beta).  scale is the amplitude D delta mu(t)^(-alpha)
+    or mu(t)^beta; the tail has the closed form of a mu-power on each side
+    of zero.  A cut past float range leaves the whole tail below the
+    tolerance, so T = t.
     """
     if scale <= 0.0:
         return t
-    c1 = alpha + gamma - theta
-    c2 = alpha + theta - gamma
-    if c1 <= 0:
-        raise ValueError("envelope decay too weak: alpha + gamma must exceed theta")
+    if k1 <= 0:
+        raise ValueError(f"envelope decay too weak: k1 = {k1} must be positive")
     target = trunc.tail_tol / scale
-    if target <= 1.0 / c1:
-        v = (c1 * target) ** (1.0 / c1)
-    else:
-        rem = target - 1.0 / c1
-        if abs(c2) < 1e-14:
-            v = math.exp(rem)
-        elif c2 > 0:
-            v = (1.0 + c2 * rem) ** (1.0 / c2)
+    try:
+        if target <= 1.0 / k1:
+            v = (k1 * target) ** (sign / k1)
+        elif abs(k2) < 1e-14:
+            v = math.exp(sign * (target - 1.0 / k1))
         else:
-            if rem >= 1.0 / (-c2):
-                return t  # entire upper piece is below the tolerance
-            v = (1.0 + c2 * rem) ** (1.0 / c2)
-    T = float(mu.inverse(np.asarray(v)))
-    if T > t:
-        return t
-    if t - T > trunc.max_span:
-        raise TruncationUnreachable(
-            f"stable tail needs span {t - T:.1f} > max_span {trunc.max_span} at t={t}"
-        )
-    return T
-
-
-def _unstable_cut(mu, t: float, scale: float, beta: float, nu: float, gamma: float, trunc: TruncationPolicy) -> float:
-    """Smallest T_hi >= t with integral_{T_hi}^{inf} envelope <= tail_tol."""
-    if scale <= 0.0:
-        return t
-    d1 = beta + gamma - nu
-    d2 = gamma - nu - beta
-    if d1 <= 0:
-        raise ValueError("envelope decay too weak: beta + gamma must exceed nu")
-    target = trunc.tail_tol / scale
-    if target <= 1.0 / d1:
-        v = (d1 * target) ** (-1.0 / d1)
-    else:
-        rem = target - 1.0 / d1
-        if abs(d2) < 1e-14:
-            v = math.exp(-rem)
-        elif d2 > 0:
-            arg = 1.0 - d2 * rem
+            arg = 1.0 + k2 * (target - 1.0 / k1)
             if arg <= 0.0:
-                return t
-            v = arg ** (1.0 / d2)
-        else:
-            v = (1.0 - d2 * rem) ** (1.0 / d2)
-    T = float(mu.inverse(np.asarray(v)))
-    if T < t:
+                return t  # the whole tail is below the tolerance
+            v = arg ** (sign / k2)
+    except OverflowError:
         return t
-    if T - t > trunc.max_span:
+    with np.errstate(divide="ignore"):  # an unstable v that underflows to 0 inverts to T = -inf
+        T = float(mu.inverse(np.asarray(v)))
+    if sign * (T - t) > 0:
+        return t
+    if sign * (t - T) > trunc.max_span:
+        side = "stable" if sign > 0 else "unstable"
         raise TruncationUnreachable(
-            f"unstable tail needs span {T - t:.1f} > max_span {trunc.max_span} at t={t}"
+            f"{side} tail needs span {sign * (t - T):.1f} > max_span {trunc.max_span} at t={t}"
         )
     return T
 
@@ -308,8 +281,9 @@ def orbit_quadrature(model: DichotomyModel, pert: Perturbation, t: float, trunc:
     mu_t = float(mu.eval(t))
     scale_s = D * pert.envelope_scale * mu_t ** (-model.alpha)
     scale_u = D * pert.envelope_scale * mu_t**model.beta
-    t_lo = _stable_cut(mu, t, scale_s, model.alpha, model.theta, pert.gamma, trunc)
-    t_hi = _unstable_cut(mu, t, scale_u, model.beta, model.nu, pert.gamma, trunc)
+    a, b, gamma = model.alpha, model.beta, pert.gamma
+    t_lo = _tail_cut(mu, t, scale_s, a + gamma - model.theta, a + model.theta - gamma, 1.0, trunc)
+    t_hi = _tail_cut(mu, t, scale_u, b + gamma - model.nu, -(gamma - model.nu - b), -1.0, trunc)
     if t_lo >= t:
         taus_s = w_s = np.empty(0)
     else:
@@ -422,11 +396,11 @@ def _group_kernels(model: DichotomyModel, row: RowPlan, omega: np.ndarray):
     coordinates at far nodes, stable ones on the unstable side), so an
     overflowing exp never meets a zero mask.
     """
-    unstable = np.array([c.role == "unstable" for c in model.coords])
+    unstable = np.array(model.unstable)
     nf, ns = row.n_far, row.n_stable
     grid = row.t + omega
-    rho_g = _rho_matrix(model.coords, grid)  # (n, m+1), rho_i(t) last
-    expo = rho_g[:, -1:] - _rho_matrix(model.coords, row.taus)
+    rho_g = model.log_flow(grid)  # (n, m+1), rho_i(t) last
+    expo = rho_g[:, -1:] - model.log_flow(row.taus)
     expo[unstable, :nf] = -np.inf
     expo[~unstable, ns:] = -np.inf
     node = np.exp(expo) * (row.weights * row.pert_weight)
@@ -590,7 +564,6 @@ def picard_solve(
     *,
     solver_tol: float = 2e-5,
     max_sweeps: int = 25,
-    require_admissible: bool = True,
 ) -> ConjugacyResult:
     """Iterate the operator and its derivative jointly from the zero field.
 
@@ -603,16 +576,12 @@ def picard_solve(
     A measured update ratio >= 1 on two consecutive sweeps raises
     NotContracting: the scenario's perturbation is inconsistent with the
     declared contraction constants.  Settings under which no solve can
-    converge raise ValueError (check_solver_settings).
+    converge raise ValueError (check_solver_settings).  The parameter set's
+    admissibility is the caller's stage to check (admissibility.full_report).
     """
     check_solver_settings(solver_tol, max_sweeps)
     if model.d_u != 1:
         raise ValueError("the field solver handles one-dimensional unstable coordinates")
-    if require_admissible:
-        rep = full_report(params)
-        if not rep.passed:
-            bad = [e.name for e in rep.entries if not e.passed]
-            raise ValueError(f"parameter set fails admissibility: {bad}")
 
     eta = EtaField.zero(grid, model.n, model.r, model.mu, params.xi, params.eps)
     plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, trunc, params.D)
@@ -750,7 +719,7 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert: Perturbation, 
     t0 = times[:, :-1]
     hs = times[:, 1:] - t0
     stages = (t0, t0 + hs / 2.0, t0 + hs)
-    lins = [np.stack([np.asarray(c.coeff(tt), dtype=float) for c in model.coords], axis=-1) for tt in stages]
+    lins = [np.moveaxis(model.coeff(tt), 0, -1) for tt in stages]
     weights = [np.asarray(pert.weight(tt), dtype=float) for tt in stages]
 
     def rhs(stage, j, y, reads):

@@ -1,7 +1,7 @@
 """Method-of-steps integration of a diagonal model, optionally perturbed.
 
 The right-hand side of x_i'(t) = coeff_i(t) x_i(t) [+ g(t, x_t)] takes the
-linear part from the model's diagonal coordinates; the delay enters only
+linear part from the model's vectorized coefficients; the delay enters only
 through the perturbation's point reads, which see history through
 piecewise-linear interpolation.  The step is forced to divide the delay so
 that the derivative-discontinuity points s, s+r, s+2r, ... of the solution
@@ -93,7 +93,7 @@ def _integrate(
     step: float,
     pert: Optional[Perturbation] = None,
 ) -> Trajectory:
-    """RK4 method of steps for a DichotomyModel, duck-typed (r, n and coords) as dichotomy imports this module."""
+    """RK4 method of steps for a DichotomyModel, duck-typed (r, n and coeff) as dichotomy imports this module."""
     if t_end < s:
         raise TimeOrder(f"t_end {t_end} earlier than start {s}")
     m_seg = _check_step(model.r, step)
@@ -138,7 +138,7 @@ def _integrate(
             kx = known_x[: n_hist + i + 1]
 
             def rhs(tt: float, yy: np.ndarray) -> np.ndarray:
-                out = np.array([c.coeff(tt) for c in model.coords], dtype=float) * yy
+                out = model.coeff(tt) * yy
                 if pert is not None:
                     q = tt + seg_offsets
                     vals = np.empty((m_seg + 1, model.n))

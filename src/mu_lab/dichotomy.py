@@ -1,8 +1,9 @@
 """Dichotomy models: projections, jump-data projectors, and bound certificates.
 
 A model is a diagonal system whose coordinates evolve by exact scalar
-flows exp(rho_i(t) - rho_i(s)) with a known log-primitive rho_i; this
-module is the one place that derives the unstable direction from them.
+flows exp(rho_i(t) - rho_i(s)); it holds every log-primitive rho_i as one
+vectorized function of time and flags each coordinate stable or unstable.
+This module is the one place that derives the unstable direction from them.
 The unstable projector reads the coordinate value at omega = 0 and spreads
 it along the backward-decaying solution shape (unstable_shape), which
 commutes with the evolution exactly; pull-backs along the unstable flow are
@@ -29,26 +30,20 @@ from .phase_space import JumpSegment, Segment
 
 
 @dataclass(frozen=True)
-class FlowCoordinate:
-    """One diagonal coordinate with flow exp(rho(t) - rho(s))."""
-
-    role: str  # "stable" or "unstable"
-    log_flow: Callable[[np.ndarray], np.ndarray]  # rho, vectorized
-    coeff: Callable[[np.ndarray], np.ndarray]  # rho', the system coefficient, vectorized
-
-    def __post_init__(self):
-        if self.role not in ("stable", "unstable"):
-            raise ValueError(f"role must be stable/unstable, got {self.role!r}")
-
-
-@dataclass(frozen=True)
 class DichotomyModel:
-    """A diagonal flow, its declared dichotomy constants and its ratio bound N = N(r) of mu."""
+    """A diagonal flow, its declared dichotomy constants and its ratio bound N = N(r) of mu.
+
+    Coordinate i evolves by exp(rho_i(t) - rho_i(s)).  log_flow(t) returns
+    every rho_i at once and coeff(t) every rho_i', the system coefficients,
+    both with shape (n,) + np.shape(t); unstable flags each coordinate.
+    """
 
     label: str
     mu: GrowthRate
     r: float
-    coords: tuple[FlowCoordinate, ...]
+    log_flow: Callable[[np.ndarray], np.ndarray]
+    coeff: Callable[[np.ndarray], np.ndarray]
+    unstable: tuple[bool, ...]
     K: float
     alpha: float
     beta: float
@@ -61,7 +56,7 @@ class DichotomyModel:
 
     @property
     def n(self) -> int:
-        return len(self.coords)
+        return len(self.unstable)
 
     @property
     def d_u(self) -> int:
@@ -69,7 +64,7 @@ class DichotomyModel:
 
     @property
     def unstable_indices(self) -> list[int]:
-        return [i for i, c in enumerate(self.coords) if c.role == "unstable"]
+        return [i for i, u in enumerate(self.unstable) if u]
 
 
 @dataclass(frozen=True)
@@ -91,10 +86,6 @@ class P0Composite:
 # ---------------------------------------------------------------------------
 
 
-def _rho_matrix(coords: Sequence[FlowCoordinate], times: np.ndarray) -> np.ndarray:
-    return np.array([np.asarray(c.log_flow(times), dtype=float) for c in coords])
-
-
 def _log_flows(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray):
     """Log-primitives rho_i(t + omega) (n, 1 or n_tau, n_omega) and rho_i(tau) (n, n_tau, 1), and t + omega >= tau.
 
@@ -102,8 +93,8 @@ def _log_flows(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray):
     (the certificate's pairs); the flows are exp of the differences.
     """
     grid = np.asarray(t)[..., None] + omega
-    rho_g = _rho_matrix(model.coords, grid).reshape(model.n, -1, len(omega))
-    return rho_g, _rho_matrix(model.coords, taus)[:, :, None], grid >= taus[:, None] - 1e-12
+    rho_g = model.log_flow(grid).reshape(model.n, -1, len(omega))
+    return rho_g, model.log_flow(taus)[:, :, None], grid >= taus[:, None] - 1e-12
 
 
 def _flows(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray):
@@ -114,9 +105,9 @@ def _flows(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray):
 
 def _p0_masked(model: DichotomyModel, flow: np.ndarray, ahead: np.ndarray) -> np.ndarray:
     """p0_kernel from _flows: the stable flow ahead of tau, the negated unstable flow before it."""
-    out = np.empty_like(flow)
-    for i, c in enumerate(model.coords):
-        out[i] = np.where(ahead, flow[i], 0.0) if c.role == "stable" else np.where(ahead, 0.0, -flow[i])
+    out = np.where(ahead, flow, 0.0)
+    u = model.unstable_indices
+    out[u] = np.where(ahead, 0.0, -flow[u])
     return out
 
 
@@ -129,9 +120,8 @@ def q0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> 
     """Per-coordinate kernels (n, n_tau, n_omega) of v -> T_bar(t,tau) Q0(tau) v; t as in _log_flows."""
     rho_g, rho_t, ahead = _log_flows(model, t, taus, omega)
     out = np.zeros((model.n,) + ahead.shape)
-    for i, c in enumerate(model.coords):
-        if c.role == "unstable":
-            out[i] = np.exp(rho_g[i] - rho_t[i])
+    u = model.unstable_indices
+    out[u] = np.exp(rho_g[u] - rho_t[u])
     return out
 
 
@@ -170,8 +160,11 @@ def unstable_shape(model: DichotomyModel, t, m: int) -> np.ndarray:
 def unstable_flow(model: DichotomyModel, t, s) -> np.ndarray:
     """exp(rho_i(t) - rho_i(s)) per unstable coordinate i, shape (d_u,) + the broadcast shape of t and s."""
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-    rhos = [model.coords[i].log_flow for i in model.unstable_indices]
-    return np.array([np.exp(np.asarray(rho(t), dtype=float) - np.asarray(rho(s), dtype=float)) for rho in rhos])
+    # leading unit axes on the one with fewer, so that log_flow's coordinate axes line up
+    t = t.reshape((1,) * (s.ndim - t.ndim) + t.shape)
+    s = s.reshape((1,) * (t.ndim - s.ndim) + s.shape)
+    u = model.unstable_indices
+    return np.exp(model.log_flow(t)[u] - model.log_flow(s)[u])
 
 
 def project_Q(model: DichotomyModel, s: float, seg: Segment) -> Segment:
@@ -192,97 +185,63 @@ def project_P(model: DichotomyModel, s: float, seg: Segment) -> Segment:
 # ---------------------------------------------------------------------------
 
 
-def _power_coordinate(mu: GrowthRate, power: float) -> FlowCoordinate:
-    def log_flow(ts):
-        return power * np.log(np.asarray(mu.eval(ts), dtype=float))
-
-    def coeff(ts):
-        return power * np.asarray(mu.deriv(ts), dtype=float) / np.asarray(mu.eval(ts), dtype=float)
-
-    return FlowCoordinate(role="stable" if power < 0 else "unstable", log_flow=log_flow, coeff=coeff)
+# the reference set of declared constants that a model takes unless it declares its own
+REFERENCE_CONSTANTS = {"alpha": 0.8, "beta": 0.6, "theta": 0.4, "nu": 0.2, "K_tilde": 1.05, "a": 1.0, "eps": 0.1}
 
 
 def diagonal_model(
     mu: GrowthRate,
     r: float,
-    coords: Sequence[FlowCoordinate],
+    log_flow: Callable[[np.ndarray], np.ndarray],
+    coeff: Callable[[np.ndarray], np.ndarray],
+    unstable: Sequence[bool],
     *,
     label: str = "diagonal",
     K: Optional[float] = None,
-    alpha: float = 0.8,
-    beta: float = 0.6,
-    theta: float = 0.4,
-    nu: float = 0.2,
-    K_tilde: float = 1.05,
-    a: float = 1.0,
-    eps: float = 0.1,
+    **declared: float,
 ) -> DichotomyModel:
-    """Assemble a DichotomyModel from diagonal exact-flow coordinates.
+    """Assemble a DichotomyModel from a vectorized diagonal flow (see DichotomyModel).
 
-    Declared constants default to a reference set; K defaults to the honest
-    worst case for these projections: the unstable projector has norm one,
-    so the transient of I - Q on one delay interval costs a factor 2, and
-    reading the segment at omega = -r costs N(r)^alpha.
+    Declared constants default to REFERENCE_CONSTANTS; K defaults to the
+    honest worst case for these projections: the unstable projector has
+    norm one, so the transient of I - Q on one delay interval costs a
+    factor 2, and reading the segment at omega = -r costs N(r)^alpha.
     """
-    coords = tuple(coords)
+    unstable = tuple(bool(u) for u in unstable)
+    constants = {**REFERENCE_CONSTANTS, **declared}
     N = ratio_bound_N(mu, r)
     if K is None:
-        K = (2.0 if any(c.role == "unstable" for c in coords) else 1.0) * N**alpha
-
-    return DichotomyModel(
-        label=label,
-        mu=mu,
-        r=r,
-        coords=coords,
-        K=K,
-        alpha=alpha,
-        beta=beta,
-        theta=theta,
-        nu=nu,
-        K_tilde=K_tilde,
-        a=a,
-        eps=eps,
-        N=N,
-    )
+        K = (2.0 if any(unstable) else 1.0) * N ** constants["alpha"]
+    return DichotomyModel(label, mu, r, log_flow, coeff, unstable, K=K, N=N, **constants)
 
 
-def scalar_stable_model(mu: GrowthRate, r: float, *, alpha: float = 0.8, **kw) -> DichotomyModel:
-    """One stable coordinate with exact flow (mu(t)/mu(s))^(-alpha)."""
-    coord = _power_coordinate(mu, -alpha)
-    kw.setdefault("label", f"stable[{mu.label}]")
-    return diagonal_model(mu, r, [coord], alpha=alpha, **kw)
+def power_model(mu: GrowthRate, r: float, powers: Sequence[float], **declared) -> DichotomyModel:
+    """Coordinates with exact flows (mu(t)/mu(s))^p, one per power p; p < 0 is stable.
 
+    mu is evaluated once per time array for all coordinates; declared takes
+    diagonal_model's keywords.
+    """
+    p = np.asarray(powers, dtype=float)
 
-def scalar_unstable_model(mu: GrowthRate, r: float, *, beta: float = 0.6, **kw) -> DichotomyModel:
-    """One unstable coordinate with exact flow (mu(t)/mu(s))^beta."""
-    coord = _power_coordinate(mu, beta)
-    kw.setdefault("label", f"unstable[{mu.label}]")
-    return diagonal_model(mu, r, [coord], beta=beta, **kw)
+    def log_flow(ts):
+        return np.multiply.outer(p, np.log(np.asarray(mu.eval(ts), dtype=float)))
 
+    def coeff(ts):
+        return np.multiply.outer(p, np.asarray(mu.deriv(ts), dtype=float)) / np.asarray(mu.eval(ts), dtype=float)
 
-def flagship_model(mu: GrowthRate, r: float, *, alpha: float = 0.8, beta: float = 0.6, **kw) -> DichotomyModel:
-    """Stable times unstable diagonal pair, the conjugacy workhorse."""
-    kw.setdefault("label", f"diag2[{mu.label}]")
-    return diagonal_model(
-        mu, r, [_power_coordinate(mu, -alpha), _power_coordinate(mu, beta)], alpha=alpha, beta=beta, **kw
-    )
-
-
-def three_dim_model(mu: GrowthRate, r: float, **kw) -> DichotomyModel:
-    """Stable coordinate plus a two-dimensional unstable block."""
-    coords = [_power_coordinate(mu, -0.8), _power_coordinate(mu, 0.6), _power_coordinate(mu, 0.9)]
-    kw.setdefault("label", f"diag3[{mu.label}]")
-    return diagonal_model(mu, r, coords, **kw)
+    declared.setdefault("label", f"power[{mu.label}]")
+    return diagonal_model(mu, r, log_flow, coeff, p >= 0, **declared)
 
 
 def sin_wobble_model(r: float, *, alpha0: float = 1.0, theta0: float = 0.1, **declared) -> DichotomyModel:
     """Stable scalar whose decay wobbles with d/dt(t sin t), under mu = e^t.
 
     The primitive of the coefficient is rho(t) = -alpha0 t - theta0 t sin t,
-    so the flow is exp(rho(t) - rho(s)).  The honest declaration weakens the
-    rate to alpha = alpha0 - theta0 and charges the wobble to the
-    nonuniformity exponents theta = eps = 2*theta0; K is diagonal_model's
-    default N^alpha = e^(alpha r).  declared overrides any of these constants
+    so the flow is exp(rho(t) - rho(s)); the one coordinate is a leading
+    axis of length 1.  The honest declaration weakens the rate to
+    alpha = alpha0 - theta0 and charges the wobble to the nonuniformity
+    exponents theta = eps = 2*theta0; K is diagonal_model's default
+    N^alpha = e^(alpha r).  declared overrides any of these constants
     (diagonal_model's keywords), so theta = 0 is the shipped negative control.
     """
     mu = rate_by_id("exp")
@@ -291,14 +250,13 @@ def sin_wobble_model(r: float, *, alpha0: float = 1.0, theta0: float = 0.1, **de
 
     def log_flow(ts):
         ts = np.asarray(ts, dtype=float)
-        return -alpha0 * ts - theta0 * ts * np.sin(ts)
+        return (-alpha0 * ts - theta0 * ts * np.sin(ts))[None]
 
     def coeff(t):
-        return -alpha0 - theta0 * (np.sin(t) + t * np.cos(t))
+        return np.asarray(-alpha0 - theta0 * (np.sin(t) + t * np.cos(t)))[None]
 
-    coord = FlowCoordinate(role="stable", log_flow=log_flow, coeff=coeff)
-    honest = dict(alpha=alpha0 - theta0, beta=0.6, theta=2.0 * theta0, nu=0.0, K_tilde=1.0, a=0.5, eps=2.0 * theta0)
-    return diagonal_model(mu, r, [coord], label="wobble", **{**honest, **declared})
+    honest = dict(alpha=alpha0 - theta0, theta=2.0 * theta0, nu=0.0, K_tilde=1.0, a=0.5, eps=2.0 * theta0)
+    return diagonal_model(mu, r, log_flow, coeff, [False], label="wobble", **{**honest, **declared})
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from mu_lab.admissibility import delta_ceiling, lambda_ceiling
 from mu_lab.conjugacy import GridSpec, TruncationPolicy, picard_solve
 from mu_lab.dde_core import saturating_cross_perturbation
-from mu_lab.dichotomy import flagship_model, model_params
+from mu_lab.dichotomy import model_params, power_model
 from mu_lab.growth_rate import rate_by_id
 
 R = 0.5
@@ -14,7 +14,7 @@ R = 0.5
 def build_flagship(mu_id: str = "exp", r: float = R):
     """Reference two-coordinate scenario pieces used across the suite."""
     mu = rate_by_id(mu_id)
-    model = flagship_model(mu, r)
+    model = power_model(mu, r, (-0.8, 0.6))
     base = model_params(model, gamma=1.5, xi=0.6, delta=1e-3, lam=1e-6, q=1.0)
     params = base.with_(delta=0.5 * delta_ceiling(base), lam=0.5 * lambda_ceiling(base))
     pert = saturating_cross_perturbation(mu, params, reads=[(0, r), (1, r / 2)], n=2)

@@ -15,7 +15,7 @@ from conftest import COARSE_GRID, COARSE_TRUNC, R
 from mu_lab.admissibility import ParamSet, check_core, delta_ceiling, lambda_ceiling, xi_window
 from mu_lab.conjugacy import EtaField, GridSpec, picard_solve, verify_residuals, invertibility_check
 from mu_lab.dde_core import Perturbation, linear_cross_perturbation, solve_linear
-from mu_lab.dichotomy import FlowCoordinate, diagonal_model, scalar_stable_model, scalar_unstable_model, verify_bounds
+from mu_lab.dichotomy import diagonal_model, power_model, verify_bounds
 from mu_lab.errors import NotContracting
 from mu_lab.growth_rate import builtin_catalogue, rate_by_id
 from mu_lab.phase_space import Segment
@@ -77,13 +77,13 @@ def test_criterion_3_dichotomy_certificates():
     worst = 0.0
     details = []
     for mu in builtin_catalogue():
-        for build in (scalar_stable_model, scalar_unstable_model):
-            model = build(mu, R)
+        for powers in ((-0.8,), (0.6,)):
+            model = power_model(mu, R, powers)
             cert = verify_bounds(model, (-10.0, 10.0), samples=200, seed=13, m=48)
             w = max(c.worst_ratio for c in cert.checks)
             worst = max(worst, w)
-            details.append(f"{model.label}:{w:.3f}")
-            assert cert.passed, f"{model.label} failed: {[c.to_dict() for c in cert.checks if not c.passed]}"
+            details.append(f"{model.label}{powers}:{w:.3f}")
+            assert cert.passed, f"{model.label}{powers} failed: {[c.to_dict() for c in cert.checks if not c.passed]}"
     elapsed = time.perf_counter() - t0
     ok = worst <= 1.05 and elapsed < 30.0
     report(3, ok, f"worst ratio {worst:.3f} over {', '.join(details)}, runtime {elapsed:.1f}s")
@@ -162,7 +162,7 @@ def test_criterion_7_negative_controls(flagship):
     try:
         out = picard_solve(
             flagship["model"], neg, declared, COARSE_GRID, COARSE_TRUNC,
-            solver_tol=1e-6, max_sweeps=10, require_admissible=False,
+            solver_tol=1e-6, max_sweeps=10,
         )
         ratios = [s.ratio for s in out.sweeps if s.ratio is not None]
         if any(r > 1.0 for r in ratios):
@@ -177,8 +177,13 @@ def test_criterion_7_negative_controls(flagship):
 
 def test_criterion_8_integrator_order():
     # x'(t) = -x(t), a diagonal model with flow exp(-(t - s))
-    coord = FlowCoordinate("stable", log_flow=lambda ts: -np.asarray(ts), coeff=lambda ts: np.full(np.shape(ts), -1.0))
-    model = diagonal_model(rate_by_id("exp"), 1.0, [coord])
+    model = diagonal_model(
+        rate_by_id("exp"),
+        1.0,
+        log_flow=lambda ts: -np.asarray(ts)[None],
+        coeff=lambda ts: np.full((1,) + np.shape(ts), -1.0),
+        unstable=[False],
+    )
     phi = Segment.constant(1.0, [1.0], 8)
     errs = []
     for step in (1.0 / 8, 1.0 / 16):

@@ -134,13 +134,13 @@ def _without_lag_frac(doc):
 
 
 def _with(section: str, key: str, value):
-    """The shipped flagship with one grids/checks value replaced."""
+    """The shipped flagship with one grids/tolerances/checks value replaced."""
     doc = shipped("example5_2d")
     doc[section][key] = value
     return doc
 
 
-# grids/checks values no stage can run on; unchecked, each crashed, exited 3 or passed vacuously
+# grids/tolerances/checks values no stage can run on; unchecked, each crashed, exited 3 or 4 or passed vacuously
 _OUT_OF_RANGE = {
     "cert_samples_zero": ("checks", "cert_samples", 0),
     "cert_samples_negative": ("checks", "cert_samples", -3),
@@ -155,6 +155,10 @@ _OUT_OF_RANGE = {
     "residual_samples_zero": ("checks", "residual_samples", 0),
     "cert_m_zero": ("checks", "cert_m", 0),
     "residual_horizon_negative": ("checks", "residual_horizon_delays", -1.0),
+    "tail_tol_negative": ("tolerances", "tail_tol", -1e-6),
+    "tail_tol_zero": ("tolerances", "tail_tol", 0.0),
+    "max_span_negative": ("tolerances", "max_span", -5.0),
+    "cert_tol_negative": ("tolerances", "cert_tol", -0.5),
 }
 
 
@@ -239,7 +243,7 @@ def test_flow_powers_change_the_flow_not_the_declaration():
     model = resolve(parse_scenario(doc)).model
     assert (model.alpha, model.beta) == (0.8, 0.6)
     # under mu = e^t a power coordinate's coefficient is the power itself
-    assert [float(c.coeff(0.3)) for c in model.coords] == [-1.0, 0.6]
+    assert model.coeff(0.3).tolist() == [-1.0, 0.6]
 
 
 def test_xi_defaults_to_window_midpoint():
@@ -487,6 +491,65 @@ def test_tol_override_flag(tmp_path):
     path.write_text(json.dumps(shipped("wobble_certificate")))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json"), "--tol", "cert_tol=0.5"]) == EXIT_PASS
     assert main(["run", "--config", str(path), "--tol", "bogus=1"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("override", ["tail_tol=-1e-6", "tail_tol=0", "max_span=-5", "cert_tol=-0.5"])
+def test_tol_overrides_are_range_checked(tmp_path, capsys, override):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(coarse_flagship()))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json"), "--tol", override]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario.tolerances.") and not (tmp_path / "r.json").exists()
+
+
+def test_samples_overrides_are_range_checked(tmp_path, capsys, coarse_run):
+    # --samples goes into the scenario's checks, so a count no stage can draw is a config error
+    path = tmp_path / "wobble.json"
+    path.write_text(json.dumps(shipped("wobble_certificate")))
+    result = tmp_path / "result.json"
+    assert main(["build-conjugacy", "--config", str(coarse_run["path"]), "--out", str(result)]) == EXIT_PASS
+    capsys.readouterr()
+    for samples in ("0", "-2"):
+        assert main(["verify-dichotomy", "--config", str(path), "--samples", samples]) == EXIT_CONFIG
+        assert "scenario.checks.cert_samples must be positive" in capsys.readouterr().err
+        assert main(["verify-conjugacy", "--result", str(result), "--samples", samples]) == EXIT_CONFIG
+        assert "scenario.checks.residual_samples must be positive" in capsys.readouterr().err
+    out = tmp_path / "v.json"
+    assert main(["verify-conjugacy", "--result", str(result), "--samples", "3", "--out", str(out)]) == EXIT_PASS
+    assert json.loads(out.read_text())["samples"] == 3
+
+
+def test_overrides_leave_a_bad_section_to_the_parser(tmp_path, capsys):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({**shipped("wobble_certificate"), "tolerances": [1], "checks": 5}))
+    assert main(["run", "--config", str(path), "--tol", "tail_tol=1e-5"]) == EXIT_CONFIG
+    assert main(["verify-dichotomy", "--config", str(path), "--samples", "50"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("config error: scenario.") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["example5_2d_negative_theta", "negative_delta"])
+def test_build_conjugacy_stops_at_admissibility(tmp_path, capsys, name):
+    # build-conjugacy runs the admissibility stage first, as run does, and builds nothing past a failure
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(shipped(name)))
+    result = tmp_path / "result.json"
+    assert main(["check-params", "--config", str(path)]) == EXIT_ADMISSIBILITY
+    assert main(["build-conjugacy", "--config", str(path), "--out", str(result)]) == EXIT_ADMISSIBILITY
+    assert "admissibility failed" in capsys.readouterr().err
+    assert not result.exists() and not Path(str(result) + ".eta.npz").exists()
+
+
+@pytest.mark.parametrize("gamma, frac", [(1.2, 1e-6), (1.19, 1e-9)], ids=["exp_branch", "power_branch"])
+def test_pipeline_runs_past_an_overflowing_tail_cut(gamma, frac):
+    # admissible scenarios whose stable tail cut overflows a float: with gamma - theta = alpha
+    # (k2 = 0) the closed form is an exponential, otherwise a power; either way the whole tail
+    # is below the tolerance, and the pipeline runs through
+    doc = coarse_flagship()
+    doc["params"].update(gamma=gamma, delta_frac=frac, lambda_frac=frac)
+    rep = run_pipeline(resolve(parse_scenario(doc)))
+    assert rep["stages"]["admissibility"]["status"] == "pass"
+    assert rep["stages"]["conjugacy"]["status"] == "converged"
 
 
 def test_threads_env_var(monkeypatch):

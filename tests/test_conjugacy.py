@@ -87,7 +87,7 @@ def point_oracle(model, pert, eta, t, b, trunc, D):
     u_idx = model.unstable_indices[0]
 
     def rho_u(ts):
-        return np.asarray(model.coords[u_idx].log_flow(np.asarray(ts, dtype=float)), dtype=float)
+        return model.log_flow(np.asarray(ts, dtype=float))[u_idx]
 
     rho_t = rho_u(np.array([t]))[0]
     taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, m)
@@ -407,12 +407,12 @@ def test_plan_counts_clamps_once_from_the_query_geometry(flagship_result):
     model, pert, eta = flagship_result["model"], flagship_result["pert"], flagship_result["result"].eta
     D = flagship_result["params"].D
     plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, DEFAULT_TRUNC, D)
-    u = model.coords[model.unstable_indices[0]]
+    u_idx = model.unstable_indices[0]
     clamped = total = 0
     for t in eta.t_grid:
         taus_s, _, taus_u, _ = orbit_quadrature(model, pert, float(t), DEFAULT_TRUNC, D, eta.m)
         taus = np.concatenate([taus_s, taus_u])
-        factor = np.exp(u.log_flow(taus) - u.log_flow(np.array([t])))
+        factor = np.exp(model.log_flow(taus)[u_idx] - model.log_flow(np.array([t]))[u_idx])
         cl, tot = clamp_count(eta, taus[:, None], factor[:, None] * eta.b_grid)
         clamped += cl
         total += tot
@@ -545,7 +545,7 @@ def _numeric_unstable_tail(mu, T, beta, nu, gamma):
 @pytest.mark.parametrize("mu_id", ["exp", "poly", "log"])
 @pytest.mark.parametrize("gamma", [0.5, 1.5])  # flips the sign of the upper-piece exponent
 def test_truncation_cuts_meet_tolerance(mu_id, gamma):
-    from mu_lab.conjugacy import _stable_cut, _unstable_cut
+    from mu_lab.conjugacy import _tail_cut
     from mu_lab.growth_rate import rate_by_id
 
     from mu_lab.errors import TruncationUnreachable
@@ -560,7 +560,7 @@ def test_truncation_cuts_meet_tolerance(mu_id, gamma):
     for t in (-2.0, 0.0, 1.5):
         for scale in (1e-3, 0.05, 2.0):
             try:
-                T_lo = _stable_cut(mu, t, scale, alpha, theta, gamma, trunc)
+                T_lo = _tail_cut(mu, t, scale, alpha + gamma - theta, alpha + theta - gamma, 1.0, trunc)
             except TruncationUnreachable:
                 assert mu_id == "log"
                 continue
@@ -568,12 +568,28 @@ def test_truncation_cuts_meet_tolerance(mu_id, gamma):
                 tail = scale * _numeric_stable_tail(mu, T_lo, alpha, theta, gamma)
                 assert tail <= trunc.tail_tol * 1.01
                 checked += 1
-            T_hi = _unstable_cut(mu, t, scale, beta, nu, gamma, trunc)
+            T_hi = _tail_cut(mu, t, scale, beta + gamma - nu, -(gamma - nu - beta), -1.0, trunc)
             if T_hi > t:
                 tail = scale * _numeric_unstable_tail(mu, T_hi, beta, nu, gamma)
                 assert tail <= trunc.tail_tol * 1.01
                 checked += 1
     assert checked >= 2
+
+
+@pytest.mark.parametrize("mu_id", ["exp", "poly", "log"])
+def test_tail_cut_past_float_range_keeps_no_tail(mu_id):
+    # a tail amplitude so small that the cut leaves float range: on the stable
+    # side the closed form overflows, by its exponential (k2 = 0) or its power
+    # branch; on the unstable side it underflows to mu = 0.  Either way the
+    # whole tail is below the tolerance, so the cut is t itself, with no warning
+    from mu_lab.conjugacy import _tail_cut
+    from mu_lab.growth_rate import rate_by_id
+
+    mu, trunc, t, scale = rate_by_id(mu_id), TruncationPolicy(tail_tol=1e-6, max_span=60.0), 0.3, 1e-300
+    for k2 in (0.0, 0.01):
+        assert _tail_cut(mu, t, scale, 1.2, k2, 1.0, trunc) == t
+    for k2 in (0.0, 0.5, -0.5):
+        assert _tail_cut(mu, t, scale, 0.8, k2, -1.0, trunc) == t
 
 
 @pytest.mark.parametrize("mu_id", ["exp", "poly", "log"])
@@ -894,16 +910,9 @@ def test_negative_control_gain_diverges(flagship):
     with pytest.raises(NotContracting) as err:
         picard_solve(
             flagship["model"], neg, declared, COARSE_GRID, COARSE_TRUNC,
-            solver_tol=SOLVER_TOL, max_sweeps=10, require_admissible=False,
+            solver_tol=SOLVER_TOL, max_sweeps=10,
         )
     assert len(err.value.sweeps) <= 10
-
-
-def test_admissibility_gate_blocks_solver(flagship):
-    p = flagship["params"]
-    bad = p.with_(delta=2.0 * delta_ceiling(p))
-    with pytest.raises(ValueError, match="admissibility"):
-        picard_solve(flagship["model"], flagship["pert"], bad, COARSE_GRID, COARSE_TRUNC)
 
 
 def test_doubled_deriv_scale_shrinks_margin(flagship):
@@ -915,7 +924,7 @@ def test_doubled_deriv_scale_shrinks_margin(flagship):
     hot = saturating_cross_perturbation(flagship["mu"], hot_params, reads=[(0, R), (1, R / 2)], n=2)
     res = picard_solve(
         flagship["model"], hot, hot_params, COARSE_GRID, COARSE_TRUNC,
-        solver_tol=SOLVER_TOL, require_admissible=False,
+        solver_tol=SOLVER_TOL,
     )
     assert res.derivative_margin < base.derivative_margin
     assert res.derivative_margin > 0.0  # recorded outcome: margin shrank, no divergence

@@ -12,7 +12,7 @@ from mu_lab.dde_core import (
     solve_perturbed,
     solve_perturbed_R,
 )
-from mu_lab.dichotomy import FlowCoordinate, diagonal_model
+from mu_lab.dichotomy import diagonal_model
 from mu_lab.errors import NonFiniteState, StepMisaligned, TimeOrder
 from mu_lab.growth_rate import rate_by_id
 from mu_lab.phase_space import JumpSegment, Segment, sup_norm
@@ -20,12 +20,14 @@ from mu_lab.phase_space import JumpSegment, Segment, sup_norm
 
 def scalar_ode(rate: float, r: float = 1.0):
     """The diagonal model x'(t) = rate x(t), with flow exp(rate (t - s))."""
-    coord = FlowCoordinate(
-        role="stable" if rate <= 0 else "unstable",
-        log_flow=lambda ts: rate * np.asarray(ts, dtype=float),
-        coeff=lambda ts: np.full(np.shape(ts), float(rate)),
+    return diagonal_model(
+        rate_by_id("exp"),
+        r,
+        log_flow=lambda ts: rate * np.asarray(ts, dtype=float)[None],
+        coeff=lambda ts: np.full((1,) + np.shape(ts), float(rate)),
+        unstable=[rate > 0],
+        label="ode",
     )
-    return diagonal_model(rate_by_id("exp"), r, [coord], label="ode")
 
 
 def delayed(weight: float, lag: float = 1.0) -> Perturbation:

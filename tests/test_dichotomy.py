@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,16 +13,13 @@ from mu_lab.dichotomy import (
     apply_Q0,
     derived_constant_D,
     evolve_P0,
-    flagship_model,
     p0_kernel,
+    power_model,
     project_P,
     project_Q,
     q0_kernel,
-    scalar_stable_model,
-    scalar_unstable_model,
     seg_T_closed,
     sin_wobble_model,
-    three_dim_model,
     verify_bounds,
 )
 from mu_lab.errors import TimeOrder
@@ -30,11 +28,13 @@ from mu_lab.phase_space import Segment, sup_norm
 
 EXP = rate_by_id("exp")
 R = 0.5
+# powers of the diagonal power models: one stable, one unstable, the pair, and a two-dimensional unstable block
+STABLE, UNSTABLE, PAIR, TRIPLE = (-0.8,), (0.6,), (-0.8, 0.6), (-0.8, 0.6, 0.9)
 
 
 @pytest.fixture(scope="module")
 def diag2():
-    return flagship_model(EXP, R)
+    return power_model(EXP, R, PAIR)
 
 
 def evolve(model, t, s, seg):
@@ -84,7 +84,7 @@ def test_apply_Q0_kills_stable_component(diag2):
 
 
 def test_apply_Q0_scalar_unstable_round_trip():
-    model = scalar_unstable_model(EXP, R)
+    model = power_model(EXP, R, UNSTABLE)
     out = apply_Q0(model, 0.0, [1.0], m=64)
     # forward by r then pulled back is the identity on the unstable line
     assert out.values[-1, 0] == pytest.approx(1.0, abs=1e-9)
@@ -94,7 +94,7 @@ def test_apply_Q0_scalar_unstable_round_trip():
 
 def test_apply_Q0_closed_matches_integration(diag2):
     # the integrated factorization against the closed form q0_kernel at tau = t
-    for model in (diag2, three_dim_model(EXP, R)):
+    for model in (diag2, power_model(EXP, R, TRIPLE)):
         for t in (-1.0, 0.6):
             p = np.arange(1.0, model.n + 1.0)
             a = apply_Q0(model, t, p, m=48)
@@ -103,7 +103,7 @@ def test_apply_Q0_closed_matches_integration(diag2):
 
 
 def test_apply_P0_zero_and_purely_stable():
-    model = scalar_stable_model(EXP, R)
+    model = power_model(EXP, R, STABLE)
     comp = apply_P0(model, 0.2, [0.0], m=32)
     assert sup_norm(comp.segment) == 0.0 and np.all(comp.jump == 0.0)
     comp = apply_P0(model, 0.2, [1.5], m=32)
@@ -169,8 +169,8 @@ def test_derived_constant_reference_values(diag2):
 
 @pytest.mark.parametrize("mu", builtin_catalogue(), ids=lambda g: g.label)
 def test_certificate_scalar_models(mu):
-    for build in (scalar_stable_model, scalar_unstable_model):
-        model = build(mu, R)
+    for powers in (STABLE, UNSTABLE):
+        model = power_model(mu, R, powers)
         cert = verify_bounds(model, (-10.0, 10.0), samples=120, seed=11, m=40)
         assert cert.passed, f"{model.label}: {[c.to_dict() for c in cert.checks if not c.passed]}"
         # with the honest declared constants the ratios stay at or below one,
@@ -182,7 +182,7 @@ def test_certificate_scalar_models(mu):
 def test_stable_flow_value_is_exact_power_law():
     # at omega = 0 the stable flow matches (mu(t)/mu(s))^(-alpha) with no constant
     for mu in builtin_catalogue():
-        model = scalar_stable_model(mu, R)
+        model = power_model(mu, R, STABLE)
         phi = Segment.constant(R, [1.0], 32)
         for s, t in [(-2.0, 1.0), (0.5, 4.0)]:
             seg = evolve(model, t, s, phi)
@@ -190,22 +190,28 @@ def test_stable_flow_value_is_exact_power_law():
             assert seg.values[-1, 0] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("mu", builtin_catalogue(), ids=lambda g: g.label)
-def test_coefficients_are_vectorized_flow_derivatives(mu):
-    # rho' takes whole time arrays (the batched residual check evaluates a
-    # stage for every sample at once), matches rho by central difference,
-    # and the scalar integrator's linear part is coeff_i(t) x_i at a scalar time
-    model = flagship_model(mu, R)
+FLOW_MODELS = [pytest.param(partial(power_model, mu, R, PAIR), id=mu.label) for mu in builtin_catalogue()] + [
+    pytest.param(partial(sin_wobble_model, R), id="wobble")
+]
+
+
+@pytest.mark.parametrize("build", FLOW_MODELS)
+def test_coefficients_are_vectorized_flow_derivatives(build):
+    # rho and rho' return every coordinate at once, (n,) + shape(t), for a
+    # scalar and for array times (the batched residual check evaluates a
+    # stage for every sample at once); rho' matches rho by central
+    # difference, and the scalar integrator's linear part is coeff(t) x
+    model = build()
     ts = np.array([-2.3, -0.4, 0.0, 0.7, 3.1])
+    for t in (0.7, ts, np.stack([ts, ts + 0.25])):
+        assert model.log_flow(t).shape == model.coeff(t).shape == (model.n,) + np.shape(t)
+    got = model.coeff(ts)
+    np.testing.assert_allclose(got, np.stack([model.coeff(t) for t in ts], axis=1), rtol=1e-15, atol=0.0)
     h = 1e-6
-    for c in model.coords:
-        got = c.coeff(ts)
-        assert got.shape == ts.shape
-        np.testing.assert_allclose(got, [float(c.coeff(t)) for t in ts], rtol=1e-15, atol=0.0)
-        fd = (c.log_flow(ts + h) - c.log_flow(ts - h)) / (2 * h)
-        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8)
-    t, h, y = 0.7, R / 16, np.array([0.9, -1.3])
-    a0, a1, a2 = (np.array([float(c.coeff(tt)) for c in model.coords]) for tt in (t, t + h / 2.0, t + h))
+    fd = (model.log_flow(ts + h) - model.log_flow(ts - h)) / (2 * h)
+    np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8)
+    t, h, y = 0.7, R / 16, np.array([0.9, -1.3])[: model.n]
+    a0, a1, a2 = (model.coeff(tt) for tt in (t, t + h / 2.0, t + h))
     k1 = a0 * y
     k2 = a1 * (y + h / 2.0 * k1)
     k3 = a1 * (y + h / 2.0 * k2)
@@ -218,7 +224,7 @@ def test_unstable_backward_bound_with_unit_constants():
     # the pure backward family holds with K = 1, nu = 0; the stable family
     # cannot (history transients force K >= 2 N^alpha), which is why the
     # builders declare the larger constant by default
-    model = scalar_unstable_model(EXP, R, K=1.0, nu=0.0)
+    model = power_model(EXP, R, UNSTABLE, K=1.0, nu=0.0)
     cert = verify_bounds(model, (-10.0, 10.0), samples=150, seed=5, m=40)
     assert cert.check("unstable").worst_ratio <= 1.0 + 1e-9
     assert not cert.check("stable").passed
@@ -265,7 +271,7 @@ def test_certificate_json_shape(diag2):
 
 
 def test_three_dim_model_d_u2():
-    model = three_dim_model(EXP, R)
+    model = power_model(EXP, R, TRIPLE)
     assert model.d_u == 2
     cert = verify_bounds(model, (-6.0, 6.0), samples=80, seed=4, m=32)
     assert cert.passed
@@ -276,7 +282,7 @@ def test_three_dim_model_d_u2():
 
 
 def test_q0_backward_closed_decays():
-    model = scalar_unstable_model(EXP, R)
+    model = power_model(EXP, R, UNSTABLE)
     seg = jump_response(q0_kernel, model, -2.0, 1.0, [1.0], 32)
     assert sup_norm(seg) == pytest.approx(np.exp(0.6 * -3.0), rel=1e-9)
 
@@ -287,7 +293,7 @@ def test_q0_backward_closed_decays():
 
 
 def oracle_rho(model, times):
-    return np.array([np.asarray(c.log_flow(times), dtype=float) for c in model.coords])
+    return model.log_flow(np.asarray(times, dtype=float))
 
 
 def oracle_Q(model, s, seg):
@@ -351,9 +357,9 @@ def p0_evolved_closed(model, t, s, p, m):
     rho_s = oracle_rho(model, np.array([s]))[:, 0]
     forward = grid >= s - 1e-12
     vals = np.zeros((m + 1, model.n))
-    for i, c in enumerate(model.coords):
+    for i in range(model.n):
         flow = p[i] * np.exp(rho[i] - rho_s[i])
-        if c.role == "stable":
+        if not model.unstable[i]:
             vals[:, i] = np.where(forward, flow, 0.0)
         else:
             vals[:, i] = np.where(forward, 0.0, -flow)
@@ -369,9 +375,8 @@ def q0_backward_closed(model, t, s, p, m):
     rho = oracle_rho(model, grid)
     rho_s = oracle_rho(model, np.array([s]))[:, 0]
     vals = np.zeros((m + 1, model.n))
-    for i, c in enumerate(model.coords):
-        if c.role == "unstable":
-            vals[:, i] = p[i] * np.exp(rho[i] - rho_s[i])
+    for i in model.unstable_indices:
+        vals[:, i] = p[i] * np.exp(rho[i] - rho_s[i])
     return Segment(model.r, vals)
 
 
@@ -437,12 +442,15 @@ def oracle_certificate(model, window, samples, seed, m):
     return families
 
 
+# the test ids name each power set by its configuration: the scalar stable and unstable
+# models, the flagship pair and the three-dimensional model
+NAMED_POWERS = (("scalar_stable_model", STABLE), ("scalar_unstable_model", UNSTABLE), ("flagship_model", PAIR))
 ORACLE_MODELS = [
-    pytest.param(build, mu, id=f"{build.__name__}-{mu.label}")
+    pytest.param(partial(power_model, powers=powers), mu, id=f"{name}-{mu.label}")
     for mu in builtin_catalogue()
-    for build in (scalar_stable_model, scalar_unstable_model, flagship_model)
+    for name, powers in NAMED_POWERS
 ] + [
-    pytest.param(three_dim_model, EXP, id="three_dim_model-exp"),
+    pytest.param(partial(power_model, powers=TRIPLE), EXP, id="three_dim_model-exp"),
     pytest.param(lambda mu, r: sin_wobble_model(r), EXP, id="sin_wobble_model"),
     pytest.param(lambda mu, r: sin_wobble_model(r, theta=0.0), EXP, id="sin_wobble_model-theta0"),
 ]
@@ -477,7 +485,7 @@ def test_certificate_matches_per_pair_oracle(build, mu):
 def test_seg_T_closed_matches_per_pair_oracle(mu):
     # every sample, signs included, for pairs inside one delay (history
     # splice) and beyond it, on per-pair and on shared segments
-    model = three_dim_model(mu, R)
+    model = power_model(mu, R, TRIPLE)
     rng = np.random.default_rng(12)
     m, pairs = 24, 30
     s = rng.uniform(-5.0, 5.0, size=pairs)
@@ -503,7 +511,7 @@ def test_pairwise_kernels_stack_single_time_calls(mu):
     # call gives for that tau alone
     rng = np.random.default_rng(8)
     omega = np.linspace(-R, 0.0, 41)
-    for model in (flagship_model(mu, R), three_dim_model(mu, R)):
+    for model in (power_model(mu, R, PAIR), power_model(mu, R, TRIPLE)):
         t = rng.uniform(-8.0, 8.0, size=23)
         taus = t - rng.uniform(-1.0, 1.0, size=23)
         for kernel in (p0_kernel, q0_kernel):
@@ -565,9 +573,13 @@ def all_ahead(model, t, s, m):
 
 SPLIT_MODELS = [
     pytest.param(lambda mu, r: sin_wobble_model(r), EXP, id="wobble"),
-    pytest.param(flagship_model, EXP, id="flagship_model"),
-    pytest.param(three_dim_model, EXP, id="three_dim_model"),
-] + [pytest.param(flagship_model, mu, id=f"flagship_model-{mu.label}") for mu in builtin_catalogue() if mu.label != EXP.label]
+    pytest.param(partial(power_model, powers=PAIR), EXP, id="flagship_model"),
+    pytest.param(partial(power_model, powers=TRIPLE), EXP, id="three_dim_model"),
+] + [
+    pytest.param(partial(power_model, powers=PAIR), mu, id=f"flagship_model-{mu.label}")
+    for mu in builtin_catalogue()
+    if mu.label != EXP.label
+]
 
 
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
