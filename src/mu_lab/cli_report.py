@@ -201,6 +201,11 @@ def _check_ranges(sections: dict) -> None:
     for path, (lo, hi) in windows.items():
         if not lo < hi:
             raise ConfigError(f"scenario.{path} must be increasing, got {[lo, hi]}")
+    # GridSpec rounds span / step to a cell count; under half a cell leaves one node, and no interpolation cell
+    spans = {"t_step": grids["t_max"] - grids["t_min"], "b_step": 2.0 * grids["b_max"]}
+    for name, span in spans.items():
+        if not span / grids[name] > 0.5:
+            raise ConfigError(f"scenario.grids.{name} {grids[name]!r} leaves one grid node; each axis needs two")
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -383,6 +388,9 @@ def _residual_check(res: ResolvedScenario, eta: EtaField, seed: int):
 def run_conjugacy(res: ResolvedScenario) -> dict:
     if res.model.d_u == 0:
         return {"status": "trivial", "note": "no unstable direction; the conjugacy is the identity"}
+    if res.model.d_u > 1:
+        note = f"the field solver handles one unstable coordinate, not {res.model.d_u}"
+        return {"status": "unsupported", "note": note}
     try:
         result = picard_solve(
             res.model,

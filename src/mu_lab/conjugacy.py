@@ -13,11 +13,17 @@ panels are geometric in u with fixed Gauss-Legendre nodes per panel.
 
 Only the field changes between sweeps, so the operator is planned once per
 solve (plan_operator, O(S) numbers per row of S nodes, with the clamp
-counts taken from the query geometry alone); a sweep (_full_sweep) gathers
-the perturbation's point reads from the field in read-major blocks,
-applies its maps there, sums them over the node groups on which the
-diagonal kernels' step is constant and contracts those sums with a small
-per-row matrix (_group_kernels).  The solve starts from the zero field, so
+counts taken from the query geometry alone); a sweep (_full_sweep) walks
+each row in blocks of its nodes with every b query at once, gathers the
+perturbation's point reads from the field read-major, applies its maps
+there, sums them over the node groups on which the diagonal kernels' step
+is constant and contracts those sums with a small per-row matrix
+(_group_kernels).  A block is capped by its number of node x b-query reads,
+so a worker's temporaries stay small whatever the grid.  The rows are
+shared out over one thread per usable CPU (os.sched_getaffinity), as long
+as each thread gets at least _WORKER_READS reads: a small sweep stays on
+the calling thread.  One thread computes each row whole, so the field does
+not depend on the thread count.  The solve starts from the zero field, so
 its first sweep is the source term F(0): it reads no field and gathers
 nothing.  Every sweep measures the update ||F(eta) - eta|| of the field it
 reads, and the solve returns the last field so measured: its reported
@@ -33,6 +39,8 @@ trigger for core evaluations.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -378,7 +386,35 @@ def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, 
     return OperatorPlan(model, pert, bs, tuple(rows), cs, js, eta.m, clamped, total)
 
 
-_B_CHUNK = 128  # b columns per gather-and-contract block; bounds the temporaries
+_BLOCK_READS = 2**15  # node x b-query reads per gather block; bounds a worker's temporaries
+_WORKER_READS = 2**20  # reads a sweep needs per worker before it starts a helper thread
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _node_blocks(n_far: int, n_stable: int, size: int, nb: int) -> list:
+    """Edges of a row's node blocks for nb b queries, from 0 to size.
+
+    A block holds at most _BLOCK_READS // nb nodes, or else one node or one
+    near panel: the far and unstable nodes may be cut anywhere, a near
+    panel of _NEAR_NODES never is.
+    """
+    per_block = max(1, _BLOCK_READS // max(nb, 1))
+    starts = np.concatenate(
+        [np.arange(n_far), np.arange(n_far, n_stable, _NEAR_NODES), np.arange(n_stable, size + 1)]
+    )  # where a block may start, and size
+    edges = [0]
+    while edges[-1] < size:
+        lo = edges[-1]
+        fill = starts[np.searchsorted(starts, lo + per_block, side="right") - 1]
+        edges.append(int(max(fill, starts[np.searchsorted(starts, lo, side="right")])))
+    return edges
 
 
 def _group_kernels(model: DichotomyModel, row: RowPlan, omega: np.ndarray):
@@ -413,20 +449,116 @@ def _group_kernels(model: DichotomyModel, row: RowPlan, omega: np.ndarray):
     return node, mask * np.exp(rho_g - rho_g[:, -1:])[:, None]
 
 
+def _blended_reads(tables: np.ndarray, b_grid: np.ndarray, it: np.ndarray, wts: np.ndarray, B: np.ndarray):
+    """The read tables (2k, nt, nb) at one node block's orbit lookups, read-major (2k, s, c).
+
+    The block's s nodes come in runs that share a t cell, and each run is
+    blended along t by one (s, 2) @ (2, nb) matmul per table with the
+    weights wts (s, 2); two takes along b then blend at the b coordinates
+    B (s, c).  The temporaries are freed on return.
+    """
+    s, nbg = it.size, b_grid.size
+    along_t = np.empty((tables.shape[0], s, nbg))
+    edges = [0, *(np.flatnonzero(it[1:] != it[:-1]) + 1).tolist(), s]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.matmul(wts[lo:hi], tables[:, it[lo] : it[lo] + 2], out=along_t[:, lo:hi])
+    ib, wb = _cells((B - b_grid[0]) / (b_grid[1] - b_grid[0]), nbg)
+    at = ib + (np.arange(s) * nbg)[:, None]
+    flat = along_t.reshape(tables.shape[0], s * nbg)
+    reads = np.take(flat, at, axis=1)
+    upper = np.take(flat, at + 1, axis=1)
+    reads *= 1 - wb
+    upper *= wb
+    reads += upper
+    return reads
+
+
+def _add_group_sums(sums: np.ndarray, mapped: np.ndarray, node: np.ndarray, lo: int, n_far: int, n_stable: int):
+    """Add a node block's mapped plane (n, s, c), nodes lo to lo + s, to the row's group sums (n, P+2, c).
+
+    Its far and unstable nodes add to the first and last group, weighted by
+    the node factors; each of its near panels, whole in the block, is its
+    own group.
+    """
+    hi = lo + mapped.shape[1]
+    f = min(hi, n_far)
+    if f > lo:
+        sums[:, :1] += np.matmul(node[:, None, lo:f], mapped[:, : f - lo])
+    a, z = max(lo, n_far), min(hi, n_stable)
+    if z > a:
+        near = mapped[:, a - lo : z - lo] * node[:, a:z, None]
+        n, c = near.shape[0], near.shape[2]
+        p, q = (a - n_far) // _NEAR_NODES, (z - n_far) // _NEAR_NODES
+        np.sum(near.reshape(n, q - p, _NEAR_NODES, c), axis=2, out=sums[:, 1 + p : 1 + q])
+    if hi > n_stable:
+        u = max(lo, n_stable)
+        sums[:, -1:] += np.matmul(node[:, None, u:hi], mapped[:, u - lo :])
+
+
+def _in_workers(task, items: list, workers: int) -> None:
+    """task(item) for every item, on the calling thread and up to workers - 1 helper threads.
+
+    Worker w takes items w, w + workers, ... in turn.  The first exception
+    stops every worker before its next item and is raised here once all of
+    them have joined, so no helper outlives the call.
+    """
+    workers = max(1, min(workers, len(items)))
+    failed = []
+
+    def run(w):
+        try:
+            for item in items[w::workers]:
+                if failed:
+                    return
+                task(item)
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            failed.append(exc)
+
+    helpers = []
+    try:
+        for w in range(1, workers):
+            helper = threading.Thread(target=run, args=(w,), name=f"mu-lab-sweep-{w}")
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[0]
+
+
+def _sweep_workers(plan: OperatorPlan) -> int:
+    """One worker per usable CPU, while each gets at least _WORKER_READS node x b-query reads.
+
+    A smaller share would leave the threads waiting on one another for the
+    interpreter lock in numpy's call overhead.
+    """
+    reads = plan.b.size * sum(row.taus.size for row in plan.rows)
+    return max(1, min(_usable_cpus(), reads // _WORKER_READS))
+
+
 def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
     """The operator and its b-derivative at every planned query, from eta.
 
     Returns (F, dF) of shape (rows, nb, n, m+1).  The read tables are cut
-    once in read-major layout (2k, nt, nb); per row they are blended along
-    t with the planned weights.  A block of c b columns stays read-major,
-    (k, S, c), from the gathers to the maps: two takes along b blend into
-    the reads W and directions V, and the perturbation's maps give the
-    value and derivative planes (n, S, c).  Each plane is summed over the
-    row's node groups with the node factors of _group_kernels, (n, P+2, c)
-    for P near panels, and contracted with the group kernels by one small
-    matmul per plane, written straight into the output.
+    once in read-major layout (2k, nt, nb).  A row is walked in blocks of
+    its nodes (_node_blocks), each with every b query at once: the block's
+    reads W and directions V, (k, s, nb), are blended from the tables along
+    t and then along b (_blended_reads), the perturbation's maps give the
+    value and derivative planes (n, s, nb), and these are summed into the
+    row's node groups with the node factors of _group_kernels, (n, P+2, nb)
+    for P near panels.  The row ends with one matmul per plane against the
+    group kernels, written straight into the output.
     eta None stands for the zero field, every read of which is 0: that
     sweep is the source term F(0), with no tables, blends or gathers.
+
+    The rows are shared out over the calling thread and one helper thread
+    per further usable CPU (_sweep_workers), which take every w-th row;
+    numpy releases the interpreter lock in the block arithmetic.  A sweep
+    with fewer than _WORKER_READS reads per worker stays on fewer threads,
+    a small one on the calling thread alone.  One worker computes each row
+    from start to finish, so the result does not depend on the worker count.
     """
     model, pert = plan.model, plan.pert
     n, m, k = model.n, plan.m, len(plan.cs)
@@ -435,54 +567,40 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
     out = np.zeros((len(plan.rows), nb, n, m + 1))
     dout = np.zeros_like(out)
     if eta is not None:
-        bg, nbg = eta.b_grid, len(eta.b_grid)
         tables = np.concatenate(
             [eta.values.transpose(2, 3, 0, 1)[plan.cs, plan.js], eta.dvalues.transpose(2, 3, 0, 1)[plan.cs, plan.js]]
         )  # (2k, nt, nb)
-    for i, row in enumerate(plan.rows):
-        S = row.taus.size
-        if S == 0:
-            continue
-        if eta is not None:
-            along_t = np.take(tables, row.it, axis=1)
-            along_t *= 1.0 - row.wt[:, None]
-            upper = np.take(tables, row.it + 1, axis=1)
-            upper *= row.wt[:, None]
-            along_t += upper  # (2k, S, nb)
-            del upper  # freed before the blocks allocate, which keeps the peak RSS down
-            flat = along_t.reshape(2 * k, S * nbg)
-            row_start = (np.arange(S) * nbg)[:, None]
+
+    def sweep_row(i):
+        row = plan.rows[i]
         nf, ns = row.n_far, row.n_stable
         node, kern = _group_kernels(model, row, omega)
-        panels = kern.shape[1] - 2
+        sums = np.zeros((2, n, kern.shape[1], nb))  # per plane and group: far, each near panel, unstable
         live = [j for j in range(k) if row.lin[j].any()]  # reads of the unstable coordinate
-        for lo in range(0, nb, _B_CHUNK):
-            hi = min(lo + _B_CHUNK, nb)
-            B = row.factor[:, None] * plan.b[lo:hi]  # (S, c)
+        if eta is not None:
+            wts = np.stack([1.0 - row.wt, row.wt], axis=1)  # (S, 2) t-blend weights
+        edges = _node_blocks(nf, ns, row.taus.size, nb)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            B = row.factor[lo:hi, None] * plan.b  # (s, nb)
             if eta is None:
                 # zeros to add the linear part to, as the gathers' +0.0 sums are:
                 # 0.0 + (-0.0) is +0.0, where assigning lin * B would keep -0.0
-                reads = np.zeros((2 * k, S, hi - lo))
+                reads = np.zeros((2 * k, hi - lo, nb))
             else:
-                ib, wb = _cells((B - bg[0]) / (bg[1] - bg[0]), nbg)
-                at = ib + row_start
-                reads = np.take(flat, at, axis=1)  # (2k, S, c)
-                upper = np.take(flat, at + 1, axis=1)
-                reads *= 1 - wb
-                upper *= wb
-                reads += upper
+                reads = _blended_reads(tables, eta.b_grid, row.it[lo:hi], wts[lo:hi], B)
             W, V = reads[:k], reads[k:]
             for j in live:
-                W[j] += row.lin[j][:, None] * B
-                V[j] += row.lin[j][:, None]
-            V *= row.factor[:, None]
-            for dst, mapped in zip((out, dout), (pert.value_map(W), pert.jvp_map(W, V))):  # (n, S, c) each
-                sums = np.empty((n, panels + 2, hi - lo))  # weighted per group: far, each near panel, unstable
-                np.matmul(node[:, None, :nf], mapped[:, :nf], out=sums[:, :1])
-                near = mapped[:, nf:ns] * node[:, nf:ns, None]
-                np.sum(near.reshape(n, panels, _NEAR_NODES, hi - lo), axis=2, out=sums[:, 1:-1])
-                np.matmul(node[:, None, ns:], mapped[:, ns:], out=sums[:, -1:])
-                np.matmul(sums.swapaxes(1, 2), kern, out=dst[i, lo:hi].swapaxes(0, 1))  # (n, c, m+1)
+                W[j] += row.lin[j, lo:hi, None] * B
+                V[j] += row.lin[j, lo:hi, None]
+            V *= row.factor[lo:hi, None]
+            del B
+            _add_group_sums(sums[0], pert.value_map(W), node, lo, nf, ns)
+            _add_group_sums(sums[1], pert.jvp_map(W, V), node, lo, nf, ns)
+        for dst, plane in zip((out, dout), sums):
+            np.matmul(plane.swapaxes(1, 2), kern, out=dst[i].swapaxes(0, 1))  # (n, nb, m+1)
+
+    rows = [i for i, row in enumerate(plan.rows) if row.taus.size]
+    _in_workers(sweep_row, rows, _sweep_workers(plan))
     return out, dout
 
 

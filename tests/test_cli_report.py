@@ -159,6 +159,9 @@ _OUT_OF_RANGE = {
     "tail_tol_zero": ("tolerances", "tail_tol", 0.0),
     "max_span_negative": ("tolerances", "max_span", -5.0),
     "cert_tol_negative": ("tolerances", "cert_tol", -0.5),
+    # 9 / 20 and 12 / 30 round to no cell: one node on the axis, which ended in an IndexError
+    "t_step_one_node": ("grids", "t_step", 20.0),
+    "b_step_one_node": ("grids", "b_step", 30.0),
 }
 
 
@@ -314,6 +317,22 @@ def test_solver_failure_exits_four():
     assert rep["exit_code"] == EXIT_SOLVER
     assert rep["stages"]["conjugacy"]["status"] == "not_contracting"
     assert len(rep["stages"]["conjugacy"]["sweeps"]) <= 10
+
+
+def test_two_unstable_coordinates_exit_four_without_a_traceback(tmp_path, capsys):
+    # admissibility and the certificate pass; the field solver handles one
+    # unstable coordinate, so the conjugacy stage reports it as unsupported
+    doc = coarse_flagship()
+    doc["model"]["stable_power"] = 0.5
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_SOLVER
+    assert "Traceback" not in capsys.readouterr().err
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "solver_failed"
+    assert rep["stages"]["dichotomy"]["status"] == "pass"
+    assert rep["stages"]["conjugacy"]["status"] == "unsupported"
 
 
 def test_unconverged_solve_exits_four():

@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import COARSE_GRID, COARSE_TRUNC, DEFAULT_GRID, DEFAULT_TRUNC, SOLVER_TOL, R, build_flagship
 from mu_lab.admissibility import delta_ceiling, lambda_ceiling
@@ -10,10 +14,12 @@ from mu_lab.conjugacy import (
     EtaField,
     GridSpec,
     TruncationPolicy,
-    _B_CHUNK,
+    _BLOCK_READS,
+    _NEAR_NODES,
     _cells,
     _coords,
     _full_sweep,
+    _node_blocks,
     conjugacy_residual,
     invertibility_check,
     lattice_residuals,
@@ -32,6 +38,13 @@ from mu_lab.phase_space import Segment, lag_index, mu_norm, sup_norm
 def zero_field(flagship, grid=DEFAULT_GRID):
     p = flagship["params"]
     return EtaField.zero(grid, 2, R, flagship["mu"], p.xi, p.eps)
+
+
+def _noise_field(flagship, seed=11):
+    """A non-zero field on the coarse grid."""
+    eta = zero_field(flagship, COARSE_GRID)
+    values, dvalues = 0.1 * np.random.default_rng(seed).normal(size=(2,) + eta.values.shape)
+    return eta.with_data(values, dvalues)
 
 
 def F_apply(model, pert, eta, t, b, trunc, *, D):
@@ -115,13 +128,18 @@ def point_oracle(model, pert, eta, t, b, trunc, D):
     return Segment(model.r, out), Segment(model.r, dout)
 
 
-def block_oracle_sweep(plan, eta, scenario_reads, value_map, jvp_map):
-    """Oracle: the sweep in (S, c, k) blocks, as it was before the read-major block.
+ORACLE_B_CHUNK = 128  # b columns per block of block_oracle_sweep
 
-    Reads stay in scenario order, and the maps roll them so that component
-    i sees scenario read i+1; each block transposes W and V to (S, c, k),
-    scales the maps' values by the weight per node and transposes them back
-    for the same batched matmul.  Only the plan's orbit data is shared.
+
+def block_oracle_sweep(plan, eta, scenario_reads, value_map, jvp_map):
+    """Oracle: the sweep in (S, c, k) blocks of b columns, as it was before the read-major node blocks.
+
+    Each row is blended along t whole, with two takes, and walked in blocks
+    of ORACLE_B_CHUNK b columns with every node at once.  Reads stay in
+    scenario order, and the maps roll them so that component i sees
+    scenario read i+1; each block transposes W and V to (S, c, k), scales
+    the maps' values by the weight per node and transposes them back for
+    one dense kernel matmul.  Only the plan's orbit data is shared.
     """
     model, pert = plan.model, plan.pert
     n, m, k = eta.n, eta.m, len(scenario_reads)
@@ -154,8 +172,8 @@ def block_oracle_sweep(plan, eta, scenario_reads, value_map, jvp_map):
         kern = np.concatenate(
             [p0_kernel(model, row.t, row.taus[:ns], omega), q0_kernel(model, row.t, row.taus[ns:], omega)], axis=1
         ) * row.weights[:, None]
-        for lo in range(0, nb, _B_CHUNK):
-            hi = min(lo + _B_CHUNK, nb)
+        for lo in range(0, nb, ORACLE_B_CHUNK):
+            hi = min(lo + ORACLE_B_CHUNK, nb)
             B = row.factor[:, None] * plan.b[lo:hi]
             x = (B - bg[0]) / (bg[1] - bg[0])
             ib = np.clip(np.floor(x).astype(int), 0, nbg - 2)
@@ -183,6 +201,13 @@ def assert_matches_block_oracle(F, dF, F_ref, dF_ref):
     # is 1.6e-15 of the maximum
     assert np.max(np.abs(F - F_ref)) <= 4e-15 * np.max(np.abs(F_ref))
     assert np.max(np.abs(dF - dF_ref)) <= 4e-15 * np.max(np.abs(dF_ref))
+
+
+def assert_rows_span_blocks_with_a_remainder(plan):
+    """Some row of the plan spans several node blocks, and some row's last block is shorter than its first."""
+    sizes = [np.diff(_node_blocks(rp.n_far, rp.n_stable, rp.taus.size, plan.b.size)) for rp in plan.rows]
+    assert any(len(z) > 1 for z in sizes)
+    assert any(len(z) > 1 and z[-1] < z[0] for z in sizes)
 
 
 def _rolled(W):
@@ -268,8 +293,9 @@ def test_full_row_matches_point_oracle(flagship_result, row, coupling):
 
 @pytest.mark.parametrize("coupling", ["saturating", "linear"])
 def test_sweep_matches_block_oracle(flagship, coupling):
-    # a non-zero field on the coarse grid, queried at more b than one block
-    # holds and past both ends of the b grid, so blocks, clamps and both
+    # a non-zero field on the coarse grid, queried past both ends of the b
+    # grid at so many b that rows span several node blocks, one of them a
+    # remainder (and the oracle's b blocks too), so blocks, clamps and both
     # sides of every orbit are exercised
     model, p = flagship["model"], flagship["params"]
     scenario = [(0, R), (1, R / 2)]
@@ -277,11 +303,10 @@ def test_sweep_matches_block_oracle(flagship, coupling):
         pert = saturating_cross_perturbation(flagship["mu"], flagship["params"], reads=scenario, n=2)
     else:
         pert = linear_cross_perturbation(flagship["mu"], flagship["params"], reads=scenario, n=2, gain=0.3)
-    eta = zero_field(flagship, COARSE_GRID)
-    values, dvalues = 0.1 * np.random.default_rng(11).normal(size=(2,) + eta.values.shape)
-    eta = eta.with_data(values, dvalues)
-    bs = np.linspace(-4.5, 4.5, 2 * _B_CHUNK + 17)
+    eta = _noise_field(flagship)
+    bs = np.linspace(-4.5, 4.5, 2 * ORACLE_B_CHUNK + 17)
     plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
+    assert_rows_span_blocks_with_a_remainder(plan)
     F, dF = _full_sweep(plan, eta)
     F_ref, dF_ref = block_oracle_sweep(plan, eta, scenario, *ROLLED_MAPS[coupling])
     assert np.any(F != 0.0) and np.any(dF != 0.0)
@@ -307,7 +332,8 @@ def test_source_term_sweep_is_the_zero_field_sweep_bit_for_bit(flagship, couplin
     # the first Picard sweep passes no field and skips the tables, blends and
     # gathers; its maps must see the very reads a zero field gives, signed
     # zeros included: at b = -0.0 the linear part lin * B is -0.0, and the
-    # gathers' +0.0 plus it is +0.0.  The b queries leave a remainder block
+    # gathers' +0.0 plus it is +0.0.  Rows span several node blocks, one of
+    # them a remainder
     model, p = flagship["model"], flagship["params"]
     scenario = [(0, R), (1, R / 2)]
     if coupling == "saturating":
@@ -317,7 +343,7 @@ def test_source_term_sweep_is_the_zero_field_sweep_bit_for_bit(flagship, couplin
     else:
         pert = Perturbation.zero(2)
     eta = zero_field(flagship, COARSE_GRID)
-    bs = np.concatenate([np.linspace(-4.5, 4.5, 2 * _B_CHUNK + 17), [-0.0]])
+    bs = np.concatenate([np.linspace(-4.5, 4.5, 2 * ORACLE_B_CHUNK + 17), [-0.0]])
     plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
     seen, seen_zero = [], []
     F, dF = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen)), None)
@@ -325,9 +351,10 @@ def test_source_term_sweep_is_the_zero_field_sweep_bit_for_bit(flagship, couplin
     assert F.tobytes() == F0.tobytes() and dF.tobytes() == dF0.tobytes()
     assert [a.tobytes() for a in seen] == [a.tobytes() for a in seen_zero]
     assert not any(np.any(np.signbit(a) & (a == 0.0)) for a in seen)  # no read is -0.0
-    if coupling == "zero":
+    if coupling == "zero":  # no envelope, so no node and nothing to block
         assert not np.any(F) and not np.any(dF)
     else:
+        assert_rows_span_blocks_with_a_remainder(plan)
         F_ref, dF_ref = block_oracle_sweep(plan, eta, scenario, *ROLLED_MAPS[coupling])
         assert np.any(F != 0.0) and np.any(dF != 0.0)
         assert_matches_block_oracle(F, dF, F_ref, dF_ref)
@@ -373,6 +400,141 @@ def test_row_geometries_match_the_oracles(flagship_result, tail_tol, geometries)
                 assert np.max(np.abs(dF[i, j] - dpoint.values.T)) < 1e-14
     if tail_tol == 1e-6:
         assert [rp.t for rp in plan.rows if ROW_GEOMETRIES["time zero splits a cell"](rp, eta.m)] == [0.3, 0.101]
+
+
+def _split_sweeps(monkeypatch, workers):
+    """Let every sweep use `workers` threads, however small it is."""
+    from mu_lab import conjugacy
+
+    monkeypatch.setattr(conjugacy, "_WORKER_READS", 1)
+    monkeypatch.setattr(conjugacy, "_usable_cpus", lambda: workers)
+
+
+def _thread_recording(pert, threads):
+    """pert with a value map that notes the thread it runs on."""
+
+    def value_map(W):
+        threads.add(threading.get_ident())
+        return pert.value_map(W)
+
+    return dataclasses.replace(pert, value_map=value_map)
+
+
+@pytest.mark.parametrize("field", ["noise", "source"])
+def test_sweep_is_the_same_for_any_worker_count(flagship, monkeypatch, field):
+    # one worker computes each row from start to finish, so the bytes of a
+    # sweep do not depend on how many share the rows; a short switch interval
+    # makes the threads interleave often, so a lost row would show
+    model, p = flagship["model"], flagship["params"]
+    pert = linear_cross_perturbation(flagship["mu"], p, reads=[(0, R), (1, R / 2)], n=2, gain=0.3)
+    eta = _noise_field(flagship)
+    before = threading.active_count()
+    swept = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            _split_sweeps(monkeypatch, workers)
+            threads = set()
+            plan = plan_operator(model, _thread_recording(pert, threads), eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, p.D)
+            F, dF = _full_sweep(plan, eta if field == "noise" else None)
+            assert len(threads) == workers and threading.active_count() == before
+            swept.append(F.tobytes() + dF.tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.any(F != 0.0) and swept[0] == swept[1] == swept[2]
+
+
+class _MapFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_a_failing_row_fails_the_sweep_and_stops_its_helpers(flagship, monkeypatch, where):
+    # the exception of the first failing row is raised by _full_sweep itself,
+    # once every thread has joined; the others stop before their next row, of
+    # four or five, and those that meet no failure wait for one in their first
+    _split_sweeps(monkeypatch, 3)
+    model, p, pert = flagship["model"], flagship["params"], flagship["pert"]
+    failure = _MapFailed(f"value map failed on a {where} row")
+    raised = threading.Event()
+    calls = {}
+
+    def value_map(W):
+        me = threading.current_thread()
+        calls[me.name] = calls.get(me.name, 0) + 1
+        if (me is threading.main_thread()) == (where == "caller"):
+            raised.set()
+            raise failure
+        raised.wait(timeout=10.0)
+        return pert.value_map(W)
+
+    eta = _noise_field(flagship)
+    failing = dataclasses.replace(pert, value_map=value_map)
+    plan = plan_operator(model, failing, eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, p.D)
+    nb = eta.b_grid.size
+    assert len(plan.rows) == 13 and all(len(_node_blocks(rp.n_far, rp.n_stable, rp.taus.size, nb)) == 2 for rp in plan.rows)
+    before = threading.active_count()
+    with pytest.raises(_MapFailed) as info:
+        _full_sweep(plan, eta)
+    assert info.value is failure
+    assert threading.active_count() == before
+    assert max(calls.values()) <= 2
+
+
+@given(
+    n_far=st.integers(0, 300),
+    panels=st.integers(0, 80),
+    n_unstable=st.integers(0, 300),
+    nb=st.integers(1, 3 * _BLOCK_READS),
+)
+@example(n_far=0, panels=40, n_unstable=200, nb=385)  # ROW_GEOMETRIES' no far nodes
+@example(n_far=120, panels=40, n_unstable=0, nb=385)  # no unstable nodes
+@example(n_far=0, panels=0, n_unstable=0, nb=385)  # no nodes
+@example(n_far=3, panels=5, n_unstable=2, nb=_BLOCK_READS // 3)  # a near panel over the cap
+@example(n_far=3, panels=5, n_unstable=2, nb=_BLOCK_READS + 1)  # a single node over the cap
+@settings(max_examples=300, deadline=None)
+def test_node_blocks_cover_the_row_without_splitting_a_panel(n_far, panels, n_unstable, nb):
+    n_stable = n_far + panels * _NEAR_NODES
+    size = n_stable + n_unstable
+    edges = _node_blocks(n_far, n_stable, size, nb)
+    assert edges[0] == 0 and edges[-1] == size
+    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))  # in order, and no block is empty
+    panel_starts = set(range(n_far, n_stable, _NEAR_NODES))
+    assert all(e <= n_far or e >= n_stable or e in panel_starts for e in edges)
+    for lo, hi in zip(edges, edges[1:]):
+        one_panel = lo in panel_starts and hi == lo + _NEAR_NODES
+        assert (hi - lo) * nb <= _BLOCK_READS or hi - lo == 1 or one_panel
+    # and no two neighbouring blocks would fit the cap as one
+    assert all((c - a) * nb > _BLOCK_READS for a, c in zip(edges, edges[2:]))
+
+
+def test_sweep_memory_stays_per_block(flagship, monkeypatch):
+    # two workers on rows of about eight node blocks each: besides out and
+    # dout, a sweep holds the read tables and, per worker, one block's
+    # temporaries and one row's group sums.  A block's temporaries are the
+    # t-blend, the reads and their upper corners (2k = 4 planes each), the b
+    # cells, weights and indices, and the maps' planes: up to 24 arrays of
+    # _BLOCK_READS doubles, of which about 17 are seen here
+    _split_sweeps(monkeypatch, 2)
+    model, p, pert = flagship["model"], flagship["params"], flagship["pert"]
+    eta = _noise_field(flagship)
+    bs = np.linspace(-4.5, 4.5, 1000)
+    plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
+    blocks = [len(_node_blocks(rp.n_far, rp.n_stable, rp.taus.size, bs.size)) - 1 for rp in plan.rows]
+    assert min(blocks) > 4
+    panels = max((rp.n_stable - rp.n_far) // _NEAR_NODES for rp in plan.rows)
+    group_sums = 2 * 2 * (panels + 2) * bs.size * 8
+    budget = 2 * (24 * 8 * _BLOCK_READS + group_sums)
+    for field in (eta, None):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            F, dF = _full_sweep(plan, field)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - F.nbytes - dF.nbytes <= budget
 
 
 def test_cells_match_floor_and_clip_bit_for_bit():
