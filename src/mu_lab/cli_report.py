@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 import time
 from dataclasses import dataclass
@@ -78,13 +79,16 @@ def _require(section: dict, key: str, path: str):
 
 
 def _number(value, cast, path: str):
-    """value cast to float or int, or a ConfigError naming its path; an int is never truncated."""
+    """value cast to a finite float or an int, or a ConfigError naming its path; an int is never truncated."""
     try:
         if cast is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} must be {'an integer' if cast is int else 'a number'}, got {value!r}") from exc
+        number = cast(value)
+        if cast is float and not math.isfinite(number):
+            raise ValueError(value)
+        return number
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path} must be {'an integer' if cast is int else 'a finite number'}, got {value!r}") from exc
 
 
 def _object(value, path: str) -> dict:
@@ -201,6 +205,8 @@ def _check_ranges(sections: dict) -> None:
     for path, (lo, hi) in windows.items():
         if not lo < hi:
             raise ConfigError(f"scenario.{path} must be increasing, got {[lo, hi]}")
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"scenario.{path} must have a finite width, got {[lo, hi]}")
     # GridSpec rounds span / step to a cell count; under half a cell leaves one node, and no interpolation cell
     spans = {"t_step": grids["t_max"] - grids["t_min"], "b_step": 2.0 * grids["b_max"]}
     for name, span in spans.items():
@@ -223,6 +229,7 @@ def parse_scenario(doc: dict) -> Scenario:
     model = _parse_model(_object(_require(doc, "model", "scenario"), "scenario.model"))
     params = _object(doc.get("params", {}), "scenario.params")
     _check_keys(params, _PARAM_KEYS, "scenario.params")
+    params = {key: _number(value, float, f"scenario.params.{key}") for key, value in params.items()}
     pert = _object(doc.get("perturbation", {"shape": "zero"}), "scenario.perturbation")
     _check_keys(pert, _PERT_KEYS, "scenario.perturbation")
     sections = {}
@@ -342,6 +349,8 @@ def resolve(sc: Scenario) -> ResolvedScenario:
         )
     except (TypeError, ValueError, OutOfDomain) as exc:
         raise ConfigError(f"scenario {sc.name!r}: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"scenario {sc.name!r}: a value leaves float range: {exc}") from exc
 
 
 def run_admissibility(res: ResolvedScenario) -> dict:

@@ -16,10 +16,11 @@ solve (plan_operator, O(S) numbers per row of S nodes, with the clamp
 counts taken from the query geometry alone); a sweep (_full_sweep) walks
 each row in blocks of its nodes with every b query at once, gathers the
 perturbation's point reads from the field read-major, applies its maps
-there, sums them over the node groups on which the diagonal kernels' step
-is constant and contracts those sums with a small per-row matrix
-(_group_kernels).  A block is capped by its number of node x b-query reads,
-so a worker's temporaries stay small whatever the grid.  The rows are
+there and adds them, with one group matmul per block, to sums over the
+node groups on which the diagonal kernels' step is constant; each row ends
+by contracting those sums with a small per-row matrix (_group_kernels).  A
+block is any run of nodes capped by its number of node x b-query reads, so
+a worker's temporaries stay small whatever the grid.  The rows are
 shared out over one thread per usable CPU (os.sched_getaffinity), as long
 as each thread gets at least _WORKER_READS reads: a small sweep stays on
 the calling thread.  One thread computes each row whole, so the field does
@@ -158,20 +159,20 @@ class EtaField:
         return Segment(self.r, out[0].reshape(self.n, self.m + 1).T)
 
     def time_weights(self) -> np.ndarray:
-        return np.array([float(mu_weight(self.mu, float(t), self.xi + self.eps)) for t in self.t_grid])
+        return np.asarray(mu_weight(self.mu, self.t_grid, self.xi + self.eps), dtype=float)
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
+    def _weighted_max(self, data: np.ndarray) -> float:
+        """max over t of the time weight times the largest |data| on that time row."""
+        return float(np.max(np.max(np.abs(data), axis=(1, 2, 3)) * self.time_weights()))
+
     def norm_inf_mu(self) -> float:
-        w = self.time_weights()
-        per_t = np.max(np.abs(self.values), axis=(1, 2, 3))
-        return float(np.max(per_t * w))
+        return self._weighted_max(self.values)
 
     def dnorm_inf_mu(self) -> float:
-        w = self.time_weights()
-        per_t = np.max(np.abs(self.dvalues), axis=(1, 2, 3))
-        return float(np.max(per_t * w))
+        return self._weighted_max(self.dvalues)
 
     def norm_1mu(self) -> float:
         return self.norm_inf_mu() + self.dnorm_inf_mu()
@@ -351,6 +352,13 @@ class OperatorPlan:
     total: int
 
 
+def _read_slots(pert: Perturbation, eta: EtaField):
+    """The coordinate (k,) and segment index (k,) of each of the perturbation's reads on eta's segment grid."""
+    cs = np.array([c for c, _ in pert.reads], dtype=int)
+    js = np.array([lag_index(eta.r, eta.m, lag) for _, lag in pert.reads], dtype=int)
+    return cs, js
+
+
 def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, bs, trunc: TruncationPolicy, D: float) -> OperatorPlan:
     """Plan the operator at the queries ts x bs on the grid of eta.
 
@@ -360,8 +368,7 @@ def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, 
     only the t cells are kept, so no b cell is formed here.
     """
     bs = np.asarray(bs, dtype=float)
-    cs = np.array([c for c, _ in pert.reads], dtype=int)
-    js = np.array([lag_index(eta.r, eta.m, lag) for _, lag in pert.reads], dtype=int)
+    cs, js = _read_slots(pert, eta)
     u_idx = model.unstable_indices[0]
     rows = []
     clamped = total = 0
@@ -398,27 +405,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _node_blocks(n_far: int, n_stable: int, size: int, nb: int) -> list:
-    """Edges of a row's node blocks for nb b queries, from 0 to size.
-
-    A block holds at most _BLOCK_READS // nb nodes, or else one node or one
-    near panel: the far and unstable nodes may be cut anywhere, a near
-    panel of _NEAR_NODES never is.
-    """
-    per_block = max(1, _BLOCK_READS // max(nb, 1))
-    starts = np.concatenate(
-        [np.arange(n_far), np.arange(n_far, n_stable, _NEAR_NODES), np.arange(n_stable, size + 1)]
-    )  # where a block may start, and size
-    edges = [0]
-    while edges[-1] < size:
-        lo = edges[-1]
-        fill = starts[np.searchsorted(starts, lo + per_block, side="right") - 1]
-        edges.append(int(max(fill, starts[np.searchsorted(starts, lo, side="right")])))
-    return edges
+def _node_blocks(size: int, nb: int) -> list:
+    """Edges of a row's node blocks for nb b queries, from 0 to size: at most _BLOCK_READS // nb nodes each, or one."""
+    return [*range(0, size, max(1, _BLOCK_READS // max(nb, 1))), size]
 
 
 def _group_kernels(model: DichotomyModel, row: RowPlan, omega: np.ndarray):
-    """The row's jump-response kernels, factored: node factors (n, S) and group kernels (n, P+2, m+1).
+    """The row's jump-response kernels, factored: node groups (S,), node factors (n, S), group kernels (n, P+2, m+1).
 
     Every kernel entry is exp(rho_i(t + omega) - rho_i(tau)) under a step
     mask, so it is the node factor exp(rho_i(t) - rho_i(tau)) times
@@ -430,7 +423,9 @@ def _group_kernels(model: DichotomyModel, row: RowPlan, omega: np.ndarray):
     unstable side q0_kernel's is 1.  The node factors carry the quadrature
     and perturbation weights, and are 0 wherever the kernel is (unstable
     coordinates at far nodes, stable ones on the unstable side), so an
-    overflowing exp never meets a zero mask.
+    overflowing exp never meets a zero mask.  Node j lies in group
+    group[j]: 0 for the far nodes, 1 + p for near panel p, P + 1 for the
+    unstable side.
     """
     unstable = np.array(model.unstable)
     nf, ns = row.n_far, row.n_stable
@@ -440,13 +435,15 @@ def _group_kernels(model: DichotomyModel, row: RowPlan, omega: np.ndarray):
     expo[unstable, :nf] = -np.inf
     expo[~unstable, ns:] = -np.inf
     node = np.exp(expo) * (row.weights * row.pert_weight)
+    # the number of group starts (each near panel's first node, then the unstable side's) at or before each node
+    group = np.searchsorted(np.arange(nf, ns + 1, _NEAR_NODES), np.arange(row.taus.size), side="right")
     # first column ahead of each stable-side group: 0 for the far nodes, a
     # panel's first grid point at or past its nodes (p0_kernel's tolerance)
     first = np.concatenate([[0], np.searchsorted(grid, row.taus[nf:ns:_NEAR_NODES] - 1e-12)])
     mask = np.empty((model.n, first.size + 1, omega.size))
     mask[:, :-1] = (np.arange(omega.size) >= first[:, None]) - unstable[:, None, None].astype(float)
     mask[:, -1] = 1.0
-    return node, mask * np.exp(rho_g - rho_g[:, -1:])[:, None]
+    return group, node, mask * np.exp(rho_g - rho_g[:, -1:])[:, None]
 
 
 def _blended_reads(tables: np.ndarray, b_grid: np.ndarray, it: np.ndarray, wts: np.ndarray, B: np.ndarray):
@@ -471,28 +468,6 @@ def _blended_reads(tables: np.ndarray, b_grid: np.ndarray, it: np.ndarray, wts: 
     upper *= wb
     reads += upper
     return reads
-
-
-def _add_group_sums(sums: np.ndarray, mapped: np.ndarray, node: np.ndarray, lo: int, n_far: int, n_stable: int):
-    """Add a node block's mapped plane (n, s, c), nodes lo to lo + s, to the row's group sums (n, P+2, c).
-
-    Its far and unstable nodes add to the first and last group, weighted by
-    the node factors; each of its near panels, whole in the block, is its
-    own group.
-    """
-    hi = lo + mapped.shape[1]
-    f = min(hi, n_far)
-    if f > lo:
-        sums[:, :1] += np.matmul(node[:, None, lo:f], mapped[:, : f - lo])
-    a, z = max(lo, n_far), min(hi, n_stable)
-    if z > a:
-        near = mapped[:, a - lo : z - lo] * node[:, a:z, None]
-        n, c = near.shape[0], near.shape[2]
-        p, q = (a - n_far) // _NEAR_NODES, (z - n_far) // _NEAR_NODES
-        np.sum(near.reshape(n, q - p, _NEAR_NODES, c), axis=2, out=sums[:, 1 + p : 1 + q])
-    if hi > n_stable:
-        u = max(lo, n_stable)
-        sums[:, -1:] += np.matmul(node[:, None, u:hi], mapped[:, u - lo :])
 
 
 def _in_workers(task, items: list, workers: int) -> None:
@@ -546,10 +521,11 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
     its nodes (_node_blocks), each with every b query at once: the block's
     reads W and directions V, (k, s, nb), are blended from the tables along
     t and then along b (_blended_reads), the perturbation's maps give the
-    value and derivative planes (n, s, nb), and these are summed into the
-    row's node groups with the node factors of _group_kernels, (n, P+2, nb)
-    for P near panels.  The row ends with one matmul per plane against the
-    group kernels, written straight into the output.
+    value and derivative planes (n, s, nb), and one matmul per plane adds
+    them to the row's group sums (n, P+2, nb), for P near panels, by the
+    block's group matrix (n, g, s): the node factors of _group_kernels in
+    the rows of the g groups the block spans.  The row ends with one matmul
+    per plane against the group kernels, written straight into the output.
     eta None stands for the zero field, every read of which is 0: that
     sweep is the source term F(0), with no tables, blends or gathers.
 
@@ -573,13 +549,12 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
 
     def sweep_row(i):
         row = plan.rows[i]
-        nf, ns = row.n_far, row.n_stable
-        node, kern = _group_kernels(model, row, omega)
+        group, node, kern = _group_kernels(model, row, omega)
         sums = np.zeros((2, n, kern.shape[1], nb))  # per plane and group: far, each near panel, unstable
         live = [j for j in range(k) if row.lin[j].any()]  # reads of the unstable coordinate
         if eta is not None:
             wts = np.stack([1.0 - row.wt, row.wt], axis=1)  # (S, 2) t-blend weights
-        edges = _node_blocks(nf, ns, row.taus.size, nb)
+        edges = _node_blocks(row.taus.size, nb)
         for lo, hi in zip(edges[:-1], edges[1:]):
             B = row.factor[lo:hi, None] * plan.b  # (s, nb)
             if eta is None:
@@ -594,8 +569,12 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
                 V[j] += row.lin[j, lo:hi, None]
             V *= row.factor[lo:hi, None]
             del B
-            _add_group_sums(sums[0], pert.value_map(W), node, lo, nf, ns)
-            _add_group_sums(sums[1], pert.jvp_map(W, V), node, lo, nf, ns)
+            # the group matrix (n, g, s): each node's factor in the row of its group, 0 elsewhere;
+            # built here, where the gathers' temporaries are freed, so it does not enlarge the heap
+            g0, g1 = group[lo], group[hi - 1] + 1
+            groups = np.where(group[lo:hi] == np.arange(g0, g1)[:, None], node[:, None, lo:hi], 0.0)
+            sums[0, :, g0:g1] += groups @ pert.value_map(W)
+            sums[1, :, g0:g1] += groups @ pert.jvp_map(W, V)
         for dst, plane in zip((out, dout), sums):
             np.matmul(plane.swapaxes(1, 2), kern, out=dst[i].swapaxes(0, 1))  # (n, nb, m+1)
 
@@ -830,8 +809,7 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert: Perturbation, 
     X = np.zeros((len(ks), m + 1 + K, n))
     X[:, : m + 1] = _corrected_segments(eta, model, so, bo)
     times = so[:, None] + h * np.arange(K + 1)
-    cs = np.array([c for c, _ in pert.reads], dtype=int)
-    js = np.array([lag_index(eta.r, eta.m, lag) for _, lag in pert.reads], dtype=int)
+    cs, js = _read_slots(pert, eta)
     now = js == m  # reads of x(t) itself come from the stage state
     # the time-only factors rho_i' and weight(t) at every step's three stage times
     t0 = times[:, :-1]

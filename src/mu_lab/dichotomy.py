@@ -148,13 +148,12 @@ def seg_T_closed(model: DichotomyModel, t: np.ndarray, s: np.ndarray, values: np
 
 
 def unstable_shape(model: DichotomyModel, t, m: int) -> np.ndarray:
-    """Backward-decaying solution shapes normalized to 1 at omega = 0: q0_kernel at tau = t.
+    """Backward-decaying solution shapes normalized to 1 at omega = 0: unstable_flow(t + omega, t).
 
     (d_u, m+1) for one time t, (d_u, len(t), m+1) for an array of times.
     """
-    taus = np.atleast_1d(np.asarray(t, dtype=float))
-    shapes = q0_kernel(model, taus, taus, np.linspace(-model.r, 0.0, m + 1))[model.unstable_indices]
-    return shapes if np.ndim(t) else shapes[:, 0]
+    t = np.asarray(t, dtype=float)[..., None]
+    return unstable_flow(model, t + np.linspace(-model.r, 0.0, m + 1), t)
 
 
 def unstable_flow(model: DichotomyModel, t, s) -> np.ndarray:

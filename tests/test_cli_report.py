@@ -72,9 +72,10 @@ def test_missing_and_invalid_fields():
         parse_scenario(doc)
 
 
-def _with_tolerance(key, value) -> dict:
+def _with(section: str, key: str, value):
+    """The shipped flagship with one params/grids/tolerances/checks value replaced."""
     doc = shipped("example5_2d")
-    doc["tolerances"][key] = value
+    doc[section][key] = value
     return doc
 
 
@@ -96,10 +97,10 @@ def _absolute_param(key, frac, value) -> dict:
             {"coord": 0, "lag_frac": 1.0}, {"coord": 0, "lag_frac": 0.5}]}}, []),
         (shipped("wobble_certificate"), ["--tol", "max_sweeps=2.5"]),
         (shipped("wobble_certificate"), ["--tol", "tail_tol=abc"]),
-        (_with_tolerance("max_sweeps", 0), []),
-        (_with_tolerance("max_sweeps", -3), []),
-        (_with_tolerance("solver_tol", -1.0), []),
-        (_with_tolerance("solver_tol", math.nan), []),
+        (_with("tolerances", "max_sweeps", 0), []),
+        (_with("tolerances", "max_sweeps", -3), []),
+        (_with("tolerances", "solver_tol", -1.0), []),
+        (_with("tolerances", "solver_tol", math.nan), []),
         (shipped("example5_2d"), ["--tol", "max_sweeps=0"]),
         (shipped("example5_2d"), ["--tol", "solver_tol=-1"]),
         (shipped("example5_2d"), ["--tol", "solver_tol=nan"]),
@@ -109,11 +110,18 @@ def _absolute_param(key, frac, value) -> dict:
         ({**shipped("wobble_certificate"), "model": {"kind": "sin_wobble", "theta_override": 0.0}}, []),
         (_absolute_param("delta", "delta_frac", 1e-3), []),
         (_absolute_param("lambda", "lambda_frac", 1e-6), []),
+        # finite values whose model or ceilings leave float range; each ended in an OverflowError
+        (_with("params", "q", 1e308), []),
+        (_with("params", "a", 1e308), []),
+        (_with("params", "alpha", 8e5), []),
+        # an infinite envelope exponent passed every stage, and exited 0
+        (_with("params", "gamma", math.inf), []),
     ],
     ids=["seed", "delay", "negative_alpha", "reads_per_coordinate", "tol_int", "tol_float",
          "file_no_sweeps", "file_negative_sweeps", "file_negative_tol", "file_nan_tol",
          "flag_no_sweeps", "flag_negative_tol", "flag_nan_tol", "flag_infinite_tol", "missing_result",
-         "theta_override", "absolute_delta", "absolute_lambda"],
+         "theta_override", "absolute_delta", "absolute_lambda", "q_overflows", "a_overflows", "alpha_overflows",
+         "gamma_infinite"],
 )
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, doc, extra):
     path = tmp_path / "sc.json"
@@ -130,13 +138,6 @@ def test_cli_bad_values_are_config_errors(tmp_path, capsys, doc, extra):
 
 def _without_lag_frac(doc):
     doc["perturbation"]["reads"][1] = {"coord": 1}
-    return doc
-
-
-def _with(section: str, key: str, value):
-    """The shipped flagship with one grids/tolerances/checks value replaced."""
-    doc = shipped("example5_2d")
-    doc[section][key] = value
     return doc
 
 
@@ -162,6 +163,12 @@ _OUT_OF_RANGE = {
     # 9 / 20 and 12 / 30 round to no cell: one node on the axis, which ended in an IndexError
     "t_step_one_node": ("grids", "t_step", 20.0),
     "b_step_one_node": ("grids", "b_step", 30.0),
+    # infinite values and infinitely wide windows ended in an OverflowError, in GridSpec or in numpy's draws
+    "b_max_infinite": ("grids", "b_max", math.inf),
+    "t_min_infinite": ("grids", "t_min", -math.inf),
+    "window_infinitely_wide": ("checks", "window", [-1e308, 1e308]),
+    "core_window_infinite": ("checks", "core_window", [-math.inf, 0.0]),
+    "b_scale_infinite": ("checks", "b_scale", math.inf),
 }
 
 
@@ -572,7 +579,8 @@ def test_pipeline_runs_past_an_overflowing_tail_cut(gamma, frac):
 
 
 def test_threads_env_var(monkeypatch):
-    # the stages run sequentially; a thread count is neither read nor reported
+    # the operator sweeps take their thread count from the CPUs the process may
+    # run on; no environment variable sets it, and the report does not name it
     doc = shipped("wobble_certificate")
     monkeypatch.setenv("MU_LAB_THREADS", "zero")
     rep = run_pipeline(resolve(parse_scenario(doc)))

@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from conftest import COARSE_GRID, COARSE_TRUNC, DEFAULT_GRID, DEFAULT_TRUNC, SOLVER_TOL, R, build_flagship
 from mu_lab.admissibility import delta_ceiling, lambda_ceiling
@@ -204,10 +203,15 @@ def assert_matches_block_oracle(F, dF, F_ref, dF_ref):
 
 
 def assert_rows_span_blocks_with_a_remainder(plan):
-    """Some row of the plan spans several node blocks, and some row's last block is shorter than its first."""
-    sizes = [np.diff(_node_blocks(rp.n_far, rp.n_stable, rp.taus.size, plan.b.size)) for rp in plan.rows]
+    """Some row of the plan spans several node blocks, some row's last block is shorter than its first,
+    and some block edge falls strictly inside a near panel."""
+    edges = [_node_blocks(rp.taus.size, plan.b.size) for rp in plan.rows]
+    sizes = [np.diff(e) for e in edges]
     assert any(len(z) > 1 for z in sizes)
     assert any(len(z) > 1 and z[-1] < z[0] for z in sizes)
+    assert any(
+        rp.n_far < e < rp.n_stable and (e - rp.n_far) % _NEAR_NODES for rp, es in zip(plan.rows, edges) for e in es
+    )
 
 
 def _rolled(W):
@@ -294,8 +298,9 @@ def test_full_row_matches_point_oracle(flagship_result, row, coupling):
 @pytest.mark.parametrize("coupling", ["saturating", "linear"])
 def test_sweep_matches_block_oracle(flagship, coupling):
     # a non-zero field on the coarse grid, queried past both ends of the b
-    # grid at so many b that rows span several node blocks, one of them a
-    # remainder (and the oracle's b blocks too), so blocks, clamps and both
+    # grid at so many b that rows span several node blocks of 119 nodes, one
+    # of them a remainder and some edges inside a near panel (and the
+    # oracle's b blocks have a remainder too), so blocks, clamps and both
     # sides of every orbit are exercised
     model, p = flagship["model"], flagship["params"]
     scenario = [(0, R), (1, R / 2)]
@@ -304,7 +309,7 @@ def test_sweep_matches_block_oracle(flagship, coupling):
     else:
         pert = linear_cross_perturbation(flagship["mu"], flagship["params"], reads=scenario, n=2, gain=0.3)
     eta = _noise_field(flagship)
-    bs = np.linspace(-4.5, 4.5, 2 * ORACLE_B_CHUNK + 17)
+    bs = np.linspace(-4.5, 4.5, 2 * ORACLE_B_CHUNK + 18)
     plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
     assert_rows_span_blocks_with_a_remainder(plan)
     F, dF = _full_sweep(plan, eta)
@@ -333,7 +338,7 @@ def test_source_term_sweep_is_the_zero_field_sweep_bit_for_bit(flagship, couplin
     # gathers; its maps must see the very reads a zero field gives, signed
     # zeros included: at b = -0.0 the linear part lin * B is -0.0, and the
     # gathers' +0.0 plus it is +0.0.  Rows span several node blocks, one of
-    # them a remainder
+    # them a remainder and some edges inside a near panel
     model, p = flagship["model"], flagship["params"]
     scenario = [(0, R), (1, R / 2)]
     if coupling == "saturating":
@@ -373,12 +378,16 @@ ROW_GEOMETRIES = {
     [(1e-6, ["time zero splits a cell"]), (0.1, ["no far nodes", "no unstable nodes"]), (0.5, ["no nodes"])],
     ids=["zero-split", "cut-tails", "empty"],
 )
-def test_row_geometries_match_the_oracles(flagship_result, tail_tol, geometries):
+def test_row_geometries_match_the_oracles(flagship_result, monkeypatch, tail_tol, geometries):
     # rows the shipped grid never plans: at t = 0.3 and 0.101 time zero splits
     # a segment cell into two near panels, a loose tail tolerance cuts the far
     # nodes or the unstable side, and a looser one every node.  The linear
     # coupling's source term reaches the unstable coordinate, where the
-    # saturating one's is 0
+    # saturating one's is 0.  Blocks of 37 nodes for the 4 b queries split
+    # rows, and near panels, across blocks
+    from mu_lab import conjugacy
+
+    monkeypatch.setattr(conjugacy, "_BLOCK_READS", 4 * 37)
     model, eta, p = flagship_result["model"], flagship_result["result"].eta, flagship_result["params"]
     scenario = [(0, R), (1, R / 2)]
     pert = linear_cross_perturbation(flagship_result["mu"], p, reads=scenario, n=2, gain=0.3)
@@ -386,6 +395,7 @@ def test_row_geometries_match_the_oracles(flagship_result, tail_tol, geometries)
     ts = np.concatenate([eta.t_grid, [0.3, 0.101]])
     bs = eta.b_grid[[0, 100, 250, len(eta.b_grid) - 1]]
     plan = plan_operator(model, pert, eta, ts, bs, trunc, p.D)
+    assert_rows_span_blocks_with_a_remainder(plan)
     F, dF = _full_sweep(plan, eta)
     F_ref, dF_ref = block_oracle_sweep(plan, eta, scenario, *ROLLED_MAPS["linear"])
     assert np.any(F != 0.0) and np.any(dF != 0.0)
@@ -473,7 +483,7 @@ def test_a_failing_row_fails_the_sweep_and_stops_its_helpers(flagship, monkeypat
     failing = dataclasses.replace(pert, value_map=value_map)
     plan = plan_operator(model, failing, eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, p.D)
     nb = eta.b_grid.size
-    assert len(plan.rows) == 13 and all(len(_node_blocks(rp.n_far, rp.n_stable, rp.taus.size, nb)) == 2 for rp in plan.rows)
+    assert len(plan.rows) == 13 and all(len(_node_blocks(rp.taus.size, nb)) == 2 for rp in plan.rows)
     before = threading.active_count()
     with pytest.raises(_MapFailed) as info:
         _full_sweep(plan, eta)
@@ -482,46 +492,21 @@ def test_a_failing_row_fails_the_sweep_and_stops_its_helpers(flagship, monkeypat
     assert max(calls.values()) <= 2
 
 
-@given(
-    n_far=st.integers(0, 300),
-    panels=st.integers(0, 80),
-    n_unstable=st.integers(0, 300),
-    nb=st.integers(1, 3 * _BLOCK_READS),
-)
-@example(n_far=0, panels=40, n_unstable=200, nb=385)  # ROW_GEOMETRIES' no far nodes
-@example(n_far=120, panels=40, n_unstable=0, nb=385)  # no unstable nodes
-@example(n_far=0, panels=0, n_unstable=0, nb=385)  # no nodes
-@example(n_far=3, panels=5, n_unstable=2, nb=_BLOCK_READS // 3)  # a near panel over the cap
-@example(n_far=3, panels=5, n_unstable=2, nb=_BLOCK_READS + 1)  # a single node over the cap
-@settings(max_examples=300, deadline=None)
-def test_node_blocks_cover_the_row_without_splitting_a_panel(n_far, panels, n_unstable, nb):
-    n_stable = n_far + panels * _NEAR_NODES
-    size = n_stable + n_unstable
-    edges = _node_blocks(n_far, n_stable, size, nb)
-    assert edges[0] == 0 and edges[-1] == size
-    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))  # in order, and no block is empty
-    panel_starts = set(range(n_far, n_stable, _NEAR_NODES))
-    assert all(e <= n_far or e >= n_stable or e in panel_starts for e in edges)
-    for lo, hi in zip(edges, edges[1:]):
-        one_panel = lo in panel_starts and hi == lo + _NEAR_NODES
-        assert (hi - lo) * nb <= _BLOCK_READS or hi - lo == 1 or one_panel
-    # and no two neighbouring blocks would fit the cap as one
-    assert all((c - a) * nb > _BLOCK_READS for a, c in zip(edges, edges[2:]))
-
-
 def test_sweep_memory_stays_per_block(flagship, monkeypatch):
     # two workers on rows of about eight node blocks each: besides out and
     # dout, a sweep holds the read tables and, per worker, one block's
     # temporaries and one row's group sums.  A block's temporaries are the
     # t-blend, the reads and their upper corners (2k = 4 planes each), the b
     # cells, weights and indices, and the maps' planes: up to 24 arrays of
-    # _BLOCK_READS doubles, of which about 17 are seen here
+    # _BLOCK_READS doubles, of which about 17 are seen here.  The block's
+    # group matrix, n x groups x s with at most s / 4 + 2 groups for s = 32
+    # nodes, is at most 5 KB
     _split_sweeps(monkeypatch, 2)
     model, p, pert = flagship["model"], flagship["params"], flagship["pert"]
     eta = _noise_field(flagship)
     bs = np.linspace(-4.5, 4.5, 1000)
     plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
-    blocks = [len(_node_blocks(rp.n_far, rp.n_stable, rp.taus.size, bs.size)) - 1 for rp in plan.rows]
+    blocks = [len(_node_blocks(rp.taus.size, bs.size)) - 1 for rp in plan.rows]
     assert min(blocks) > 4
     panels = max((rp.n_stable - rp.n_far) // _NEAR_NODES for rp in plan.rows)
     group_sums = 2 * 2 * (panels + 2) * bs.size * 8
