@@ -180,6 +180,13 @@ _POSITIVE = {
 }
 
 
+# numbers in one array of the solved field, nt * nb * n * (m+1), or of the residual check's lattice: 2^24,
+# 128 MiB of float64; a gathered sweep holds four field-sized arrays, the values and derivatives it reads and writes
+_SIZE_BUDGET = 2**24
+# each model kind's number of coordinates
+_COORDINATES = {"diagonal_flow": 2, "sin_wobble": 1}
+
+
 def _parse_model(model: dict) -> dict:
     """The model section: a known kind, and only that kind's keys, each a number."""
     kind = _require(model, "kind", "scenario.model")
@@ -190,8 +197,27 @@ def _parse_model(model: dict) -> dict:
     return {"kind": kind, **{key: _number(model[key], float, f"scenario.model.{key}") for key in keys if key in model}}
 
 
-def _check_ranges(sections: dict) -> None:
-    """Reject values no stage can run on: a non-positive count, step, scale or tolerance, or a reversed window."""
+def _nodes(span: float, step: float) -> float:
+    """GridSpec's node count over span at step, as a float: inf past float range."""
+    cells = span / step
+    return float(round(cells) + 1) if math.isfinite(cells) else math.inf
+
+
+def _numbers(*counts) -> float:
+    """The product of counts as a float: inf past float range."""
+    try:
+        return math.prod(float(count) for count in counts)
+    except OverflowError:  # an int count past float range
+        return math.inf
+
+
+def _check_ranges(sections: dict, n: int) -> None:
+    """Reject values no stage can run on.
+
+    That is a non-positive count, step, scale or tolerance, a reversed or
+    infinitely wide window, a grid axis with too few nodes, or a field or
+    residual lattice of a model with n coordinates over _SIZE_BUDGET numbers.
+    """
     for key, names in _POSITIVE.items():
         for name in names:
             if not sections[key][name] > 0:
@@ -207,11 +233,27 @@ def _check_ranges(sections: dict) -> None:
             raise ConfigError(f"scenario.{path} must be increasing, got {[lo, hi]}")
         if not math.isfinite(hi - lo):
             raise ConfigError(f"scenario.{path} must have a finite width, got {[lo, hi]}")
-    # GridSpec rounds span / step to a cell count; under half a cell leaves one node, and no interpolation cell
-    spans = {"t_step": grids["t_max"] - grids["t_min"], "b_step": 2.0 * grids["b_max"]}
-    for name, span in spans.items():
-        if not span / grids[name] > 0.5:
-            raise ConfigError(f"scenario.grids.{name} {grids[name]!r} leaves one grid node; each axis needs two")
+    # t needs one interpolation cell; b also needs the central difference of the invertibility check
+    nodes = {}
+    for name, span, need in (("t_step", grids["t_max"] - grids["t_min"], 2), ("b_step", 2.0 * grids["b_max"], 3)):
+        nodes[name] = _nodes(span, grids[name])
+        if nodes[name] < need:
+            raise ConfigError(
+                f"scenario.grids.{name} {grids[name]!r} leaves {nodes[name]:.0f} grid node(s); this axis needs {need}"
+            )
+    m = grids["m"]
+    _check_size("field (t nodes x b nodes x coordinates x (m + 1))", _numbers(nodes["t_step"], nodes["b_step"], n, m + 1))
+    # m is within the budget now, so multiplying it by a float cannot overflow
+    steps = m + 1 + checks["residual_horizon_delays"] * m
+    _check_size(
+        "residual lattice (samples x (m + 1 + horizon steps) x coordinates)",
+        _numbers(checks["residual_samples"], steps, n),
+    )
+
+
+def _check_size(what: str, numbers: float) -> None:
+    if not numbers <= _SIZE_BUDGET:
+        raise ConfigError(f"the scenario's {what} holds {numbers:.3g} numbers, over the budget of {_SIZE_BUDGET}")
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -237,7 +279,7 @@ def parse_scenario(doc: dict) -> Scenario:
         user = _object(doc.get(key, {}), f"scenario.{key}")
         _check_keys(user, set(defaults), f"scenario.{key}")
         sections[key] = {name: _typed(user.get(name, d), d, f"scenario.{key}.{name}") for name, d in defaults.items()}
-    _check_ranges(sections)
+    _check_ranges(sections, _COORDINATES[model["kind"]])
     reads = pert.get("reads", [])
     if not isinstance(reads, list):
         raise ConfigError(f"scenario.perturbation.reads must be a list, got {reads!r}")

@@ -12,8 +12,10 @@ substituted variable u = mu(tau), where every envelope is a pure power --
 panels are geometric in u with fixed Gauss-Legendre nodes per panel.
 
 Only the field changes between sweeps, so the operator is planned once per
-solve (plan_operator, O(S) numbers per row of S nodes, with the clamp
-counts taken from the query geometry alone); a sweep (_full_sweep) walks
+solve (plan_operator, O(S) numbers per row of S nodes); its clamp count
+takes every row's nodes at once and finds each node's clamped b queries
+at the edges of the sorted b queries (_clamp_count), so no (S, nb) lookup
+is formed.  A sweep (_full_sweep) walks
 each row in blocks of its nodes with every b query at once, gathers the
 perturbation's point reads from the field read-major, applies its maps
 there and adds them, with one group matmul per block, to sums over the
@@ -29,6 +31,11 @@ its first sweep is the source term F(0): it reads no field and gathers
 nothing.  Every sweep measures the update ||F(eta) - eta|| of the field it
 reads, and the solve returns the last field so measured: its reported
 fixed-point residual is that update, and no sweep is run only to measure it.
+The worker that writes a row also takes the row's update maximum and its
+absolute maximum while the row is in cache; the solve reads the update
+norms and the returned field's norms from those, and invertibility_check
+takes its per-row statistics on the same workers, so no pass over the
+whole field runs on one thread.
 
 Off the stored grid the field is evaluated by bilinear interpolation,
 clamped to the boundary value outside; clamp events are counted and
@@ -350,6 +357,7 @@ class OperatorPlan:
     m: int  # segment samples per delay of the field's grid
     clamped: int
     total: int
+    on_grid: bool  # the queries are the grid's nodes, where a sweep measures the update of the field it reads
 
 
 def _read_slots(pert: Perturbation, eta: EtaField):
@@ -359,29 +367,81 @@ def _read_slots(pert: Perturbation, eta: EtaField):
     return cs, js
 
 
+def _first_past(guess: np.ndarray, past, size: int) -> np.ndarray:
+    """The first index in [0, size] at which past(index) holds, per node, stepping from guess.
+
+    past must be false and then true along the index for every node; it is
+    only called at indices inside [0, size).
+    """
+    i = guess
+    while True:  # back over indices already past
+        back = (i > 0) & past(np.maximum(i - 1, 0))
+        if not back.any():
+            break
+        i = i - back
+    while True:  # forward over indices not yet past
+        ahead = (i < size) & ~past(np.minimum(i, size - 1))
+        if not ahead.any():
+            break
+        i = i + ahead
+    return i
+
+
+def _clamp_count(factor: np.ndarray, out_t: np.ndarray, bs: np.ndarray, b_grid: np.ndarray) -> int:
+    """The node x b-query orbit lookups (tau, b factor) that leave the grid, for nodes whose t leaves it at out_t.
+
+    Exactly the count of _coords(factor[:, None] * bs, b_grid) leaving
+    the b grid or out_t[:, None], without forming it.  A node whose t leaves
+    the grid clamps every query.  For a finite factor f > 0 the b
+    coordinate is nondecreasing in b on the increasing grid, each rounding
+    step being monotone, so the queries below the grid are a prefix of the
+    sorted distinct b queries and those above it a suffix:
+    each boundary starts from a searchsorted guess at the grid edge over f
+    and steps to where _coords' own predicate changes.  A NaN query never
+    leaves the grid.  A node with any other factor (0, inf, NaN) is counted
+    query by query.
+    """
+    regular = ~out_t & np.isfinite(factor) & (factor > 0)
+    odd = ~out_t & ~regular
+    clamped = bs.size * int(np.count_nonzero(out_t))
+    clamped += int(np.count_nonzero(_coords(factor[odd, None] * bs, b_grid)[1]))
+    u, repeats = np.unique(bs[~np.isnan(bs)], return_counts=True)
+    f = factor[regular]
+    if f.size and u.size:
+        before = np.concatenate([[0], np.cumsum(repeats)])  # queries before each distinct b
+        top = len(b_grid) - 1
+
+        def x(i):
+            return _coords(f * u[i], b_grid)[0]
+
+        with np.errstate(over="ignore"):  # a tiny f puts a guess past float range, where searchsorted still places it
+            guess_lo, guess_hi = np.searchsorted(u, b_grid[0] / f), np.searchsorted(u, b_grid[-1] / f)
+        below = _first_past(guess_lo, lambda i: ~(x(i) < 0), u.size)
+        above = _first_past(guess_hi, lambda i: x(i) > top, u.size)
+        clamped += int(np.sum(before[below]) + np.sum(before[-1] - before[above]))
+    return clamped
+
+
 def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, bs, trunc: TruncationPolicy, D: float) -> OperatorPlan:
     """Plan the operator at the queries ts x bs on the grid of eta.
 
     Only eta's grid is used.  A query clamps when either axis of its orbit
     lookup (tau, b unstable_flow(tau, t)) leaves the grid, counted once
-    over each row's (S, nb) lookups, so clamped / total lies in [0, 1];
-    only the t cells are kept, so no b cell is formed here.
+    over every row's (S, nb) lookups, so clamped / total lies in [0, 1].
+    The count takes all rows' nodes at once (_clamp_count) and forms no
+    lookup, so no b coordinate or cell is formed here.
     """
     bs = np.asarray(bs, dtype=float)
     cs, js = _read_slots(pert, eta)
     u_idx = model.unstable_indices[0]
-    rows = []
-    clamped = total = 0
+    rows, out_t = [], []
     for t in ts:
         t = float(t)
         taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, eta.m)
         taus = np.concatenate([taus_s, taus_u])
         factor = unstable_flow(model, taus, t)[0]
-        xt, out_t = _coords(taus, eta.t_grid)
-        _, out_b = _coords(factor[:, None] * bs, eta.b_grid)
-        outside = out_t[:, None] | out_b
-        clamped += int(np.count_nonzero(outside))
-        total += outside.size
+        xt, out = _coords(taus, eta.t_grid)
+        out_t.append(out)
         it, wt = _cells(xt, len(eta.t_grid))
         lin = np.zeros((len(cs), taus.size))
         for j, (coord, lag) in enumerate(pert.reads):
@@ -390,7 +450,10 @@ def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, 
         weights, pert_weight = np.concatenate([w_s, -w_u]), np.asarray(pert.weight(taus), dtype=float)
         n_far = int(np.count_nonzero(taus_s < t - model.r))
         rows.append(RowPlan(t, taus, weights, taus_s.size, n_far, factor, pert_weight, it, wt, lin))
-    return OperatorPlan(model, pert, bs, tuple(rows), cs, js, eta.m, clamped, total)
+    factors = np.concatenate([np.empty(0), *(row.factor for row in rows)])
+    clamped = _clamp_count(factors, np.concatenate([np.zeros(0, dtype=bool), *out_t]), bs, eta.b_grid)
+    on_grid = np.array_equal(np.asarray(ts, dtype=float), eta.t_grid) and np.array_equal(bs, eta.b_grid)
+    return OperatorPlan(model, pert, bs, tuple(rows), cs, js, eta.m, clamped, factors.size * bs.size, on_grid)
 
 
 _BLOCK_READS = 2**15  # node x b-query reads per gather block; bounds a worker's temporaries
@@ -503,34 +566,41 @@ def _in_workers(task, items: list, workers: int) -> None:
         raise failed[0]
 
 
-def _sweep_workers(plan: OperatorPlan) -> int:
-    """One worker per usable CPU, while each gets at least _WORKER_READS node x b-query reads.
+def _workers(reads: int) -> int:
+    """One worker per usable CPU, while each gets at least _WORKER_READS of the reads.
 
     A smaller share would leave the threads waiting on one another for the
     interpreter lock in numpy's call overhead.
     """
-    reads = plan.b.size * sum(row.taus.size for row in plan.rows)
     return max(1, min(_usable_cpus(), reads // _WORKER_READS))
 
 
 def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
-    """The operator and its b-derivative at every planned query, from eta.
+    """The operator and its b-derivative at every planned query, from eta, with each row's maxima.
 
-    Returns (F, dF) of shape (rows, nb, n, m+1).  The read tables are cut
-    once in read-major layout (2k, nt, nb).  A row is walked in blocks of
-    its nodes (_node_blocks), each with every b query at once: the block's
-    reads W and directions V, (k, s, nb), are blended from the tables along
-    t and then along b (_blended_reads), the perturbation's maps give the
-    value and derivative planes (n, s, nb), and one matmul per plane adds
-    them to the row's group sums (n, P+2, nb), for P near panels, by the
-    block's group matrix (n, g, s): the node factors of _group_kernels in
-    the rows of the g groups the block spans.  The row ends with one matmul
-    per plane against the group kernels, written straight into the output.
+    Returns (F, dF, maxima); F and dF have shape (rows, nb, n, m+1).  The
+    read tables are cut once in read-major layout (2k, nt, nb).  A row is
+    walked in blocks of its nodes (_node_blocks), each with every b query
+    at once: the block's reads W and directions V, (k, s, nb), are blended
+    from the tables along t and then along b (_blended_reads), the
+    perturbation's maps give the value and derivative planes (n, s, nb),
+    and one matmul per plane adds them to the row's group sums
+    (n, P+2, nb), for P near panels, by the block's group matrix (n, g, s):
+    the node factors of _group_kernels in the rows of the g groups the
+    block spans.  The row ends with one matmul per plane against the group
+    kernels, written straight into the output.
     eta None stands for the zero field, every read of which is 0: that
     sweep is the source term F(0), with no tables, blends or gathers.
 
+    maxima holds per row max |F| and max |dF| and, for a plan on the grid's
+    nodes (plan.on_grid), the row's update max |F - eta| and
+    max |dF - d eta|: shape (4, rows), else (2, rows); a sweep at other
+    queries takes no update.  The worker that writes a row takes its maxima
+    while the row is still in cache, so no pass over the whole field
+    follows the sweep.
+
     The rows are shared out over the calling thread and one helper thread
-    per further usable CPU (_sweep_workers), which take every w-th row;
+    per further usable CPU (_workers), which take every w-th row;
     numpy releases the interpreter lock in the block arithmetic.  A sweep
     with fewer than _WORKER_READS reads per worker stays on fewer threads,
     a small one on the calling thread alone.  One worker computes each row
@@ -540,12 +610,24 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
     n, m, k = model.n, plan.m, len(plan.cs)
     nb = plan.b.size
     omega = np.linspace(-model.r, 0.0, m + 1)
+    # np.zeros, not zeros_like: fresh zeroed pages, no memset pass, faulted in by the workers that write them
     out = np.zeros((len(plan.rows), nb, n, m + 1))
-    dout = np.zeros_like(out)
+    dout = np.zeros(out.shape)
+    maxima = np.empty((4 if plan.on_grid else 2, len(plan.rows)))
     if eta is not None:
         tables = np.concatenate(
             [eta.values.transpose(2, 3, 0, 1)[plan.cs, plan.js], eta.dvalues.transpose(2, 3, 0, 1)[plan.cs, plan.js]]
         )  # (2k, nt, nb)
+
+    def row_maxima(i):
+        buf = np.empty(out.shape[1:])  # taken once sweep_row has freed the row's temporaries
+        for p, new in enumerate((out[i], dout[i])):  # initial 0.0 is the maximum of no queries
+            maxima[p, i] = np.max(np.abs(new, out=buf), initial=0.0)
+            if plan.on_grid and eta is None:  # the update from the zero field is the row itself
+                maxima[2 + p, i] = maxima[p, i]
+            elif plan.on_grid:
+                old = (eta.values, eta.dvalues)[p][i]
+                maxima[2 + p, i] = np.max(np.abs(np.subtract(new, old, out=buf), out=buf), initial=0.0)
 
     def sweep_row(i):
         row = plan.rows[i]
@@ -578,9 +660,13 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
         for dst, plane in zip((out, dout), sums):
             np.matmul(plane.swapaxes(1, 2), kern, out=dst[i].swapaxes(0, 1))  # (n, nb, m+1)
 
-    rows = [i for i, row in enumerate(plan.rows) if row.taus.size]
-    _in_workers(sweep_row, rows, _sweep_workers(plan))
-    return out, dout
+    def task(i):
+        if plan.rows[i].taus.size:  # a row without nodes stays 0
+            sweep_row(i)
+        row_maxima(i)
+
+    _in_workers(task, list(range(len(plan.rows))), _workers(nb * sum(row.taus.size for row in plan.rows)))
+    return out, dout, maxima
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +725,6 @@ class ConjugacyResult:
         }
 
 
-def _row_max_diff(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """max |new - old| per time row, with one row's temporaries at a time."""
-    return np.array([np.max(np.abs(a - b)) for a, b in zip(new, old)])
-
-
 def check_solver_settings(solver_tol: float, max_sweeps: int) -> None:
     """Raise ValueError unless max_sweeps >= 1 and solver_tol is finite and >= 0."""
     if max_sweeps < 1:
@@ -683,15 +764,14 @@ def picard_solve(
     eta = EtaField.zero(grid, model.n, model.r, model.mu, params.xi, params.eps)
     plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, trunc, params.D)
     w_t = eta.time_weights()
+    peaks = np.zeros((2, len(eta.t_grid)))  # eta's max |values| and max |dvalues| per row: the zero field's
     sweeps: list[SweepStats] = []
     ratios: list[float] = []
     prev_delta = None
     for k in range(1, max_sweeps + 1):
-        new_vals, new_dvals = _full_sweep(plan, eta if k > 1 else None)
-        dv = _row_max_diff(new_vals, eta.values) * w_t
-        dd = _row_max_diff(new_dvals, eta.dvalues) * w_t
-        delta_inf = float(np.max(dv))
-        ddelta_inf = float(np.max(dd))
+        new_vals, new_dvals, maxima = _full_sweep(plan, eta if k > 1 else None)  # maxima[2:] are the updates
+        delta_inf = float(np.max(maxima[2] * w_t))
+        ddelta_inf = float(np.max(maxima[3] * w_t))
         delta = delta_inf + ddelta_inf
         ratio = None if prev_delta is None else (delta / prev_delta if prev_delta > 0 else 0.0)
         sweeps.append(SweepStats(k, delta_inf, ddelta_inf, delta, ratio))
@@ -708,8 +788,10 @@ def picard_solve(
         if converged or k == max_sweeps:
             break  # eta is the field whose update delta was just measured
         eta = eta.with_data(new_vals, new_dvals)
-    inf_mu, dinf_mu = eta.norm_inf_mu(), eta.dnorm_inf_mu()
-    norms = {"inf": eta.norm_inf(), "inf_mu": inf_mu, "dinf_mu": dinf_mu, "one_mu": inf_mu + dinf_mu}
+        peaks = maxima[:2]
+    # eta's norms (EtaField.norm_inf, norm_inf_mu, dnorm_inf_mu) from the row maxima of the sweep that wrote it
+    inf_mu, dinf_mu = float(np.max(peaks[0] * w_t)), float(np.max(peaks[1] * w_t))
+    norms = {"inf": float(np.max(peaks[0])), "inf_mu": inf_mu, "dinf_mu": dinf_mu, "one_mu": inf_mu + dinf_mu}
     return ConjugacyResult(
         eta=eta,
         params=params,
@@ -890,7 +972,11 @@ def invertibility_check(result: ConjugacyResult, model: DichotomyModel) -> dict:
 
     Failures are recorded, not raised.  The finite-difference agreement is
     measured relative to the derivative field's own maximum magnitude and
-    passes within 1e-3.
+    passes within 1e-3.  Each time row's central-difference error,
+    derivative maximum and monotonicity are taken on the sweep's workers
+    (_workers of the field's values and derivatives, so a small field stays
+    on the calling thread), with one row's temporaries at a time; the
+    report takes the maxima over the rows.
     """
     eta = result.eta
     dnorm = result.norms["dinf_mu"]
@@ -899,15 +985,23 @@ def invertibility_check(result: ConjugacyResult, model: DichotomyModel) -> dict:
 
     vals, dvals = eta.values, eta.dvalues
     db = eta.b_grid[1] - eta.b_grid[0]
-    fd = (vals[:, 2:] - vals[:, :-2]) / (2.0 * db)
-    scale = max(float(np.max(np.abs(dvals))), 1e-300)
-    fd_err = float(np.max(np.abs(fd - dvals[:, 1:-1]))) / scale
+    u_idx = model.unstable_indices[0]  # picard_solve only solves models with one unstable coordinate
+    fd_max, d_max = np.empty(len(vals)), np.empty(len(vals))
+    monotone = np.empty(len(vals), dtype=bool)
+
+    def check_row(i):
+        fd = (vals[i, 2:] - vals[i, :-2]) / (2.0 * db)
+        fd -= dvals[i, 1:-1]
+        fd_max[i] = np.max(np.abs(fd, out=fd))
+        d_max[i] = np.max(np.abs(dvals[i]))
+        monotone[i] = np.all(np.diff(eta.b_grid + vals[i, :, u_idx, -1]) > 0.0)
+
+    _in_workers(check_row, list(range(len(vals))), _workers(vals.size + dvals.size))
+    scale = max(float(np.max(d_max)), 1e-300)
+    fd_err = float(np.max(fd_max)) / scale
     report["fd_rel_err"] = fd_err
     report["fd_ok"] = fd_err <= 1e-3
-
-    # picard_solve only solves models with one unstable coordinate
-    coord_map = eta.b_grid[None, :] + vals[:, :, model.unstable_indices[0], -1]
-    report["monotone"] = bool(np.all(np.diff(coord_map, axis=1) > 0.0))
+    report["monotone"] = bool(np.all(monotone))
     return report
 
 

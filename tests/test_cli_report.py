@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mu_lab
 from mu_lab import cli_report
@@ -169,6 +172,13 @@ _OUT_OF_RANGE = {
     "window_infinitely_wide": ("checks", "window", [-1e308, 1e308]),
     "core_window_infinite": ("checks", "core_window", [-math.inf, 0.0]),
     "b_scale_infinite": ("checks", "b_scale", math.inf),
+    # 12 / 12 is one cell: two b nodes, no central difference; the invertibility check's max over it raised ValueError
+    "b_step_two_nodes": ("grids", "b_step", 12.0),
+    # a field of 37 x 385 x 2 x (m + 1) numbers, 102 GiB at this m, or an m past float range
+    "m_over_field_budget": ("grids", "m", 16_000_000),
+    "m_past_float_range": ("grids", "m", 10**400),
+    # 10^6 samples x (65 + 192 steps) x 2 coordinates in the residual lattice
+    "residual_lattice_over_budget": ("checks", "residual_samples", 1_000_000),
 }
 
 
@@ -206,6 +216,44 @@ def test_bad_sections_fail_before_any_stage(tmp_path, capsys, monkeypatch, doc):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert ran == [] and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("name", ["example5_2d", "example5_2d_negative_theta", "negative_delta", "wobble_certificate"])
+def test_size_budget_counts_the_models_coordinates_and_admits_the_shipped_scenarios(name):
+    res = resolve(parse_scenario(shipped(name)))
+    assert res.model.n == cli_report._COORDINATES[res.scenario.model["kind"]]
+    # the flagship at t_step 0.125 and b_step 0.015625: a field of 73 x 769 x 2 x 65 numbers
+    refined = _with("grids", "t_step", 0.125)
+    refined["grids"]["b_step"] = 0.015625
+    grid = resolve(parse_scenario(refined)).grid
+    assert len(grid.t_grid()) * len(grid.b_grid()) * 2 * (grid.m + 1) == 7_297_810 <= cli_report._SIZE_BUDGET
+
+
+# the grid geometry near its edges: one, two or three nodes on an axis, odd or tiny m (reads off the segment
+# grid), cells under a node apart; the explicit example has the two b nodes that once ended in a traceback
+@given(
+    t_step=st.floats(min_value=0.3, max_value=14.0),
+    b_max=st.floats(min_value=0.1, max_value=6.0),
+    b_cells=st.floats(min_value=0.3, max_value=6.0),
+    m=st.sampled_from([1, 2, 3, 4, 6, 8, 16, 32]),
+)
+@example(t_step=0.5, b_max=4.0, b_cells=1.0, m=32)
+@settings(max_examples=25, deadline=None)
+def test_grid_geometry_fuzz_ends_in_a_documented_exit(tmp_path_factory, t_step, b_max, b_cells, m):
+    doc = coarse_flagship()
+    doc["grids"].update(t_step=t_step, b_max=b_max, b_step=2.0 * b_max / b_cells, m=m)
+    doc["checks"].update(cert_samples=20, residual_samples=10)
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "sc.json").write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(folder / "sc.json"), "--out", str(folder / "r.json")])
+    assert code in (EXIT_PASS, EXIT_CONFIG, EXIT_ADMISSIBILITY, EXIT_CERTIFICATE, EXIT_SOLVER)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("config error: ")
+    else:
+        assert json.loads((folder / "r.json").read_text())["exit_code"] == code
 
 
 def test_perturbation_without_reads_is_a_config_error():

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import COARSE_GRID, COARSE_TRUNC, DEFAULT_GRID, DEFAULT_TRUNC, SOLVER_TOL, R, build_flagship
 from mu_lab.admissibility import delta_ceiling, lambda_ceiling
@@ -29,7 +30,7 @@ from mu_lab.conjugacy import (
     verify_residuals,
 )
 from mu_lab.dde_core import Perturbation, linear_cross_perturbation, saturating_cross_perturbation
-from mu_lab.dichotomy import p0_kernel, q0_kernel, unstable_flow, unstable_shape
+from mu_lab.dichotomy import p0_kernel, power_model, q0_kernel, unstable_flow, unstable_shape
 from mu_lab.errors import NonFiniteState, NotContracting, OutOfDomain, TimeOrder, TruncationUnreachable
 from mu_lab.phase_space import Segment, lag_index, mu_norm, sup_norm
 
@@ -48,13 +49,13 @@ def _noise_field(flagship, seed=11):
 
 def F_apply(model, pert, eta, t, b, trunc, *, D):
     """Oracle helper: the planned operator at the one point (t, b)."""
-    out, _ = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
+    out, _, _ = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
     return Segment(model.r, out[0, 0].T)
 
 
 def dF_db_apply(model, pert, eta, t, b, trunc, *, D):
     """Oracle helper: the planned operator's b-derivative at the one point (t, b)."""
-    _, dout = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
+    _, dout, _ = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
     return Segment(model.r, dout[0, 0].T)
 
 
@@ -282,7 +283,7 @@ def test_full_row_matches_point_oracle(flagship_result, row, coupling):
         pert = linear_cross_perturbation(flagship_result["mu"], flagship_result["params"], reads=[(1, R), (0, R / 2)], n=2, gain=0.3)
     t, nb = float(eta.t_grid[row]), len(eta.b_grid)
     plan = plan_operator(model, pert, eta, [t], eta.b_grid, DEFAULT_TRUNC, D)
-    out, dout = _full_sweep(plan, eta)
+    out, dout, _ = _full_sweep(plan, eta)
     assert out.shape == (1, nb, 2, eta.m + 1)
     (rp,) = plan.rows
     assert row != 35 or np.any(rp.taus > eta.t_grid[-1])
@@ -312,7 +313,7 @@ def test_sweep_matches_block_oracle(flagship, coupling):
     bs = np.linspace(-4.5, 4.5, 2 * ORACLE_B_CHUNK + 18)
     plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
     assert_rows_span_blocks_with_a_remainder(plan)
-    F, dF = _full_sweep(plan, eta)
+    F, dF, _ = _full_sweep(plan, eta)
     F_ref, dF_ref = block_oracle_sweep(plan, eta, scenario, *ROLLED_MAPS[coupling])
     assert np.any(F != 0.0) and np.any(dF != 0.0)
     assert_matches_block_oracle(F, dF, F_ref, dF_ref)
@@ -351,8 +352,8 @@ def test_source_term_sweep_is_the_zero_field_sweep_bit_for_bit(flagship, couplin
     bs = np.concatenate([np.linspace(-4.5, 4.5, 2 * ORACLE_B_CHUNK + 17), [-0.0]])
     plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
     seen, seen_zero = [], []
-    F, dF = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen)), None)
-    F0, dF0 = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen_zero)), eta)
+    F, dF, _ = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen)), None)
+    F0, dF0, _ = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen_zero)), eta)
     assert F.tobytes() == F0.tobytes() and dF.tobytes() == dF0.tobytes()
     assert [a.tobytes() for a in seen] == [a.tobytes() for a in seen_zero]
     assert not any(np.any(np.signbit(a) & (a == 0.0)) for a in seen)  # no read is -0.0
@@ -396,7 +397,7 @@ def test_row_geometries_match_the_oracles(flagship_result, monkeypatch, tail_tol
     bs = eta.b_grid[[0, 100, 250, len(eta.b_grid) - 1]]
     plan = plan_operator(model, pert, eta, ts, bs, trunc, p.D)
     assert_rows_span_blocks_with_a_remainder(plan)
-    F, dF = _full_sweep(plan, eta)
+    F, dF, _ = _full_sweep(plan, eta)
     F_ref, dF_ref = block_oracle_sweep(plan, eta, scenario, *ROLLED_MAPS["linear"])
     assert np.any(F != 0.0) and np.any(dF != 0.0)
     assert_matches_block_oracle(F, dF, F_ref, dF_ref)
@@ -447,7 +448,7 @@ def test_sweep_is_the_same_for_any_worker_count(flagship, monkeypatch, field):
             _split_sweeps(monkeypatch, workers)
             threads = set()
             plan = plan_operator(model, _thread_recording(pert, threads), eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, p.D)
-            F, dF = _full_sweep(plan, eta if field == "noise" else None)
+            F, dF, _ = _full_sweep(plan, eta if field == "noise" else None)
             assert len(threads) == workers and threading.active_count() == before
             swept.append(F.tobytes() + dF.tobytes())
     finally:
@@ -500,7 +501,8 @@ def test_sweep_memory_stays_per_block(flagship, monkeypatch):
     # cells, weights and indices, and the maps' planes: up to 24 arrays of
     # _BLOCK_READS doubles, of which about 17 are seen here.  The block's
     # group matrix, n x groups x s with at most s / 4 + 2 groups for s = 32
-    # nodes, is at most 5 KB
+    # nodes, is at most 5 KB.  The buffer a worker takes a row's maxima in is
+    # allocated after that row's temporaries are freed
     _split_sweeps(monkeypatch, 2)
     model, p, pert = flagship["model"], flagship["params"], flagship["pert"]
     eta = _noise_field(flagship)
@@ -515,11 +517,76 @@ def test_sweep_memory_stays_per_block(flagship, monkeypatch):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            F, dF = _full_sweep(plan, field)
+            F, dF, _ = _full_sweep(plan, field)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak - F.nbytes - dF.nbytes <= budget
+
+
+def row_max_diff(new, old):
+    """Oracle: max |new - old| per time row, one pass over each whole row."""
+    return np.array([np.max(np.abs(a - b)) for a, b in zip(new, old)])
+
+
+def invertibility_oracle(result, model):
+    """Oracle: the invertibility report computed on whole-field arrays."""
+    eta, dnorm = result.eta, result.norms["dinf_mu"]
+    report = {"derivative_norm_mu": dnorm, "margin": 1.0 - dnorm, "margin_positive": 1.0 - dnorm > 0.0}
+    vals, dvals = eta.values, eta.dvalues
+    fd = (vals[:, 2:] - vals[:, :-2]) / (2.0 * (eta.b_grid[1] - eta.b_grid[0]))
+    scale = max(float(np.max(np.abs(dvals))), 1e-300)
+    report["fd_rel_err"] = float(np.max(np.abs(fd - dvals[:, 1:-1]))) / scale
+    report["fd_ok"] = report["fd_rel_err"] <= 1e-3
+    coord_map = eta.b_grid[None, :] + vals[:, :, model.unstable_indices[0], -1]
+    report["monotone"] = bool(np.all(np.diff(coord_map, axis=1) > 0.0))
+    return report
+
+
+@pytest.mark.parametrize("coupling", ["linear", "zero"])
+def test_row_statistics_match_whole_field_oracles(flagship, monkeypatch, coupling):
+    # the maxima a sweep's workers take of the rows they write, and the
+    # invertibility check's per-row statistics, equal the whole-field passes
+    # bit for bit on 1, 2 and 3 workers.  Under the zero coupling no row has
+    # a node, so the sweep is 0 and its update is the field read; the noise
+    # field is not monotone in b, the solved one is
+    from mu_lab import conjugacy
+
+    model, p = flagship["model"], flagship["params"]
+    pert = _stress_coupling(flagship) if coupling == "linear" else Perturbation.zero(2)
+    eta = _noise_field(flagship)
+    solved = _coarse_solve(flagship, flagship["pert"])
+    zero = zero_field(flagship, COARSE_GRID)
+    plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, p.D)
+    assert all(rp.taus.size for rp in plan.rows) == (coupling == "linear")
+    w = eta.time_weights()
+    used = []
+    in_workers = conjugacy._in_workers
+    monkeypatch.setattr(conjugacy, "_in_workers", lambda task, items, n: used.append(n) or in_workers(task, items, n))
+    for workers in (1, 2, 3):
+        _split_sweeps(monkeypatch, workers)
+        for field, read in ((eta, eta), (None, zero)):
+            F, dF, maxima = _full_sweep(plan, field)
+            assert plan.on_grid and maxima.shape == (4, len(plan.rows))
+            for got, want in zip(maxima, (np.max(np.abs(F), axis=(1, 2, 3)), np.max(np.abs(dF), axis=(1, 2, 3)),
+                                          row_max_diff(F, read.values), row_max_diff(dF, read.dvalues))):
+                assert got.tobytes() == want.tobytes()
+            swept = eta.with_data(F, dF)
+            norms = float(np.max(maxima[0])), float(np.max(maxima[0] * w)), float(np.max(maxima[1] * w))
+            assert norms == (swept.norm_inf(), swept.norm_inf_mu(), swept.dnorm_inf_mu())
+        # a sweep at other queries takes no update
+        other = plan_operator(model, pert, eta, eta.t_grid[:3], [0.1, -2.0], COARSE_TRUNC, p.D)
+        F, dF, maxima = _full_sweep(other, eta)
+        assert not other.on_grid and maxima.shape == (2, 3) and maxima[0].tobytes() == np.max(np.abs(F), axis=(1, 2, 3)).tobytes()
+        reports = []
+        for field in (solved.eta, eta):
+            result = dataclasses.replace(solved, eta=field)
+            reports.append(invertibility_check(result, model))
+            assert reports[-1] == invertibility_oracle(result, model)
+        assert [r["monotone"] for r in reports] == [True, False]
+        assert used[-2:] == [workers, workers]  # the checks of both fields
+        assert coupling == "zero" or used[0] == workers  # a sweep of no nodes has no reads to share
+        used.clear()
 
 
 def test_cells_match_floor_and_clip_bit_for_bit():
@@ -565,6 +632,65 @@ def test_plan_counts_clamps_once_from_the_query_geometry(flagship_result):
         total += tot
     assert (plan.clamped, plan.total) == (clamped, total)
     assert clamped / total == flagship_result["result"].clamp_rate == pytest.approx(0.155, abs=1e-3)
+
+
+def _plan_oracle_count(plan, eta):
+    """Oracle: (clamped, total) of the plan's rows, each row's (S, nb) lookups formed whole."""
+    counts = [clamp_count(eta, rp.taus[:, None], rp.factor[:, None] * plan.b) for rp in plan.rows]
+    return sum(c for c, _ in counts), sum(tot for _, tot in counts)
+
+
+# b queries from a small pool, so lists repeat them, with 0, -0, the grid's edges and a subnormal
+_B_QUERIES = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 4.0, -4.0, 4.25, 5e-324]), st.floats(-6.0, 6.0)), max_size=12)
+
+
+@given(ts=st.lists(st.floats(-5.0, 5.0), max_size=2), bs=_B_QUERIES, power=st.sampled_from([0.6, 5000.0]))
+@settings(max_examples=40, deadline=None)
+def test_plan_clamps_match_the_oracle(ts, bs, power):
+    # t queries off the coarse grid [-3, 3] put nodes off it; under the unstable
+    # power 5000 (the declared constants, and so the nodes, are the flagship's)
+    # the orbit factor exp(5000 (tau - t)) underflows to 0 on the stable side and,
+    # on the row at t = 0 that every example has, overflows to inf on the unstable side
+    ts = [0.0, *ts]
+    mu, _, p, pert = build_flagship()
+    model = power_model(mu, R, (-0.8, power))
+    eta = EtaField.zero(COARSE_GRID, 2, R, mu, p.xi, p.eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan = plan_operator(model, pert, eta, ts, bs, COARSE_TRUNC, p.D)
+        want = _plan_oracle_count(plan, eta)
+    assert (plan.clamped, plan.total) == want
+    if power > 1.0:
+        factors = np.concatenate([rp.factor for rp in plan.rows])
+        assert np.any(factors == 0.0) and np.any(np.isinf(factors))
+
+
+@given(
+    taus=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8),
+    factors=st.lists(
+        st.one_of(st.sampled_from([0.0, math.inf, math.nan, 5e-324, 1e-300, 1e300]), st.floats(1e-3, 1e3)),
+        min_size=8, max_size=8,
+    ),
+    bs=_B_QUERIES,
+)
+@settings(max_examples=80, deadline=None)
+def test_clamp_count_matches_the_oracle_for_any_factor(taus, factors, bs):
+    # the count behind the plan's, at factors no model on the shipped grid
+    # gives: subnormal, huge, 0, inf and NaN, where the searchsorted guess
+    # is far from the boundary or the lookup is not monotone in b.  Queries
+    # at a node's edges b_grid[0] / f and b_grid[-1] / f and their float
+    # neighbours round to either side of the grid's edge, so the guess is
+    # off by one there; a NaN query never leaves the b grid
+    from mu_lab.conjugacy import _clamp_count
+
+    eta = EtaField.zero(COARSE_GRID, 2, R, None, 0.0, 0.0)
+    taus = np.array(taus)
+    factor = np.array(factors[: taus.size])
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.concatenate([eta.b_grid[[0, -1]] / f for f in factor[np.isfinite(factor) & (factor > 0)][:2]] + [[]])
+        bs = np.concatenate([bs, [math.nan], edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        want = clamp_count(eta, taus[:, None], factor[:, None] * bs)
+        got = _clamp_count(factor, _coords(taus, eta.t_grid)[1], bs, eta.b_grid)
+    assert (got, taus.size * bs.size) == want
 
 
 def _held_arrays(obj):
@@ -843,7 +969,7 @@ def _coarse_solve(flagship, pert, solver_tol=SOLVER_TOL, **kw):
 def _update_norm(flagship, pert, eta):
     """||F(eta) - eta||_{1,mu} by one freshly planned sweep over eta."""
     plan = plan_operator(flagship["model"], pert, eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, flagship["params"].D)
-    F, dF = _full_sweep(plan, eta)
+    F, dF, _ = _full_sweep(plan, eta)
     w = eta.time_weights()
     delta = float(np.max(np.max(np.abs(F - eta.values), axis=(1, 2, 3)) * w))
     ddelta = float(np.max(np.max(np.abs(dF - eta.dvalues), axis=(1, 2, 3)) * w))
@@ -858,6 +984,9 @@ def test_reported_residual_is_the_returned_fields_update(flagship, coupling, max
     assert len(res.sweeps) >= 2
     assert res.converged == (res.fixed_point_residual_1mu <= res.solver_tol) == (max_sweeps > 3)
     assert _update_norm(flagship, pert, res.eta) == res.fixed_point_residual_1mu == res.sweeps[-1].delta_1mu
+    # the norms come from the row maxima of the sweep that wrote the returned field
+    eta = res.eta
+    assert res.norms == {"inf": eta.norm_inf(), "inf_mu": eta.norm_inf_mu(), "dinf_mu": eta.dnorm_inf_mu(), "one_mu": eta.norm_1mu()}
 
 
 @pytest.mark.parametrize("case, sweeps", [("saturating", 2), ("zero", 1), ("limited", 3)])
