@@ -41,7 +41,15 @@ from .conjugacy import (
     verify_residuals,
 )
 from .dde_core import Perturbation, linear_cross_perturbation, saturating_cross_perturbation
-from .dichotomy import REFERENCE_CONSTANTS, DichotomyModel, model_params, power_model, sin_wobble_model, verify_bounds
+from .dichotomy import (
+    _PAIR_BLOCK,
+    REFERENCE_CONSTANTS,
+    DichotomyModel,
+    model_params,
+    power_model,
+    sin_wobble_model,
+    verify_bounds,
+)
 from .errors import (
     ConfigError,
     EmptyWindow,
@@ -183,6 +191,9 @@ _POSITIVE = {
 # numbers in one array of the solved field, nt * nb * n * (m+1), or of the residual check's lattice: 2^24,
 # 128 MiB of float64; a gathered sweep holds four field-sized arrays, the values and derivatives it reads and writes
 _SIZE_BUDGET = 2**24
+# numbers in a certificate's sample rows (5 families x cert_samples x 5 columns), which the report copies into its
+# series lists as Python floats, about 32 bytes each plus a list per row: 2^21, some 84,000 time pairs
+_SERIES_BUDGET = 2**21
 # each model kind's number of coordinates
 _COORDINATES = {"diagonal_flow": 2, "sin_wobble": 1}
 
@@ -215,8 +226,9 @@ def _check_ranges(sections: dict, n: int) -> None:
     """Reject values no stage can run on.
 
     That is a non-positive count, step, scale or tolerance, a reversed or
-    infinitely wide window, a grid axis with too few nodes, or a field or
-    residual lattice of a model with n coordinates over _SIZE_BUDGET numbers.
+    infinitely wide window, a grid axis with too few nodes, a field, residual
+    lattice or certificate block of a model with n coordinates over
+    _SIZE_BUDGET numbers, or certificate sample rows over _SERIES_BUDGET.
     """
     for key, names in _POSITIVE.items():
         for name in names:
@@ -249,11 +261,21 @@ def _check_ranges(sections: dict, n: int) -> None:
         "residual lattice (samples x (m + 1 + horizon steps) x coordinates)",
         _numbers(checks["residual_samples"], steps, n),
     )
+    # a block of near time pairs evolves every probe segment of the certificate (dichotomy._probe_segments: 2n + 3)
+    _check_size(
+        "certificate block (pairs x probes x (cert_m + 1) x coordinates)",
+        _numbers(_PAIR_BLOCK, 2 * n + 3, checks["cert_m"] + 1, n),
+    )
+    _check_size(
+        "certificate sample rows (5 families x cert_samples x 5 columns)",
+        _numbers(5, checks["cert_samples"], 5),
+        _SERIES_BUDGET,
+    )
 
 
-def _check_size(what: str, numbers: float) -> None:
-    if not numbers <= _SIZE_BUDGET:
-        raise ConfigError(f"the scenario's {what} holds {numbers:.3g} numbers, over the budget of {_SIZE_BUDGET}")
+def _check_size(what: str, numbers: float, budget: int = _SIZE_BUDGET) -> None:
+    if not numbers <= budget:
+        raise ConfigError(f"the scenario's {what} holds {numbers:.3g} numbers, over the budget of {budget}")
 
 
 def parse_scenario(doc: dict) -> Scenario:

@@ -322,7 +322,9 @@ class RowPlan:
     """The part of one time row of the operator that does not depend on eta.
 
     Every array has one entry per quadrature node, S in all, so a row holds
-    O(S) numbers: nothing with a b or a segment axis.  The nodes come in
+    O(S) numbers: nothing with a b or a segment axis.  Apart from weights,
+    they are the row's slices of arrays over all the plan's nodes
+    (plan_operator).  The nodes come in
     the groups the sweep contracts by: n_far far stable nodes, the near
     panels of _NEAR_NODES each up to n_stable, then the unstable side.
     """
@@ -425,35 +427,42 @@ def _clamp_count(factor: np.ndarray, out_t: np.ndarray, bs: np.ndarray, b_grid: 
 def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, bs, trunc: TruncationPolicy, D: float) -> OperatorPlan:
     """Plan the operator at the queries ts x bs on the grid of eta.
 
-    Only eta's grid is used.  A query clamps when either axis of its orbit
-    lookup (tau, b unstable_flow(tau, t)) leaves the grid, counted once
-    over every row's (S, nb) lookups, so clamped / total lies in [0, 1].
-    The count takes all rows' nodes at once (_clamp_count) and forms no
-    lookup, so no b coordinate or cell is formed here.
+    Only eta's grid is used.  Each row's nodes come from its own
+    orbit_quadrature; the per-node arrays (orbit factors, t cells and
+    weights, linear parts, perturbation weight) are then formed in one pass
+    over all rows' nodes, each node with its row's t, and every RowPlan
+    holds its row's slice.  They are elementwise, so each row gets the bits
+    it would get planned alone, at a few calls per plan instead of a few
+    per row.  A query clamps when either axis of its orbit lookup
+    (tau, b unstable_flow(tau, t)) leaves the grid, counted once over every
+    row's (S, nb) lookups, so clamped / total lies in [0, 1].  The count
+    takes all rows' nodes at once (_clamp_count) and forms no lookup, so no
+    b coordinate or cell is formed here.
     """
     bs = np.asarray(bs, dtype=float)
     cs, js = _read_slots(pert, eta)
     u_idx = model.unstable_indices[0]
-    rows, out_t = [], []
-    for t in ts:
-        t = float(t)
-        taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, eta.m)
-        taus = np.concatenate([taus_s, taus_u])
-        factor = unstable_flow(model, taus, t)[0]
-        xt, out = _coords(taus, eta.t_grid)
-        out_t.append(out)
-        it, wt = _cells(xt, len(eta.t_grid))
-        lin = np.zeros((len(cs), taus.size))
-        for j, (coord, lag) in enumerate(pert.reads):
-            if coord == u_idx:
-                lin[j] = unstable_flow(model, taus - lag, taus)[0]
-        weights, pert_weight = np.concatenate([w_s, -w_u]), np.asarray(pert.weight(taus), dtype=float)
+    ts = [float(t) for t in ts]
+    sides = [orbit_quadrature(model, pert, t, trunc, D, eta.m) for t in ts]
+    sizes = [taus_s.size + taus_u.size for taus_s, _, taus_u, _ in sides]
+    taus = np.concatenate([np.empty(0), *(part for side in sides for part in side[::2])])
+    # every per-node array in one pass over all rows' nodes, each node with its row's t
+    factor = unstable_flow(model, taus, np.repeat(ts, sizes))[0]
+    xt, out_t = _coords(taus, eta.t_grid)
+    it, wt = _cells(xt, len(eta.t_grid))
+    lin = np.zeros((len(cs), taus.size))
+    for j, (coord, lag) in enumerate(pert.reads):
+        if coord == u_idx:
+            lin[j] = unstable_flow(model, taus - lag, taus)[0]
+    pert_weight = np.asarray(pert.weight(taus), dtype=float)
+    rows, edges = [], np.cumsum([0, *sizes]).tolist()
+    for t, (taus_s, w_s, _, w_u), lo, hi in zip(ts, sides, edges[:-1], edges[1:]):
         n_far = int(np.count_nonzero(taus_s < t - model.r))
-        rows.append(RowPlan(t, taus, weights, taus_s.size, n_far, factor, pert_weight, it, wt, lin))
-    factors = np.concatenate([np.empty(0), *(row.factor for row in rows)])
-    clamped = _clamp_count(factors, np.concatenate([np.zeros(0, dtype=bool), *out_t]), bs, eta.b_grid)
+        per_node = (factor[lo:hi], pert_weight[lo:hi], it[lo:hi], wt[lo:hi], lin[:, lo:hi])
+        rows.append(RowPlan(t, taus[lo:hi], np.concatenate([w_s, -w_u]), taus_s.size, n_far, *per_node))
+    clamped = _clamp_count(factor, out_t, bs, eta.b_grid)
     on_grid = np.array_equal(np.asarray(ts, dtype=float), eta.t_grid) and np.array_equal(bs, eta.b_grid)
-    return OperatorPlan(model, pert, bs, tuple(rows), cs, js, eta.m, clamped, factors.size * bs.size, on_grid)
+    return OperatorPlan(model, pert, bs, tuple(rows), cs, js, eta.m, clamped, factor.size * bs.size, on_grid)
 
 
 _BLOCK_READS = 2**15  # node x b-query reads per gather block; bounds a worker's temporaries
@@ -566,13 +575,13 @@ def _in_workers(task, items: list, workers: int) -> None:
         raise failed[0]
 
 
-def _workers(reads: int) -> int:
-    """One worker per usable CPU, while each gets at least _WORKER_READS of the reads.
+def _workers(work: int) -> int:
+    """One worker per usable CPU, while each gets at least _WORKER_READS of the work (reads, or numbers passed over).
 
     A smaller share would leave the threads waiting on one another for the
     interpreter lock in numpy's call overhead.
     """
-    return max(1, min(_usable_cpus(), reads // _WORKER_READS))
+    return max(1, min(_usable_cpus(), work // _WORKER_READS))
 
 
 def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
@@ -601,8 +610,9 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
 
     The rows are shared out over the calling thread and one helper thread
     per further usable CPU (_workers), which take every w-th row;
-    numpy releases the interpreter lock in the block arithmetic.  A sweep
-    with fewer than _WORKER_READS reads per worker stays on fewer threads,
+    numpy releases the interpreter lock in the block arithmetic.  The work
+    shared is the reads plus the numbers the row maxima pass over; a sweep
+    with less than _WORKER_READS of it per worker stays on fewer threads,
     a small one on the calling thread alone.  One worker computes each row
     from start to finish, so the result does not depend on the worker count.
     """
@@ -665,7 +675,11 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
             sweep_row(i)
         row_maxima(i)
 
-    _in_workers(task, list(range(len(plan.rows))), _workers(nb * sum(row.taus.size for row in plan.rows)))
+    # the work to share: every node x b-query read, and each row's maxima pass over its output and, for an update,
+    # over the field rows it reads, so that rows without nodes are shared out too
+    passes = out[0].size * (4 if plan.on_grid and eta is not None else 2)
+    work = nb * sum(row.taus.size for row in plan.rows) + passes * len(plan.rows)
+    _in_workers(task, list(range(len(plan.rows))), _workers(work))
     return out, dout, maxima
 
 
@@ -869,7 +883,14 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert: Perturbation, 
     closing-stage read the next node, and a lag-0 read the stage state.
     The linear part is the diagonal flow's coefficient rho_i'.  Samples are
     processed in order of decreasing k, so the live ones form a prefix and
-    none is integrated (or checked for blow-up) past its own t.
+    none is integrated (or checked for blow-up) past its own t.  Whatever
+    depends only on the step is formed before the pass: the time-only
+    factors at every stage time, each step's live count, its h/2 and h/6,
+    and the nodes it reads, which one gather takes at a node and the next.
+    Each step checks for blow-up with one sum and locates the first
+    non-finite sample only when that sum is not finite, so a NonFiniteState
+    names the step and sample a per-sample check would.  The arithmetic and
+    its order are the scalar integrator's.
     conjugacy_residual stays the scalar path for single, off-lattice
     triples and the reference this one is tested against.
     """
@@ -893,38 +914,47 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert: Perturbation, 
     times = so[:, None] + h * np.arange(K + 1)
     cs, js = _read_slots(pert, eta)
     now = js == m  # reads of x(t) itself come from the stage state
-    # the time-only factors rho_i' and weight(t) at every step's three stage times
+    c_now = cs[now]
+    # each step's fractions, and the time-only factors rho_i' and weight(t) at its three stage times
     t0 = times[:, :-1]
     hs = times[:, 1:] - t0
-    stages = (t0, t0 + hs / 2.0, t0 + hs)
+    halves, sixths = hs / 2.0, hs / 6.0
+    stages = (t0, t0 + halves, t0 + hs)
     lins = [np.moveaxis(model.coeff(tt), 0, -1) for tt in stages]
     weights = [np.asarray(pert.weight(tt), dtype=float) for tt in stages]
+    # the samples live at step j, those with ks > j: a prefix, since ks decreases
+    live = np.searchsorted(-ks, -np.arange(K), side="left").tolist()
+    # step j's reads at node j + js, then at node j + js + 1, as one gather
+    nodes = np.arange(K)[:, None] + np.concatenate([js, js + 1])
+    coords = np.concatenate([cs, cs])
 
     def rhs(stage, j, y, reads):
         # overwrites only the lag-0 columns, so callers may share `reads`
-        reads[:, now] = y[:, cs[now]]
+        reads[:, now] = y[:, c_now]
         a = len(y)
         return lins[stage][:a, j] * y + pert.value_map(reads.T).T * weights[stage][:a, j, None]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(K):
-            a = int(np.count_nonzero(ks > j))
+        for j, a in enumerate(live):
             y = X[:a, m + j]
-            hc = hs[:a, j, None]
-            at_node = X[:a, j + js, cs]
-            next_node = X[:a, j + js + 1, cs]
+            both = X[:a, nodes[j], coords]
+            at_node, next_node = both[:, : cs.size], both[:, cs.size :]
             mid = 0.5 * (at_node + next_node)
             k1 = rhs(0, j, y, at_node)
-            k2 = rhs(1, j, y + hc / 2.0 * k1, mid)
-            k3 = rhs(1, j, y + hc / 2.0 * k2, mid)
-            k4 = rhs(2, j, y + hc * k3, next_node)
-            X[:a, m + j + 1] = y + hc / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            blown = ~np.all(np.isfinite(X[:a, m + j + 1]), axis=1)
-            if blown.any():
-                i = int(np.argmax(blown))
-                raise NonFiniteState(
-                    f"state blew up at t = {times[i, j + 1]} (sample from s = {so[i]}, b = {bo[i]})"
-                )
+            k2 = rhs(1, j, y + halves[:a, j, None] * k1, mid)
+            k3 = rhs(1, j, y + halves[:a, j, None] * k2, mid)
+            k4 = rhs(2, j, y + hs[:a, j, None] * k3, next_node)
+            new = X[:a, m + j + 1]
+            new[...] = y + sixths[:a, j, None] * (k1 + 2 * k2 + 2 * k3 + k4)
+            # one reduction per step; only a sum that is not finite, as an overflowing sum of finite states
+            # can be too, sends for the per-sample check
+            if not math.isfinite(new.sum()):
+                blown = ~np.all(np.isfinite(new), axis=1)
+                if blown.any():
+                    i = int(np.argmax(blown))
+                    raise NonFiniteState(
+                        f"state blew up at t = {times[i, j + 1]} (sample from s = {so[i]}, b = {bo[i]})"
+                    )
 
     closing = np.empty_like(lhs)
     closing[order] = X[np.arange(len(ks))[:, None], ks[:, None] + np.arange(m + 1)]

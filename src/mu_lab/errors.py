@@ -9,10 +9,6 @@ class NonPositiveDelay(MuLabError):
     """A delay r must be strictly positive."""
 
 
-class DegenerateGrid(MuLabError):
-    """A sampling grid was empty or otherwise unusable."""
-
-
 class OutOfDomain(MuLabError):
     """A segment was evaluated outside [-r, 0]."""
 

@@ -4,6 +4,14 @@ A rate mu has mu(0) = 1, tends to 0 at -inf and to +inf at +inf.  The
 delay-compatibility constant N(r) bounds mu(s + r) / mu(s) uniformly in s;
 every rate carries its closed form, plus a closed-form inverse used by the
 change-of-variable quadratures elsewhere.
+
+The poly and log rates have two branches, split at t = 0 (at u = 1 for
+the inverses).  Their callables evaluate each branch on its own entries
+only (_split), exactly as np.piecewise does, so the bits and the
+floating-point warnings are np.piecewise's, without its Python overhead
+of some 20 us a call; a rate is called a few hundred times per solve,
+mostly on small arrays or single times.  No branch sees the other side's
+entries: 1/(1 - t) at t = 1 and log(e - t) past e would warn.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateGrid, NonPositiveDelay
+from .errors import NonPositiveDelay
 
 ArrayLike = "float | np.ndarray"
 
@@ -51,19 +59,6 @@ def ratio_bound_N(g: GrowthRate, r: float) -> float:
     return float(g.closed_form_N(r))
 
 
-def verify_property_H(g: GrowthRate, r: float, grid, N: float) -> bool:
-    """True iff mu(s+r)/mu(s) <= N (up to 1e-12 slack) for every s in grid."""
-    if N <= 1:
-        raise ValueError(f"ratio bound N must exceed 1, got {N}")
-    if r <= 0:
-        raise NonPositiveDelay(f"delay must be positive, got {r}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise DegenerateGrid("empty grid for property check")
-    ratios = g.eval(grid + r) / g.eval(grid)
-    return bool(np.all(ratios <= N * (1.0 + 1e-12)))
-
-
 def _exp_rate() -> GrowthRate:
     return GrowthRate(
         label="exp",
@@ -74,19 +69,40 @@ def _exp_rate() -> GrowthRate:
     )
 
 
+def _split(t, seam: float, right, left) -> np.ndarray:
+    """right(t) where t >= seam, left(t) elsewhere (NaN too): np.piecewise(t, [t >= seam], [right, left]).
+
+    As in np.piecewise, each branch sees only its own entries, as one
+    contiguous 1-D array, so the values and the floating-point warnings are
+    the same bit for bit; what goes is np.piecewise's per-call overhead.
+    An array on one side of the seam goes to its branch whole, and 0-d t
+    (a 0-d array is returned) skips the masks.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        one = t.reshape(1)
+        return (right if one[0] >= seam else left)(one).reshape(())
+    upper = t >= seam
+    count = np.count_nonzero(upper)
+    if count == t.size or count == 0:
+        return (right if count else left)(t.ravel()).reshape(t.shape)
+    out = np.empty(t.shape)
+    out[upper] = right(t[upper])
+    lower = ~upper
+    out[lower] = left(t[lower])
+    return out
+
+
 def _poly_rate() -> GrowthRate:
     # t + 1 on the right half line, 1/(1 - t) on the left; C^1 across 0.
     def ev(t):
-        t = np.asarray(t, dtype=float)
-        return np.piecewise(t, [t >= 0], [lambda x: x + 1.0, lambda x: 1.0 / (1.0 - x)])
+        return _split(t, 0.0, lambda x: x + 1.0, lambda x: 1.0 / (1.0 - x))
 
     def dv(t):
-        t = np.asarray(t, dtype=float)
-        return np.piecewise(t, [t >= 0], [lambda x: np.ones_like(x), lambda x: 1.0 / (1.0 - x) ** 2])
+        return _split(t, 0.0, np.ones_like, lambda x: 1.0 / (1.0 - x) ** 2)
 
     def inv(u):
-        u = np.asarray(u, dtype=float)
-        return np.piecewise(u, [u >= 1], [lambda x: x - 1.0, lambda x: 1.0 - 1.0 / x])
+        return _split(u, 1.0, lambda x: x - 1.0, lambda x: 1.0 - 1.0 / x)
 
     return GrowthRate(
         label="poly",
@@ -100,23 +116,16 @@ def _poly_rate() -> GrowthRate:
 def _log_rate() -> GrowthRate:
     # ln(t + e) on the right, 1/ln(e - t) on the left; C^1 across 0.
     def ev(t):
-        t = np.asarray(t, dtype=float)
-        return np.piecewise(t, [t >= 0], [lambda x: np.log(x + np.e), lambda x: 1.0 / np.log(np.e - x)])
+        return _split(t, 0.0, lambda x: np.log(x + np.e), lambda x: 1.0 / np.log(np.e - x))
 
     def dv(t):
-        t = np.asarray(t, dtype=float)
-        return np.piecewise(
-            t,
-            [t >= 0],
-            [lambda x: 1.0 / (x + np.e), lambda x: 1.0 / ((np.e - x) * np.log(np.e - x) ** 2)],
-        )
+        return _split(t, 0.0, lambda x: 1.0 / (x + np.e), lambda x: 1.0 / ((np.e - x) * np.log(np.e - x) ** 2))
 
     def inv(u):
-        u = np.asarray(u, dtype=float)
         # small u maps to times near -exp(1/u); past ~1/709 that overflows
         # to -inf, the honest signal that the horizon is unrepresentable
         with np.errstate(over="ignore"):
-            return np.piecewise(u, [u >= 1], [lambda x: np.exp(x) - np.e, lambda x: np.e - np.exp(1.0 / x)])
+            return _split(u, 1.0, lambda x: np.exp(x) - np.e, lambda x: np.e - np.exp(1.0 / x))
 
     return GrowthRate(
         label="log",
@@ -137,30 +146,3 @@ def rate_by_id(label: str) -> GrowthRate:
         if g.label == label:
             return g
     raise KeyError(f"unknown growth rate id {label!r}; known: exp, poly, log")
-
-
-def verify_growth_rate(g: GrowthRate, grid, fd_step: float = 1e-7) -> list[str]:
-    """Check the defining invariants on a grid; returns a list of violations.
-
-    fd_step is small enough that the one-sided curvature mismatch of the
-    piecewise rates at t = 0 stays below the 1e-6 relative tolerance on the
-    central difference.
-    """
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise DegenerateGrid("empty grid for invariant check")
-    problems: list[str] = []
-    vals = np.asarray(g.eval(grid), dtype=float)
-    if np.any(vals <= 0):
-        problems.append("mu must be positive on the grid")
-    if np.any(np.diff(vals) <= 0):
-        problems.append("mu must be strictly increasing on the grid")
-    if abs(float(g.eval(0.0)) - 1.0) > 1e-12:
-        problems.append(f"mu(0) = {float(g.eval(0.0))!r} differs from 1 beyond 1e-12")
-    fd = (np.asarray(g.eval(grid + fd_step)) - np.asarray(g.eval(grid - fd_step))) / (2 * fd_step)
-    dv = np.asarray(g.deriv(grid), dtype=float)
-    rel = np.abs(fd - dv) / np.maximum(np.abs(dv), 1e-300)
-    if np.any(rel > 1e-6):
-        worst = grid[int(np.argmax(rel))]
-        problems.append(f"derivative mismatch vs central difference at t={worst}")
-    return problems

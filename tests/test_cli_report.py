@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,11 @@ _OUT_OF_RANGE = {
     "m_past_float_range": ("grids", "m", 10**400),
     # 10^6 samples x (65 + 192 steps) x 2 coordinates in the residual lattice
     "residual_lattice_over_budget": ("checks", "residual_samples", 1_000_000),
+    # 2e7 time pairs, the fuzzer's run of over 20 s: 5e8 numbers of certificate sample rows
+    "cert_samples_over_series_budget": ("checks", "cert_samples", 20_000_000),
+    # a block of 64 near pairs x 7 probes x (10^6 + 1) samples x 2 coordinates
+    "cert_m_over_block_budget": ("checks", "cert_m", 1_000_000),
+    "cert_m_past_float_range": ("checks", "cert_m", 10**400),
 }
 
 
@@ -227,6 +233,33 @@ def test_size_budget_counts_the_models_coordinates_and_admits_the_shipped_scenar
     refined["grids"]["b_step"] = 0.015625
     grid = resolve(parse_scenario(refined)).grid
     assert len(grid.t_grid()) * len(grid.b_grid()) * 2 * (grid.m + 1) == 7_297_810 <= cli_report._SIZE_BUDGET
+
+
+def test_certificate_budgets_reject_at_parse_time_without_allocating(tmp_path, capsys):
+    for key, value in (("cert_samples", 20_000_000), ("cert_m", 1_000_000)):
+        doc = _with("checks", key, value)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="the scenario's certificate"):
+                parse_scenario(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+    # the edges: 5 x 83,886 x 5 sample numbers fit 2^21, and 64 x 7 x (18,723 + 1) x 2 block numbers fit 2^24
+    pairs, samples = cli_report._SERIES_BUDGET // 25, cli_report._SIZE_BUDGET // (64 * 7 * 2)
+    for key, fits in (("cert_samples", pairs), ("cert_m", samples - 1)):
+        parse_scenario(_with("checks", key, fits))
+        with pytest.raises(ConfigError, match="the scenario's certificate"):
+            parse_scenario(_with("checks", key, fits + 1))
+    # the benchmark's largest certificate, 2000 wobble pairs, passes; --samples takes the same check
+    wobble = shipped("wobble_certificate")
+    wobble.setdefault("checks", {})["cert_samples"] = 2000
+    parse_scenario(wobble)
+    path = tmp_path / "wobble.json"
+    path.write_text(json.dumps(wobble))
+    assert main(["verify-dichotomy", "--config", str(path), "--samples", "20000000"]) == EXIT_CONFIG
+    assert "certificate sample rows" in capsys.readouterr().err
 
 
 # the grid geometry near its edges: one, two or three nodes on an axis, odd or tiny m (reads off the segment

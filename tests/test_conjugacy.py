@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -548,7 +549,8 @@ def test_row_statistics_match_whole_field_oracles(flagship, monkeypatch, couplin
     # the maxima a sweep's workers take of the rows they write, and the
     # invertibility check's per-row statistics, equal the whole-field passes
     # bit for bit on 1, 2 and 3 workers.  Under the zero coupling no row has
-    # a node, so the sweep is 0 and its update is the field read; the noise
+    # a node, so the sweep is 0 and its update is the field read, and the
+    # sweep still shares its rows' maxima out over the workers; the noise
     # field is not monotone in b, the solved one is
     from mu_lab import conjugacy
 
@@ -585,7 +587,8 @@ def test_row_statistics_match_whole_field_oracles(flagship, monkeypatch, couplin
             assert reports[-1] == invertibility_oracle(result, model)
         assert [r["monotone"] for r in reports] == [True, False]
         assert used[-2:] == [workers, workers]  # the checks of both fields
-        assert coupling == "zero" or used[0] == workers  # a sweep of no nodes has no reads to share
+        # every sweep is shared out, one of rows without nodes too: its work is the rows' maxima passes
+        assert used[:5] == [workers] * 5
         used.clear()
 
 
@@ -723,6 +726,53 @@ def test_plan_memory_stays_per_node(flagship):
     assert all(nb not in a.shape and m1 not in a.shape for a in held)
     k = len(pert.reads)
     assert sum(a.nbytes for a in held) <= 8 * (k + 6) * sum(nodes) + 1024
+
+
+def row_plan_oracle(model, pert, eta, t, trunc, D):
+    """Oracle: one row's plan from that row's nodes alone, every per-node array formed for the row."""
+    taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, eta.m)
+    taus = np.concatenate([taus_s, taus_u])
+    it, wt = _cells(_coords(taus, eta.t_grid)[0], len(eta.t_grid))
+    lin = np.zeros((len(pert.reads), taus.size))
+    for j, (coord, lag) in enumerate(pert.reads):
+        if coord == model.unstable_indices[0]:
+            lin[j] = unstable_flow(model, taus - lag, taus)[0]
+    return {
+        "t": t,
+        "taus": taus,
+        "weights": np.concatenate([w_s, -w_u]),
+        "n_stable": taus_s.size,
+        "n_far": int(np.count_nonzero(taus_s < t - model.r)),
+        "factor": unstable_flow(model, taus, t)[0],
+        "pert_weight": np.asarray(pert.weight(taus), dtype=float),
+        "it": it,
+        "wt": wt,
+        "lin": lin,
+    }
+
+
+@pytest.mark.parametrize("mu_id", ["exp", "poly", "log"])
+def test_plan_rows_match_the_per_row_oracle_bit_for_bit(mu_id):
+    # the plan forms its per-node arrays once over all rows' nodes, each node
+    # with its own row's t; every row's slice equals the row planned alone.
+    # The times straddle 0 and the grid's ends, and the log rate needs the
+    # wide span of test_log_rate_needs_wide_span_and_solves
+    mu, model, params, pert = build_flagship(mu_id)
+    trunc = TruncationPolicy(tail_tol=1e-5, max_span=1e12 if mu_id == "log" else 60.0)
+    eta = EtaField.zero(COARSE_GRID, 2, R, mu, params.xi, params.eps)
+    ts = [-3.7, -3.0, -0.1, 0.0, 0.3, 2.9, 3.4]
+    plan = plan_operator(model, pert, eta, ts, eta.b_grid, trunc, params.D)
+    assert len(plan.rows) == len(ts)
+    for t, row in zip(ts, plan.rows):
+        want = row_plan_oracle(model, pert, eta, t, trunc, params.D)
+        assert [f.name for f in dataclasses.fields(row)] == list(want)
+        for name, value in want.items():
+            got = getattr(row, name)
+            if isinstance(value, np.ndarray):
+                assert got.shape == value.shape and got.dtype == value.dtype, name
+                assert got.tobytes() == value.tobytes(), name
+            else:
+                assert type(got) is type(value) and got == value, name
 
 
 def test_derivative_matches_finite_difference_of_operator(flagship_result):
@@ -1157,6 +1207,32 @@ def test_lattice_residuals_blow_up_only_within_own_steps(flagship):
     for row, si, ki, bi in zip(rows, s, k, b):
         assert np.isfinite(row.raw)
         assert abs(row.raw - conjugacy_residual(eta, model, pert, si + h * ki, si, bi).raw) <= 1e-12
+    # the error names the per-step rule's sample: at the first step at which a
+    # live sample's state is not finite, the first such sample in order of
+    # decreasing k.  A step's state is infinite once its last stage time
+    # passes t_blow; h is a power of 2, so every time here is exact
+    s, k, b = [0.0, -2 * h, h, h], [10, 3, 6, 12], [1.0, -0.5, 0.25, -0.75]
+    blown = []
+    for j in range(max(k)):
+        for i in sorted(range(len(s)), key=lambda i: -k[i]):
+            if j < k[i] and s[i] + h * (j + 1) > 4.5 * h:
+                blown.append((j, i))
+    j, i = min(blown, key=lambda step: step[0])
+    assert (j, i) == (3, 3)  # sample 2 blows up at the same step, but is later in that order
+    message = f"state blew up at t = {s[i] + h * (j + 1)} (sample from s = {s[i]}, b = {b[i]})"
+    with pytest.raises(NonFiniteState, match=re.escape(message)):
+        lattice_residuals(eta, model, pert, s, k, b)
+
+
+def test_lattice_residuals_locate_only_a_state_that_is_not_finite(flagship):
+    # the sum of twenty finite states of about 1e307 overflows; that alone
+    # raises nothing, and each sample matches its residual integrated alone
+    eta, model = zero_field(flagship, COARSE_GRID), flagship["model"]
+    s, k, b = np.linspace(-1.0, 1.0, 20), np.full(20, 3), np.full(20, 1e307)
+    rows = lattice_residuals(eta, model, Perturbation.zero(2), s, k, b)
+    assert all(np.isfinite(row.raw) for row in rows)
+    for row, si, ki, bi in zip(rows, s, k, b):
+        assert row == lattice_residuals(eta, model, Perturbation.zero(2), [si], [ki], [bi])[0]
 
 
 def test_clamp_rate_counts_queries():
