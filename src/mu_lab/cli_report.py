@@ -188,8 +188,8 @@ _POSITIVE = {
 }
 
 
-# numbers in one array of the solved field, nt * nb * n * (m+1), or of the residual check's lattice: 2^24,
-# 128 MiB of float64; a gathered sweep holds four field-sized arrays, the values and derivatives it reads and writes
+# numbers in one plane of the solved field, nt * nb * n * (m+1), or in the residual check's lattice: 2^24,
+# 128 MiB of float64; a gathered sweep holds four such planes, the values and derivatives it reads and writes
 _SIZE_BUDGET = 2**24
 # numbers in a certificate's sample rows (5 families x cert_samples x 5 columns), which the report copies into its
 # series lists as Python floats, about 32 bytes each plus a list per row: 2^21, some 84,000 time pairs
@@ -606,8 +606,8 @@ def save_conjugacy_result(path, res: ResolvedScenario, conj: dict) -> None:
             Path(str(path) + ".eta.npz"),
             t_grid=eta.t_grid,
             b_grid=eta.b_grid,
-            values=eta.values,
-            dvalues=eta.dvalues,
+            values=eta.data[0],
+            dvalues=eta.data[1],
             r=np.array(eta.r),
             xi=np.array(eta.xi),
             eps=np.array(eta.eps),
@@ -631,8 +631,7 @@ def load_conjugacy_result(path, **checks):
     eta = EtaField(
         t_grid=data["t_grid"],
         b_grid=data["b_grid"],
-        values=data["values"],
-        dvalues=data["dvalues"],
+        data=np.stack([data["values"], data["dvalues"]]),
         r=float(data["r"]),
         mu=res.mu,
         xi=float(data["xi"]),

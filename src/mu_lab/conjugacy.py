@@ -1,28 +1,30 @@
 """Fixed-point construction of the conjugacy correction field.
 
 The correction eta(t, b) maps a time and an unstable coordinate to a
-segment; together with its b-derivative it is iterated as one object,
-because the contraction estimate couples the two.  Each evaluation of the
-defining operator is a pair of improper integrals over the orbit through
-(t, b): a stable-side integral over tau <= t driven by projected jump
-responses, and an unstable-side integral over tau >= t pulled back along
-the unstable flow.  Both are truncated where their proof-grade envelopes
-integrate below a requested tail tolerance, and quadrature runs in the
-substituted variable u = mu(tau), where every envelope is a pure power --
-panels are geometric in u with fixed Gauss-Legendre nodes per panel.
+segment; together with its b-derivative it is iterated, and stored
+(EtaField.data), as one object, because the contraction estimate couples
+the two.  Each evaluation of the defining operator is a pair of improper
+integrals over the orbit through (t, b): a stable-side integral over
+tau <= t driven by projected jump responses, and an unstable-side integral
+over tau >= t pulled back along the unstable flow.  Both are truncated
+where their proof-grade envelopes integrate below a requested tail
+tolerance, and quadrature runs in the substituted variable u = mu(tau),
+where every envelope is a pure power -- panels are geometric in u with
+fixed Gauss-Legendre nodes per panel.
 
 Only the field changes between sweeps, so the operator is planned once per
-solve (plan_operator, O(S) numbers per row of S nodes); its clamp count
-takes every row's nodes at once and finds each node's clamped b queries
-at the edges of the sorted b queries (_clamp_count), so no (S, nb) lookup
-is formed.  A sweep (_full_sweep) walks
-each row in blocks of its nodes with every b query at once, gathers the
+solve (plan_operator, O(S) numbers per row of S nodes, the kernels' node
+factors among them); its clamp count takes every row's nodes at once and
+finds each node's clamped b queries at the edges of the sorted b queries
+(_clamp_count), so no (S, nb) lookup is formed.  A sweep (_full_sweep)
+takes the log-flows of every row's t + omega in one pass and walks each
+row in blocks of its nodes with every b query at once, gathers the
 perturbation's point reads from the field read-major, applies its maps
 there and adds them, with one group matmul per block, to sums over the
 node groups on which the diagonal kernels' step is constant; each row ends
-by contracting those sums with a small per-row matrix (_group_kernels).  A
-block is any run of nodes capped by its number of node x b-query reads, so
-a worker's temporaries stay small whatever the grid.  The rows are
+by contracting those sums with a small per-row matrix (_group_kernels).
+A block is any run of nodes capped by its number of node x b-query reads,
+so a worker's temporaries stay small whatever the grid.  The rows are
 shared out over one thread per usable CPU (os.sched_getaffinity), as long
 as each thread gets at least _WORKER_READS reads: a small sweep stays on
 the calling thread.  One thread computes each row whole, so the field does
@@ -114,16 +116,15 @@ def _coords(q, grid: np.ndarray):
 
 @dataclass
 class EtaField:
-    """Correction field and its b-derivative on a (t, b) tensor grid.
+    """Correction field and its b-derivative on a (t, b) tensor grid, as one array.
 
-    values and dvalues have shape (nt, nb, n, m+1): per grid node one
-    segment sampled on omega_j = -r + j r/m.
+    data has shape (2, nt, nb, n, m+1), the values then their b-derivatives:
+    per grid node one segment sampled on omega_j = -r + j r/m.
     """
 
     t_grid: np.ndarray
     b_grid: np.ndarray
-    values: np.ndarray
-    dvalues: np.ndarray
+    data: np.ndarray
     r: float
     mu: object
     xi: float
@@ -132,19 +133,18 @@ class EtaField:
     @classmethod
     def zero(cls, grid: GridSpec, n: int, r: float, mu, xi: float, eps: float) -> "EtaField":
         tg, bg = grid.t_grid(), grid.b_grid()
-        shape = (len(tg), len(bg), n, grid.m + 1)
-        return cls(tg, bg, np.zeros(shape), np.zeros(shape), r, mu, xi, eps)
+        return cls(tg, bg, np.zeros((2, len(tg), len(bg), n, grid.m + 1)), r, mu, xi, eps)
 
     @property
     def n(self) -> int:
-        return self.values.shape[2]
+        return self.data.shape[3]
 
     @property
     def m(self) -> int:
-        return self.values.shape[3] - 1
+        return self.data.shape[4] - 1
 
-    def with_data(self, values: np.ndarray, dvalues: np.ndarray) -> "EtaField":
-        return EtaField(self.t_grid, self.b_grid, values, dvalues, self.r, self.mu, self.xi, self.eps)
+    def with_data(self, data: np.ndarray) -> "EtaField":
+        return EtaField(self.t_grid, self.b_grid, data, self.r, self.mu, self.xi, self.eps)
 
     def interp_tables(self, tables: np.ndarray, tq, bq):
         """Bilinear lookup of stacked tables (nt, nb, L) at broadcast queries, clamped to the grid."""
@@ -160,8 +160,8 @@ class EtaField:
         return out
 
     def segment_at(self, t: float, b: float, derivative: bool = False) -> Segment:
-        data = self.dvalues if derivative else self.values
-        stacked = data.reshape(data.shape[0], data.shape[1], -1)
+        plane = self.data[int(derivative)]
+        stacked = plane.reshape(plane.shape[0], plane.shape[1], -1)
         out = self.interp_tables(stacked, np.array([t]), np.array([b]))
         return Segment(self.r, out[0].reshape(self.n, self.m + 1).T)
 
@@ -169,17 +169,17 @@ class EtaField:
         return np.asarray(mu_weight(self.mu, self.t_grid, self.xi + self.eps), dtype=float)
 
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        return float(np.max(np.abs(self.data[0]))) if self.data[0].size else 0.0
 
-    def _weighted_max(self, data: np.ndarray) -> float:
-        """max over t of the time weight times the largest |data| on that time row."""
-        return float(np.max(np.max(np.abs(data), axis=(1, 2, 3)) * self.time_weights()))
+    def _weighted_max(self, plane: np.ndarray) -> float:
+        """max over t of the time weight times the largest |plane| on that time row."""
+        return float(np.max(np.max(np.abs(plane), axis=(1, 2, 3)) * self.time_weights()))
 
     def norm_inf_mu(self) -> float:
-        return self._weighted_max(self.values)
+        return self._weighted_max(self.data[0])
 
     def dnorm_inf_mu(self) -> float:
-        return self._weighted_max(self.dvalues)
+        return self._weighted_max(self.data[1])
 
     def norm_1mu(self) -> float:
         return self.norm_inf_mu() + self.dnorm_inf_mu()
@@ -321,21 +321,20 @@ def orbit_quadrature(model: DichotomyModel, pert: Perturbation, t: float, trunc:
 class RowPlan:
     """The part of one time row of the operator that does not depend on eta.
 
-    Every array has one entry per quadrature node, S in all, so a row holds
-    O(S) numbers: nothing with a b or a segment axis.  Apart from weights,
-    they are the row's slices of arrays over all the plan's nodes
-    (plan_operator).  The nodes come in
-    the groups the sweep contracts by: n_far far stable nodes, the near
-    panels of _NEAR_NODES each up to n_stable, then the unstable side.
+    Every array has one entry per quadrature node, S in all (per coordinate
+    in node, per read in lin), so a row holds O(S) numbers: nothing with a
+    b or a segment axis.  They are the row's slices of arrays over all the
+    plan's nodes (plan_operator).  The nodes come in the groups the sweep
+    contracts by: n_far far stable nodes, the near panels of _NEAR_NODES
+    each up to n_stable, then the unstable side.
     """
 
     t: float
     taus: np.ndarray  # (S,) orbit_quadrature nodes, stable then unstable
-    weights: np.ndarray  # (S,) quadrature weights, negated on the unstable side
     n_stable: int
     n_far: int  # stable nodes before t - r, where the kernels have no step
     factor: np.ndarray  # (S,) orbit factor unstable_flow(tau, t)
-    pert_weight: np.ndarray  # (S,) perturbation weight pert.weight(tau)
+    node: np.ndarray  # (n, S) node factors of the jump-response kernels, weights folded in (_group_kernels)
     it: np.ndarray  # (S,) t-interpolation cell of each node
     wt: np.ndarray  # (S,) t-interpolation weight of each node
     lin: np.ndarray  # (k, S) linear part b_tau u(tau) at each read per unit b_tau, unstable_flow(tau - lag, tau)
@@ -428,41 +427,52 @@ def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, 
     """Plan the operator at the queries ts x bs on the grid of eta.
 
     Only eta's grid is used.  Each row's nodes come from its own
-    orbit_quadrature; the per-node arrays (orbit factors, t cells and
-    weights, linear parts, perturbation weight) are then formed in one pass
+    orbit_quadrature; the per-node arrays (orbit factors, kernel node
+    factors, t cells and weights, linear parts) are then formed in one pass
     over all rows' nodes, each node with its row's t, and every RowPlan
-    holds its row's slice.  They are elementwise, so each row gets the bits
-    it would get planned alone, at a few calls per plan instead of a few
-    per row.  A query clamps when either axis of its orbit lookup
-    (tau, b unstable_flow(tau, t)) leaves the grid, counted once over every
-    row's (S, nb) lookups, so clamped / total lies in [0, 1].  The count
-    takes all rows' nodes at once (_clamp_count) and forms no lookup, so no
-    b coordinate or cell is formed here.
+    holds its row's slice.  The log-flows are taken once on every node's
+    tau, once on the rows' t and once on tau - lag per read of the unstable
+    coordinate; every array is elementwise in them, so each row gets the
+    bits it would get planned alone.  A query clamps when either axis of
+    its orbit lookup (tau, b unstable_flow(tau, t)) leaves the grid,
+    counted once over every row's (S, nb) lookups, so clamped / total lies
+    in [0, 1].  The count takes all rows' nodes at once (_clamp_count) and
+    forms no lookup, so no b coordinate or cell is formed here.
     """
     bs = np.asarray(bs, dtype=float)
     cs, js = _read_slots(pert, eta)
     u_idx = model.unstable_indices[0]
+    unstable = np.array(model.unstable)
     ts = [float(t) for t in ts]
     sides = [orbit_quadrature(model, pert, t, trunc, D, eta.m) for t in ts]
     sizes = [taus_s.size + taus_u.size for taus_s, _, taus_u, _ in sides]
+    edges = np.cumsum([0, *sizes]).tolist()
     taus = np.concatenate([np.empty(0), *(part for side in sides for part in side[::2])])
-    # every per-node array in one pass over all rows' nodes, each node with its row's t
-    factor = unstable_flow(model, taus, np.repeat(ts, sizes))[0]
+    weights = np.concatenate([np.empty(0), *(w for _, w_s, _, w_u in sides for w in (w_s, -w_u))])
+    rho_tau = model.log_flow(taus)
+    rho_t = np.repeat(model.log_flow(np.array(ts)), sizes, axis=1)  # each node's row's rho(t)
+    factor = np.exp(rho_tau[u_idx] - rho_t[u_idx])
     xt, out_t = _coords(taus, eta.t_grid)
     it, wt = _cells(xt, len(eta.t_grid))
     lin = np.zeros((len(cs), taus.size))
     for j, (coord, lag) in enumerate(pert.reads):
         if coord == u_idx:
-            lin[j] = unstable_flow(model, taus - lag, taus)[0]
-    pert_weight = np.asarray(pert.weight(taus), dtype=float)
-    rows, edges = [], np.cumsum([0, *sizes]).tolist()
-    for t, (taus_s, w_s, _, w_u), lo, hi in zip(ts, sides, edges[:-1], edges[1:]):
-        n_far = int(np.count_nonzero(taus_s < t - model.r))
-        per_node = (factor[lo:hi], pert_weight[lo:hi], it[lo:hi], wt[lo:hi], lin[:, lo:hi])
-        rows.append(RowPlan(t, taus[lo:hi], np.concatenate([w_s, -w_u]), taus_s.size, n_far, *per_node))
+            lin[j] = np.exp(model.log_flow(taus - lag)[u_idx] - rho_tau[u_idx])
+    # each row's nodes lo:hi, and its counts of stable and of far stable nodes
+    spans = [(lo, hi, side[0].size, int(np.count_nonzero(side[0] < t - model.r)))
+             for t, side, lo, hi in zip(ts, sides, edges[:-1], edges[1:])]
+    expo = rho_t - rho_tau
+    for lo, hi, ns, nf in spans:
+        expo[unstable, lo : lo + nf] = -np.inf  # the unstable kernels are 0 at the far stable nodes
+        expo[~unstable, lo + ns : hi] = -np.inf  # the stable ones on the unstable side
+    node = np.exp(expo) * (weights * np.asarray(pert.weight(taus), dtype=float))
+    rows = tuple(
+        RowPlan(t, taus[lo:hi], ns, nf, factor[lo:hi], node[:, lo:hi], it[lo:hi], wt[lo:hi], lin[:, lo:hi])
+        for t, (lo, hi, ns, nf) in zip(ts, spans)
+    )
     clamped = _clamp_count(factor, out_t, bs, eta.b_grid)
     on_grid = np.array_equal(np.asarray(ts, dtype=float), eta.t_grid) and np.array_equal(bs, eta.b_grid)
-    return OperatorPlan(model, pert, bs, tuple(rows), cs, js, eta.m, clamped, factor.size * bs.size, on_grid)
+    return OperatorPlan(model, pert, bs, rows, cs, js, eta.m, clamped, factor.size * bs.size, on_grid)
 
 
 _BLOCK_READS = 2**15  # node x b-query reads per gather block; bounds a worker's temporaries
@@ -482,40 +492,36 @@ def _node_blocks(size: int, nb: int) -> list:
     return [*range(0, size, max(1, _BLOCK_READS // max(nb, 1))), size]
 
 
-def _group_kernels(model: DichotomyModel, row: RowPlan, omega: np.ndarray):
-    """The row's jump-response kernels, factored: node groups (S,), node factors (n, S), group kernels (n, P+2, m+1).
+def _group_kernels(model: DichotomyModel, row: RowPlan, grid: np.ndarray, rho_g: np.ndarray):
+    """The row's jump-response kernels, factored: node groups (S,) and group kernels (n, P+2, m+1).
 
-    Every kernel entry is exp(rho_i(t + omega) - rho_i(tau)) under a step
-    mask, so it is the node factor exp(rho_i(t) - rho_i(tau)) times
+    grid is the row's t + omega and rho_g its log-flows rho_i(t + omega),
+    (n, m+1), rho_i(t) last.  Every kernel entry is
+    exp(rho_i(t + omega) - rho_i(tau)) under a step mask, so it is the
+    planned node factor exp(rho_i(t) - rho_i(tau)) (RowPlan.node) times
     exp(rho_i(t + omega) - rho_i(t)) times the mask.  The mask is one
     column per group of nodes: the far stable nodes, which every t + omega
     is ahead of, each near panel of _NEAR_NODES, inside one segment cell,
     and the unstable side.  On the stable side p0_kernel's mask is "ahead"
     for stable coordinates and -(not ahead) for unstable ones; on the
     unstable side q0_kernel's is 1.  The node factors carry the quadrature
-    and perturbation weights, and are 0 wherever the kernel is (unstable
-    coordinates at far nodes, stable ones on the unstable side), so an
-    overflowing exp never meets a zero mask.  Node j lies in group
-    group[j]: 0 for the far nodes, 1 + p for near panel p, P + 1 for the
-    unstable side.
+    weight (negated on the unstable side) and pert.weight(tau), and are 0
+    wherever the kernel is (unstable coordinates at far nodes, stable ones
+    on the unstable side), so an overflowing exp never meets a zero mask.
+    Node j lies in group group[j]: 0 for the far nodes, 1 + p for near
+    panel p, P + 1 for the unstable side.
     """
     unstable = np.array(model.unstable)
     nf, ns = row.n_far, row.n_stable
-    grid = row.t + omega
-    rho_g = model.log_flow(grid)  # (n, m+1), rho_i(t) last
-    expo = rho_g[:, -1:] - model.log_flow(row.taus)
-    expo[unstable, :nf] = -np.inf
-    expo[~unstable, ns:] = -np.inf
-    node = np.exp(expo) * (row.weights * row.pert_weight)
     # the number of group starts (each near panel's first node, then the unstable side's) at or before each node
     group = np.searchsorted(np.arange(nf, ns + 1, _NEAR_NODES), np.arange(row.taus.size), side="right")
     # first column ahead of each stable-side group: 0 for the far nodes, a
     # panel's first grid point at or past its nodes (p0_kernel's tolerance)
     first = np.concatenate([[0], np.searchsorted(grid, row.taus[nf:ns:_NEAR_NODES] - 1e-12)])
-    mask = np.empty((model.n, first.size + 1, omega.size))
-    mask[:, :-1] = (np.arange(omega.size) >= first[:, None]) - unstable[:, None, None].astype(float)
+    mask = np.empty((model.n, first.size + 1, grid.size))
+    mask[:, :-1] = (np.arange(grid.size) >= first[:, None]) - unstable[:, None, None].astype(float)
     mask[:, -1] = 1.0
-    return group, node, mask * np.exp(rho_g - rho_g[:, -1:])[:, None]
+    return group, mask * np.exp(rho_g - rho_g[:, -1:])[:, None]
 
 
 def _blended_reads(tables: np.ndarray, b_grid: np.ndarray, it: np.ndarray, wts: np.ndarray, B: np.ndarray):
@@ -587,25 +593,27 @@ def _workers(work: int) -> int:
 def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
     """The operator and its b-derivative at every planned query, from eta, with each row's maxima.
 
-    Returns (F, dF, maxima); F and dF have shape (rows, nb, n, m+1).  The
-    read tables are cut once in read-major layout (2k, nt, nb).  A row is
-    walked in blocks of its nodes (_node_blocks), each with every b query
-    at once: the block's reads W and directions V, (k, s, nb), are blended
-    from the tables along t and then along b (_blended_reads), the
-    perturbation's maps give the value and derivative planes (n, s, nb),
-    and one matmul per plane adds them to the row's group sums
-    (n, P+2, nb), for P near panels, by the block's group matrix (n, g, s):
-    the node factors of _group_kernels in the rows of the g groups the
-    block spans.  The row ends with one matmul per plane against the group
-    kernels, written straight into the output.
+    Returns (F, maxima); F has shape (2, rows, nb, n, m+1), the values then
+    their b-derivatives, as EtaField.data.  The read tables are cut once
+    in read-major layout (2k, nt, nb), and the log-flows of every row's
+    t + omega are taken in one pass; the rest of each row's kernels is
+    planned (RowPlan.node).  A row is walked in blocks of its nodes
+    (_node_blocks), each with every b query at once: the block's reads W
+    and directions V, (k, s, nb), are blended from the tables along t and
+    then along b (_blended_reads), the perturbation's maps give the value
+    and derivative planes (n, s, nb), and one matmul per plane adds them to
+    the row's group sums (2, n, P+2, nb), for P near panels, by the block's
+    group matrix (n, g, s): the planned node factors in the rows of the g
+    groups the block spans.  The row ends with one matmul for both planes
+    against the group kernels (_group_kernels), written straight into F.
     eta None stands for the zero field, every read of which is 0: that
     sweep is the source term F(0), with no tables, blends or gathers.
 
-    maxima holds per row max |F| and max |dF| and, for a plan on the grid's
-    nodes (plan.on_grid), the row's update max |F - eta| and
-    max |dF - d eta|: shape (4, rows), else (2, rows); a sweep at other
-    queries takes no update.  The worker that writes a row takes its maxima
-    while the row is still in cache, so no pass over the whole field
+    maxima holds per row max |F[0]| and max |F[1]| and, for a plan on the
+    grid's nodes (plan.on_grid), the row's update maxima |F[0] - eta.data[0]|
+    and |F[1] - eta.data[1]|: shape (4, rows), else (2, rows); a sweep at
+    other queries takes no update.  The worker that writes a row takes its
+    maxima while the row is still in cache, so no pass over the whole field
     follows the sweep.
 
     The rows are shared out over the calling thread and one helper thread
@@ -619,31 +627,29 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
     model, pert = plan.model, plan.pert
     n, m, k = model.n, plan.m, len(plan.cs)
     nb = plan.b.size
-    omega = np.linspace(-model.r, 0.0, m + 1)
+    grids = np.array([row.t for row in plan.rows]).reshape(-1, 1) + np.linspace(-model.r, 0.0, m + 1)
+    rho = model.log_flow(grids)  # (n, rows, m+1)
+    live = np.flatnonzero(plan.cs == model.unstable_indices[0])  # reads of the unstable coordinate
     # np.zeros, not zeros_like: fresh zeroed pages, no memset pass, faulted in by the workers that write them
-    out = np.zeros((len(plan.rows), nb, n, m + 1))
-    dout = np.zeros(out.shape)
+    F = np.zeros((2, len(plan.rows), nb, n, m + 1))
     maxima = np.empty((4 if plan.on_grid else 2, len(plan.rows)))
     if eta is not None:
-        tables = np.concatenate(
-            [eta.values.transpose(2, 3, 0, 1)[plan.cs, plan.js], eta.dvalues.transpose(2, 3, 0, 1)[plan.cs, plan.js]]
-        )  # (2k, nt, nb)
+        tables = eta.data.transpose(0, 3, 4, 1, 2)[:, plan.cs, plan.js].reshape(2 * k, *eta.data.shape[1:3])
 
     def row_maxima(i):
-        buf = np.empty(out.shape[1:])  # taken once sweep_row has freed the row's temporaries
-        for p, new in enumerate((out[i], dout[i])):  # initial 0.0 is the maximum of no queries
-            maxima[p, i] = np.max(np.abs(new, out=buf), initial=0.0)
-            if plan.on_grid and eta is None:  # the update from the zero field is the row itself
-                maxima[2 + p, i] = maxima[p, i]
-            elif plan.on_grid:
-                old = (eta.values, eta.dvalues)[p][i]
-                maxima[2 + p, i] = np.max(np.abs(np.subtract(new, old, out=buf), out=buf), initial=0.0)
+        new = F[:, i]
+        buf = np.empty(new.shape)  # taken once sweep_row has freed the row's temporaries
+        maxima[:2, i] = np.max(np.abs(new, out=buf), axis=(1, 2, 3), initial=0.0)  # 0.0 is the maximum of no queries
+        if plan.on_grid and eta is None:  # the update from the zero field is the row itself
+            maxima[2:, i] = maxima[:2, i]
+        elif plan.on_grid:
+            update = np.abs(np.subtract(new, eta.data[:, i], out=buf), out=buf)
+            maxima[2:, i] = np.max(update, axis=(1, 2, 3), initial=0.0)
 
     def sweep_row(i):
         row = plan.rows[i]
-        group, node, kern = _group_kernels(model, row, omega)
+        group, kern = _group_kernels(model, row, grids[i], rho[:, i])
         sums = np.zeros((2, n, kern.shape[1], nb))  # per plane and group: far, each near panel, unstable
-        live = [j for j in range(k) if row.lin[j].any()]  # reads of the unstable coordinate
         if eta is not None:
             wts = np.stack([1.0 - row.wt, row.wt], axis=1)  # (S, 2) t-blend weights
         edges = _node_blocks(row.taus.size, nb)
@@ -664,11 +670,10 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
             # the group matrix (n, g, s): each node's factor in the row of its group, 0 elsewhere;
             # built here, where the gathers' temporaries are freed, so it does not enlarge the heap
             g0, g1 = group[lo], group[hi - 1] + 1
-            groups = np.where(group[lo:hi] == np.arange(g0, g1)[:, None], node[:, None, lo:hi], 0.0)
+            groups = np.where(group[lo:hi] == np.arange(g0, g1)[:, None], row.node[:, None, lo:hi], 0.0)
             sums[0, :, g0:g1] += groups @ pert.value_map(W)
             sums[1, :, g0:g1] += groups @ pert.jvp_map(W, V)
-        for dst, plane in zip((out, dout), sums):
-            np.matmul(plane.swapaxes(1, 2), kern, out=dst[i].swapaxes(0, 1))  # (n, nb, m+1)
+        np.matmul(sums.swapaxes(2, 3), kern, out=F[:, i].swapaxes(1, 2))  # (2, n, nb, m+1)
 
     def task(i):
         if plan.rows[i].taus.size:  # a row without nodes stays 0
@@ -677,10 +682,10 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
 
     # the work to share: every node x b-query read, and each row's maxima pass over its output and, for an update,
     # over the field rows it reads, so that rows without nodes are shared out too
-    passes = out[0].size * (4 if plan.on_grid and eta is not None else 2)
+    passes = F[:, 0].size * (2 if plan.on_grid and eta is not None else 1)
     work = nb * sum(row.taus.size for row in plan.rows) + passes * len(plan.rows)
     _in_workers(task, list(range(len(plan.rows))), _workers(work))
-    return out, dout, maxima
+    return F, maxima
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +714,6 @@ class SweepStats:
 @dataclass
 class ConjugacyResult:
     eta: EtaField
-    params: ParamSet
     sweeps: list
     converged: bool
     fixed_point_residual_1mu: float
@@ -778,12 +782,12 @@ def picard_solve(
     eta = EtaField.zero(grid, model.n, model.r, model.mu, params.xi, params.eps)
     plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, trunc, params.D)
     w_t = eta.time_weights()
-    peaks = np.zeros((2, len(eta.t_grid)))  # eta's max |values| and max |dvalues| per row: the zero field's
+    peaks = np.zeros((2, len(eta.t_grid)))  # eta's max |data[0]| and max |data[1]| per row: the zero field's
     sweeps: list[SweepStats] = []
     ratios: list[float] = []
     prev_delta = None
     for k in range(1, max_sweeps + 1):
-        new_vals, new_dvals, maxima = _full_sweep(plan, eta if k > 1 else None)  # maxima[2:] are the updates
+        new, maxima = _full_sweep(plan, eta if k > 1 else None)  # maxima[2:] are the updates
         delta_inf = float(np.max(maxima[2] * w_t))
         ddelta_inf = float(np.max(maxima[3] * w_t))
         delta = delta_inf + ddelta_inf
@@ -801,14 +805,13 @@ def picard_solve(
         converged = delta <= solver_tol
         if converged or k == max_sweeps:
             break  # eta is the field whose update delta was just measured
-        eta = eta.with_data(new_vals, new_dvals)
+        eta = eta.with_data(new)
         peaks = maxima[:2]
     # eta's norms (EtaField.norm_inf, norm_inf_mu, dnorm_inf_mu) from the row maxima of the sweep that wrote it
     inf_mu, dinf_mu = float(np.max(peaks[0] * w_t)), float(np.max(peaks[1] * w_t))
     norms = {"inf": float(np.max(peaks[0])), "inf_mu": inf_mu, "dinf_mu": dinf_mu, "one_mu": inf_mu + dinf_mu}
     return ConjugacyResult(
         eta=eta,
-        params=params,
         sweeps=sweeps,
         converged=converged,
         fixed_point_residual_1mu=delta,
@@ -863,7 +866,7 @@ def conjugacy_residual(eta: EtaField, model: DichotomyModel, pert, t: float, s: 
 def _corrected_segments(eta: EtaField, model: DichotomyModel, t: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Segments b u(t) + eta(t, b) of the corrected linear flow, shape (S, m+1, n)."""
     m = eta.m
-    stacked = eta.values.reshape(eta.values.shape[0], eta.values.shape[1], -1)
+    stacked = eta.data[0].reshape(eta.data.shape[1], eta.data.shape[2], -1)
     flat = eta.interp_tables(stacked, t, b)
     segs = flat.reshape(len(t), eta.n, m + 1).transpose(0, 2, 1).copy()
     segs[:, :, model.unstable_indices[0]] += b[:, None] * unstable_shape(model, t, m)[0]
@@ -982,18 +985,17 @@ def verify_residuals(
     The time offset is drawn from the integration step lattice h = r/m so
     the nonlinear evolution reads its history splice at exact sample points;
     this isolates the conjugacy mismatch from the segment-resampling error
-    of off-lattice reads.  s and b remain continuous draws.  The samples are
-    integrated together on their shared step lattice (lattice_residuals);
+    of off-lattice reads.  s and b remain continuous draws.  The generator
+    draws every s, then every offset, then every b, one vector each.  The
+    samples are integrated together on their shared step lattice (lattice_residuals);
     conjugacy_residual remains the single-triple scalar path.
     """
     rng = np.random.default_rng(seed)
     h = model.r / eta.m
     max_k = max(int(np.floor(horizon / h + 1e-9)), 0)
-    s, k, b = np.empty(n_samples), np.empty(n_samples, dtype=int), np.empty(n_samples)
-    for i in range(n_samples):
-        s[i] = rng.uniform(*core)
-        k[i] = rng.integers(0, max_k + 1)
-        b[i] = rng.uniform(-b_scale, b_scale)
+    s = rng.uniform(*core, size=n_samples)
+    k = rng.integers(0, max_k + 1, size=n_samples)
+    b = rng.uniform(-b_scale, b_scale, size=n_samples)
     return lattice_residuals(eta, model, pert, s, k, b)
 
 
@@ -1013,7 +1015,7 @@ def invertibility_check(result: ConjugacyResult, model: DichotomyModel) -> dict:
     margin = 1.0 - dnorm
     report = {"derivative_norm_mu": dnorm, "margin": margin, "margin_positive": margin > 0.0}
 
-    vals, dvals = eta.values, eta.dvalues
+    vals, dvals = eta.data
     db = eta.b_grid[1] - eta.b_grid[0]
     u_idx = model.unstable_indices[0]  # picard_solve only solves models with one unstable coordinate
     fd_max, d_max = np.empty(len(vals)), np.empty(len(vals))
@@ -1026,7 +1028,7 @@ def invertibility_check(result: ConjugacyResult, model: DichotomyModel) -> dict:
         d_max[i] = np.max(np.abs(dvals[i]))
         monotone[i] = np.all(np.diff(eta.b_grid + vals[i, :, u_idx, -1]) > 0.0)
 
-    _in_workers(check_row, list(range(len(vals))), _workers(vals.size + dvals.size))
+    _in_workers(check_row, list(range(len(vals))), _workers(eta.data.size))
     scale = max(float(np.max(d_max)), 1e-300)
     fd_err = float(np.max(fd_max)) / scale
     report["fd_rel_err"] = fd_err

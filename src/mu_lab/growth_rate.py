@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import NonPositiveDelay
 
-ArrayLike = "float | np.ndarray"
-
 
 @dataclass(frozen=True)
 class GrowthRate:
@@ -41,9 +39,6 @@ class GrowthRate:
     deriv: Callable
     inverse: Callable
     closed_form_N: Callable
-
-    def __call__(self, t):
-        return self.eval(t)
 
 
 def mu_weight(g: GrowthRate, t: float, exponent: float) -> float:

@@ -20,6 +20,7 @@ from mu_lab.conjugacy import (
     _cells,
     _coords,
     _full_sweep,
+    _group_kernels,
     _node_blocks,
     conjugacy_residual,
     invertibility_check,
@@ -44,19 +45,18 @@ def zero_field(flagship, grid=DEFAULT_GRID):
 def _noise_field(flagship, seed=11):
     """A non-zero field on the coarse grid."""
     eta = zero_field(flagship, COARSE_GRID)
-    values, dvalues = 0.1 * np.random.default_rng(seed).normal(size=(2,) + eta.values.shape)
-    return eta.with_data(values, dvalues)
+    return eta.with_data(0.1 * np.random.default_rng(seed).normal(size=eta.data.shape))
 
 
 def F_apply(model, pert, eta, t, b, trunc, *, D):
     """Oracle helper: the planned operator at the one point (t, b)."""
-    out, _, _ = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
+    (out, _), _ = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
     return Segment(model.r, out[0, 0].T)
 
 
 def dF_db_apply(model, pert, eta, t, b, trunc, *, D):
     """Oracle helper: the planned operator's b-derivative at the one point (t, b)."""
-    _, dout, _ = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
+    (_, dout), _ = _full_sweep(plan_operator(model, pert, eta, [t], [b], trunc, D), eta)
     return Segment(model.r, dout[0, 0].T)
 
 
@@ -71,13 +71,12 @@ def scalar_residuals(eta, model, pert, *, n_samples, horizon, core, b_scale, see
     rng = np.random.default_rng(seed)
     h = model.r / eta.m
     max_k = max(int(np.floor(horizon / h + 1e-9)), 0)
-    rows = []
-    for _ in range(n_samples):
-        s = float(rng.uniform(*core))
-        t = s + h * int(rng.integers(0, max_k + 1))
-        b = float(rng.uniform(-b_scale, b_scale))
-        rows.append(conjugacy_residual(eta, model, pert, t, s, b))
-    return rows
+    draws = zip(
+        rng.uniform(*core, size=n_samples).tolist(),
+        rng.integers(0, max_k + 1, size=n_samples).tolist(),
+        rng.uniform(-b_scale, b_scale, size=n_samples).tolist(),
+    )
+    return [conjugacy_residual(eta, model, pert, s + h * k, s, b) for s, k, b in draws]
 
 
 def assert_matches_scalar(rows, eta, model, pert, **draw):
@@ -132,7 +131,7 @@ def point_oracle(model, pert, eta, t, b, trunc, D):
 ORACLE_B_CHUNK = 128  # b columns per block of block_oracle_sweep
 
 
-def block_oracle_sweep(plan, eta, scenario_reads, value_map, jvp_map):
+def block_oracle_sweep(plan, eta, trunc, D, scenario_reads, value_map, jvp_map):
     """Oracle: the sweep in (S, c, k) blocks of b columns, as it was before the read-major node blocks.
 
     Each row is blended along t whole, with two takes, and walked in blocks
@@ -140,7 +139,8 @@ def block_oracle_sweep(plan, eta, scenario_reads, value_map, jvp_map):
     scenario order, and the maps roll them so that component i sees
     scenario read i+1; each block transposes W and V to (S, c, k), scales
     the maps' values by the weight per node and transposes them back for
-    one dense kernel matmul.  Only the plan's orbit data is shared.
+    one dense kernel matmul.  Only the plan's orbit data is shared; the
+    quadrature weights come from orbit_quadrature under trunc and D.
     """
     model, pert = plan.model, plan.pert
     n, m, k = eta.n, eta.m, len(scenario_reads)
@@ -152,7 +152,7 @@ def block_oracle_sweep(plan, eta, scenario_reads, value_map, jvp_map):
     u_idx = model.unstable_indices[0]
     out = np.zeros((len(plan.rows), nb, n, m + 1))
     dout = np.zeros_like(out)
-    tables = np.concatenate([eta.values.transpose(2, 3, 0, 1)[cs, js], eta.dvalues.transpose(2, 3, 0, 1)[cs, js]])
+    tables = np.concatenate([plane.transpose(2, 3, 0, 1)[cs, js] for plane in eta.data])
     for i, row in enumerate(plan.rows):
         S = row.taus.size
         if S == 0:
@@ -170,9 +170,10 @@ def block_oracle_sweep(plan, eta, scenario_reads, value_map, jvp_map):
         flat = along_t.reshape(2 * k, S * nbg)
         row_start = (np.arange(S) * nbg)[:, None]
         ns = row.n_stable
+        _, w_s, _, w_u = orbit_quadrature(model, pert, row.t, trunc, D, m)
         kern = np.concatenate(
             [p0_kernel(model, row.t, row.taus[:ns], omega), q0_kernel(model, row.t, row.taus[ns:], omega)], axis=1
-        ) * row.weights[:, None]
+        ) * np.concatenate([w_s, -w_u])[:, None]
         for lo in range(0, nb, ORACLE_B_CHUNK):
             hi = min(lo + ORACLE_B_CHUNK, nb)
             B = row.factor[:, None] * plan.b[lo:hi]
@@ -284,7 +285,7 @@ def test_full_row_matches_point_oracle(flagship_result, row, coupling):
         pert = linear_cross_perturbation(flagship_result["mu"], flagship_result["params"], reads=[(1, R), (0, R / 2)], n=2, gain=0.3)
     t, nb = float(eta.t_grid[row]), len(eta.b_grid)
     plan = plan_operator(model, pert, eta, [t], eta.b_grid, DEFAULT_TRUNC, D)
-    out, dout, _ = _full_sweep(plan, eta)
+    (out, dout), _ = _full_sweep(plan, eta)
     assert out.shape == (1, nb, 2, eta.m + 1)
     (rp,) = plan.rows
     assert row != 35 or np.any(rp.taus > eta.t_grid[-1])
@@ -314,8 +315,8 @@ def test_sweep_matches_block_oracle(flagship, coupling):
     bs = np.linspace(-4.5, 4.5, 2 * ORACLE_B_CHUNK + 18)
     plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
     assert_rows_span_blocks_with_a_remainder(plan)
-    F, dF, _ = _full_sweep(plan, eta)
-    F_ref, dF_ref = block_oracle_sweep(plan, eta, scenario, *ROLLED_MAPS[coupling])
+    (F, dF), _ = _full_sweep(plan, eta)
+    F_ref, dF_ref = block_oracle_sweep(plan, eta, COARSE_TRUNC, p.D, scenario, *ROLLED_MAPS[coupling])
     assert np.any(F != 0.0) and np.any(dF != 0.0)
     assert_matches_block_oracle(F, dF, F_ref, dF_ref)
 
@@ -353,8 +354,8 @@ def test_source_term_sweep_is_the_zero_field_sweep_bit_for_bit(flagship, couplin
     bs = np.concatenate([np.linspace(-4.5, 4.5, 2 * ORACLE_B_CHUNK + 17), [-0.0]])
     plan = plan_operator(model, pert, eta, eta.t_grid, bs, COARSE_TRUNC, p.D)
     seen, seen_zero = [], []
-    F, dF, _ = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen)), None)
-    F0, dF0, _ = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen_zero)), eta)
+    (F, dF), _ = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen)), None)
+    (F0, dF0), _ = _full_sweep(dataclasses.replace(plan, pert=_recording(pert, seen_zero)), eta)
     assert F.tobytes() == F0.tobytes() and dF.tobytes() == dF0.tobytes()
     assert [a.tobytes() for a in seen] == [a.tobytes() for a in seen_zero]
     assert not any(np.any(np.signbit(a) & (a == 0.0)) for a in seen)  # no read is -0.0
@@ -362,7 +363,7 @@ def test_source_term_sweep_is_the_zero_field_sweep_bit_for_bit(flagship, couplin
         assert not np.any(F) and not np.any(dF)
     else:
         assert_rows_span_blocks_with_a_remainder(plan)
-        F_ref, dF_ref = block_oracle_sweep(plan, eta, scenario, *ROLLED_MAPS[coupling])
+        F_ref, dF_ref = block_oracle_sweep(plan, eta, COARSE_TRUNC, p.D, scenario, *ROLLED_MAPS[coupling])
         assert np.any(F != 0.0) and np.any(dF != 0.0)
         assert_matches_block_oracle(F, dF, F_ref, dF_ref)
 
@@ -398,8 +399,8 @@ def test_row_geometries_match_the_oracles(flagship_result, monkeypatch, tail_tol
     bs = eta.b_grid[[0, 100, 250, len(eta.b_grid) - 1]]
     plan = plan_operator(model, pert, eta, ts, bs, trunc, p.D)
     assert_rows_span_blocks_with_a_remainder(plan)
-    F, dF, _ = _full_sweep(plan, eta)
-    F_ref, dF_ref = block_oracle_sweep(plan, eta, scenario, *ROLLED_MAPS["linear"])
+    (F, dF), _ = _full_sweep(plan, eta)
+    F_ref, dF_ref = block_oracle_sweep(plan, eta, trunc, p.D, scenario, *ROLLED_MAPS["linear"])
     assert np.any(F != 0.0) and np.any(dF != 0.0)
     assert_matches_block_oracle(F, dF, F_ref, dF_ref)
     for name in geometries:
@@ -449,7 +450,7 @@ def test_sweep_is_the_same_for_any_worker_count(flagship, monkeypatch, field):
             _split_sweeps(monkeypatch, workers)
             threads = set()
             plan = plan_operator(model, _thread_recording(pert, threads), eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, p.D)
-            F, dF, _ = _full_sweep(plan, eta if field == "noise" else None)
+            (F, dF), _ = _full_sweep(plan, eta if field == "noise" else None)
             assert len(threads) == workers and threading.active_count() == before
             swept.append(F.tobytes() + dF.tobytes())
     finally:
@@ -518,7 +519,7 @@ def test_sweep_memory_stays_per_block(flagship, monkeypatch):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            F, dF, _ = _full_sweep(plan, field)
+            (F, dF), _ = _full_sweep(plan, field)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -534,7 +535,7 @@ def invertibility_oracle(result, model):
     """Oracle: the invertibility report computed on whole-field arrays."""
     eta, dnorm = result.eta, result.norms["dinf_mu"]
     report = {"derivative_norm_mu": dnorm, "margin": 1.0 - dnorm, "margin_positive": 1.0 - dnorm > 0.0}
-    vals, dvals = eta.values, eta.dvalues
+    vals, dvals = eta.data
     fd = (vals[:, 2:] - vals[:, :-2]) / (2.0 * (eta.b_grid[1] - eta.b_grid[0]))
     scale = max(float(np.max(np.abs(dvals))), 1e-300)
     report["fd_rel_err"] = float(np.max(np.abs(fd - dvals[:, 1:-1]))) / scale
@@ -568,17 +569,18 @@ def test_row_statistics_match_whole_field_oracles(flagship, monkeypatch, couplin
     for workers in (1, 2, 3):
         _split_sweeps(monkeypatch, workers)
         for field, read in ((eta, eta), (None, zero)):
-            F, dF, maxima = _full_sweep(plan, field)
+            out, maxima = _full_sweep(plan, field)
+            F, dF = out
             assert plan.on_grid and maxima.shape == (4, len(plan.rows))
             for got, want in zip(maxima, (np.max(np.abs(F), axis=(1, 2, 3)), np.max(np.abs(dF), axis=(1, 2, 3)),
-                                          row_max_diff(F, read.values), row_max_diff(dF, read.dvalues))):
+                                          row_max_diff(F, read.data[0]), row_max_diff(dF, read.data[1]))):
                 assert got.tobytes() == want.tobytes()
-            swept = eta.with_data(F, dF)
+            swept = eta.with_data(out)
             norms = float(np.max(maxima[0])), float(np.max(maxima[0] * w)), float(np.max(maxima[1] * w))
             assert norms == (swept.norm_inf(), swept.norm_inf_mu(), swept.dnorm_inf_mu())
         # a sweep at other queries takes no update
         other = plan_operator(model, pert, eta, eta.t_grid[:3], [0.1, -2.0], COARSE_TRUNC, p.D)
-        F, dF, maxima = _full_sweep(other, eta)
+        (F, dF), maxima = _full_sweep(other, eta)
         assert not other.on_grid and maxima.shape == (2, 3) and maxima[0].tobytes() == np.max(np.abs(F), axis=(1, 2, 3)).tobytes()
         reports = []
         for field in (solved.eta, eta):
@@ -729,22 +731,31 @@ def test_plan_memory_stays_per_node(flagship):
 
 
 def row_plan_oracle(model, pert, eta, t, trunc, D):
-    """Oracle: one row's plan from that row's nodes alone, every per-node array formed for the row."""
+    """Oracle: one row's plan from that row's nodes alone, every per-node array formed for the row.
+
+    The node factors come from the row's own log-flows at t and at its
+    nodes, each kernel's factor zeroed where the kernel is 0: unstable
+    coordinates at the far stable nodes, stable ones on the unstable side.
+    """
     taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, eta.m)
     taus = np.concatenate([taus_s, taus_u])
+    n_far = int(np.count_nonzero(taus_s < t - model.r))
     it, wt = _cells(_coords(taus, eta.t_grid)[0], len(eta.t_grid))
     lin = np.zeros((len(pert.reads), taus.size))
     for j, (coord, lag) in enumerate(pert.reads):
         if coord == model.unstable_indices[0]:
             lin[j] = unstable_flow(model, taus - lag, taus)[0]
+    unstable = np.array(model.unstable)
+    flow = np.exp(model.log_flow(np.asarray(t))[:, None] - model.log_flow(taus))
+    flow[unstable, :n_far] = 0.0
+    flow[~unstable, taus_s.size :] = 0.0
     return {
         "t": t,
         "taus": taus,
-        "weights": np.concatenate([w_s, -w_u]),
         "n_stable": taus_s.size,
-        "n_far": int(np.count_nonzero(taus_s < t - model.r)),
+        "n_far": n_far,
         "factor": unstable_flow(model, taus, t)[0],
-        "pert_weight": np.asarray(pert.weight(taus), dtype=float),
+        "node": flow * (np.concatenate([w_s, -w_u]) * np.asarray(pert.weight(taus), dtype=float)),
         "it": it,
         "wt": wt,
         "lin": lin,
@@ -773,6 +784,58 @@ def test_plan_rows_match_the_per_row_oracle_bit_for_bit(mu_id):
                 assert got.tobytes() == value.tobytes(), name
             else:
                 assert type(got) is type(value) and got == value, name
+
+
+def test_planned_node_factors_times_group_kernels_are_the_dense_kernels(flagship):
+    # the factored kernels of a row, node[:, j] times its group's kernel
+    # column, are p0_kernel's column on the stable side and q0_kernel's on
+    # the unstable side times the node's quadrature weight (negated on the
+    # unstable side) and perturbation weight, with the same zeros.  Every row
+    # of the shipped grid, and t = 0.3 and 0.101, where time zero splits a
+    # segment cell into two near panels
+    model, p, pert = flagship["model"], flagship["params"], flagship["pert"]
+    eta = zero_field(flagship)
+    ts = np.concatenate([eta.t_grid, [0.3, 0.101]])
+    plan = plan_operator(model, pert, eta, ts, [0.5], DEFAULT_TRUNC, p.D)
+    assert [rp.t for rp in plan.rows if ROW_GEOMETRIES["time zero splits a cell"](rp, eta.m)] == [0.3, 0.101]
+    omega = np.linspace(-model.r, 0.0, eta.m + 1)
+    for row in plan.rows:
+        grid = row.t + omega
+        group, kern = _group_kernels(model, row, grid, model.log_flow(grid))
+        got = row.node[:, :, None] * kern[:, group]  # (n, S, m+1)
+        _, w_s, _, w_u = orbit_quadrature(model, pert, row.t, DEFAULT_TRUNC, p.D, eta.m)
+        ns = row.n_stable
+        dense = np.concatenate(
+            [p0_kernel(model, row.t, row.taus[:ns], omega), q0_kernel(model, row.t, row.taus[ns:], omega)], axis=1
+        ) * (np.concatenate([w_s, -w_u]) * pert.weight(row.taus))[:, None]
+        assert np.array_equal(got == 0.0, dense == 0.0)
+        scale = np.max(np.abs(dense), axis=(1, 2))
+        assert np.all(np.max(np.abs(got - dense), axis=(1, 2)) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 13])
+def test_log_flows_are_taken_once_per_plan_and_once_per_sweep(flagship, monkeypatch, rows):
+    # a plan takes the log-flows on every node's tau, on the rows' t and on
+    # tau - lag for each of the two reads of the unstable coordinate; a sweep
+    # takes them once, on every row's t + omega, whatever its number of rows
+    # and workers
+    _split_sweeps(monkeypatch, 2)
+    model, p = flagship["model"], flagship["params"]
+    calls = []
+
+    def log_flow(ts):
+        calls.append(np.shape(ts))
+        return model.log_flow(ts)
+
+    counted = dataclasses.replace(model, log_flow=log_flow)
+    pert = linear_cross_perturbation(flagship["mu"], p, reads=[(1, R), (1, R / 2)], n=2, gain=0.3)
+    eta = _noise_field(flagship)
+    plan = plan_operator(counted, pert, eta, eta.t_grid[:rows], eta.b_grid, COARSE_TRUNC, p.D)
+    assert len(calls) == 4
+    for field in (eta, None):
+        calls.clear()
+        (F, _), _ = _full_sweep(plan, field)
+        assert calls == [(rows, eta.m + 1)] and np.any(F != 0.0)
 
 
 def test_derivative_matches_finite_difference_of_operator(flagship_result):
@@ -1019,10 +1082,10 @@ def _coarse_solve(flagship, pert, solver_tol=SOLVER_TOL, **kw):
 def _update_norm(flagship, pert, eta):
     """||F(eta) - eta||_{1,mu} by one freshly planned sweep over eta."""
     plan = plan_operator(flagship["model"], pert, eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, flagship["params"].D)
-    F, dF, _ = _full_sweep(plan, eta)
+    (F, dF), _ = _full_sweep(plan, eta)
     w = eta.time_weights()
-    delta = float(np.max(np.max(np.abs(F - eta.values), axis=(1, 2, 3)) * w))
-    ddelta = float(np.max(np.max(np.abs(dF - eta.dvalues), axis=(1, 2, 3)) * w))
+    delta = float(np.max(np.max(np.abs(F - eta.data[0]), axis=(1, 2, 3)) * w))
+    ddelta = float(np.max(np.max(np.abs(dF - eta.data[1]), axis=(1, 2, 3)) * w))
     return delta + ddelta
 
 
@@ -1239,7 +1302,7 @@ def test_clamp_rate_counts_queries():
     # a query is clamped when its t or its b leaves the grid, once, even
     # when both do; t queries broadcast as (S, 1) against b as (S, nb)
     tg = bg = np.array([0.0, 1.0, 2.0])
-    eta = EtaField(tg, bg, np.zeros((3, 3, 1, 2)), np.zeros((3, 3, 1, 2)), R, None, 0.0, 0.0)
+    eta = EtaField(tg, bg, np.zeros((2, 3, 3, 1, 2)), R, None, 0.0, 0.0)
     assert clamp_count(eta, np.array([[-1.0], [0.5]]), np.array([[0.5, 0.5, 0.5], [0.5, 3.0, -1.0]])) == (5, 6)
     assert clamp_count(eta, np.array([[-1.0], [5.0]]), np.array([[-1.0, 9.0], [-2.0, 7.0]])) == (4, 4)
     assert clamp_count(eta, np.array([0.5, 1.5]), np.array([1.0, 2.0])) == (0, 2)
@@ -1308,7 +1371,7 @@ def test_eta_field_interpolation_exact_at_nodes(flagship_result):
     eta = flagship_result["result"].eta
     ti, bj = 5, 40
     seg = eta.segment_at(float(eta.t_grid[ti]), float(eta.b_grid[bj]))
-    assert np.allclose(seg.values.T, eta.values[ti, bj], atol=1e-14)
+    assert np.allclose(seg.values.T, eta.data[0, ti, bj], atol=1e-14)
 
 
 def test_shipped_perturbation_envelopes(flagship):
