@@ -22,6 +22,7 @@ from mu_lab.conjugacy import (
     _full_sweep,
     _group_kernels,
     _node_blocks,
+    _node_groups,
     conjugacy_residual,
     invertibility_check,
     lattice_residuals,
@@ -736,15 +737,20 @@ def row_plan_oracle(model, pert, eta, t, trunc, D):
     The node factors come from the row's own log-flows at t and at its
     nodes, each kernel's factor zeroed where the kernel is 0: unstable
     coordinates at the far stable nodes, stable ones on the unstable side.
+    The linear parts are those of the unstable coordinate's reads, and each
+    near panel's first column is found panel by panel, on the grid the
+    sweep forms for the row.
     """
     taus_s, w_s, taus_u, w_u = orbit_quadrature(model, pert, t, trunc, D, eta.m)
     taus = np.concatenate([taus_s, taus_u])
     n_far = int(np.count_nonzero(taus_s < t - model.r))
     it, wt = _cells(_coords(taus, eta.t_grid)[0], len(eta.t_grid))
-    lin = np.zeros((len(pert.reads), taus.size))
-    for j, (coord, lag) in enumerate(pert.reads):
+    lin = np.zeros((0, taus.size))
+    for coord, lag in pert.reads:
         if coord == model.unstable_indices[0]:
-            lin[j] = unstable_flow(model, taus - lag, taus)[0]
+            lin = np.concatenate([lin, unstable_flow(model, taus - lag, taus)])
+    grid = t + np.linspace(-model.r, 0.0, eta.m + 1)
+    first = [np.searchsorted(grid, taus[p] - 1e-12) for p in range(n_far, taus_s.size, _NEAR_NODES)]
     unstable = np.array(model.unstable)
     flow = np.exp(model.log_flow(np.asarray(t))[:, None] - model.log_flow(taus))
     flow[unstable, :n_far] = 0.0
@@ -759,6 +765,7 @@ def row_plan_oracle(model, pert, eta, t, trunc, D):
         "it": it,
         "wt": wt,
         "lin": lin,
+        "first": np.array(first, dtype=np.intp),
     }
 
 
@@ -801,8 +808,8 @@ def test_planned_node_factors_times_group_kernels_are_the_dense_kernels(flagship
     omega = np.linspace(-model.r, 0.0, eta.m + 1)
     for row in plan.rows:
         grid = row.t + omega
-        group, kern = _group_kernels(model, row, grid, model.log_flow(grid))
-        got = row.node[:, :, None] * kern[:, group]  # (n, S, m+1)
+        kern = _group_kernels(model, row, model.log_flow(grid))
+        got = row.node[:, :, None] * kern[:, _node_groups(row)]  # (n, S, m+1)
         _, w_s, _, w_u = orbit_quadrature(model, pert, row.t, DEFAULT_TRUNC, p.D, eta.m)
         ns = row.n_stable
         dense = np.concatenate(
@@ -1221,16 +1228,23 @@ def test_batched_residuals_match_scalar_loop_on_zero_field(flagship):
     assert_matches_scalar(rows, eta, model, pert, **draw)
 
 
-@pytest.mark.parametrize("reads", [None, ((1, 0.0), (0, R / 64))], ids=["shipped", "lag0_and_one_step"])
-def test_lattice_residuals_mixed_offsets(flagship_result, reads):
+@pytest.mark.parametrize(
+    "reads, k",
+    [(None, [0, 5, 17, 0, 96, 1]), (((1, 0.0), (0, R / 64)), [0, 5, 17, 0, 96, 1]), (None, [0, 31, 32, 0, 33, 67])],
+    ids=["shipped", "lag0_and_one_step", "block_edges"],
+)
+def test_lattice_residuals_mixed_offsets(flagship_result, reads, k):
     # repeated starts, t = s (k = 0) beside several different k, in no order;
-    # the second read set has a lag-0 read (the stage state) and a one-step lag
+    # the second read set has a lag-0 read (the stage state) and a one-step
+    # lag.  The shipped reads lag r and r/2, so the pass runs in blocks of
+    # L = m - m/2 = 32 steps: the third case ends at L - 1, L, L + 1 and
+    # 2L + 3, so an off-by-one at a block edge fails it
     eta, model, pert = flagship_result["result"].eta, flagship_result["model"], flagship_result["pert"]
     if reads is not None:
         pert = saturating_cross_perturbation(flagship_result["mu"], flagship_result["params"], reads=reads, n=2)
     h = R / eta.m
     s = np.array([0.3, -1.2, 0.3, 1.1, -0.45, 0.3])
-    k = np.array([0, 5, 17, 0, 96, 1])
+    k = np.array(k)
     b = np.array([1.4, -0.7, 1.4, 0.2, -1.9, 0.0])
     rows = lattice_residuals(eta, model, pert, s, k, b)
     for row, si, ki, bi in zip(rows, s, k, b):
@@ -1244,10 +1258,10 @@ def test_verify_residuals_without_samples(flagship):
     assert verify_residuals(zero_field(flagship), flagship["model"], flagship["pert"], n_samples=0) == []
 
 
-def _blows_up_after(t_blow: float) -> Perturbation:
+def _blows_up_after(t_blow: float, reads=((0, R), (1, 0.0))) -> Perturbation:
     # g is zero until t_blow and infinite after it
     return Perturbation(
-        reads=((0, R), (1, 0.0)),
+        reads=reads,
         weight=lambda ts: np.where(np.asarray(ts) > t_blow, np.inf, 0.0),
         value_map=lambda W: np.ones((2,) + np.shape(W)[1:]),
         jvp_map=lambda W, V: np.zeros((2,) + np.shape(W)[1:]),
@@ -1282,6 +1296,37 @@ def test_lattice_residuals_blow_up_only_within_own_steps(flagship):
                 blown.append((j, i))
     j, i = min(blown, key=lambda step: step[0])
     assert (j, i) == (3, 3)  # sample 2 blows up at the same step, but is later in that order
+    message = f"state blew up at t = {s[i] + h * (j + 1)} (sample from s = {s[i]}, b = {b[i]})"
+    with pytest.raises(NonFiniteState, match=re.escape(message)):
+        lattice_residuals(eta, model, pert, s, k, b)
+
+
+def test_lattice_residuals_blow_up_rule_on_the_block_path(flagship):
+    # reads at lags m and m/2 steps and none at lag 0, so the pass runs in
+    # blocks of L = m - m/2 = 16 steps.  The samples here stay finite, their
+    # own t ending before t_blow, though the second block's perturbation
+    # term runs past t_blow for the first one, after its own k = 20
+    eta, model = zero_field(flagship, COARSE_GRID), flagship["model"]
+    h = R / eta.m
+    t_blow = (16 + 4.5) * h
+    pert = _blows_up_after(t_blow, ((0, R), (1, R / 2)))
+    s, k, b = [0.0, -2 * h], [20, 22], [1.0, -0.5]
+    rows = lattice_residuals(eta, model, pert, s, k, b)
+    for row, si, ki, bi in zip(rows, s, k, b):
+        assert np.isfinite(row.raw)
+        assert abs(row.raw - conjugacy_residual(eta, model, pert, si + h * ki, si, bi).raw) <= 1e-12
+    # the error names the per-step rule's sample: at the first step at which
+    # a live sample's state is not finite, the first such sample in order of
+    # decreasing k; here step 19, inside the second block, where sample 2
+    # blows up too but comes later in that order
+    s, k, b = [0.0, -2 * h, h, h], [26, 19, 22, 28], [1.0, -0.5, 0.25, -0.75]
+    blown = []
+    for j in range(max(k)):
+        for i in sorted(range(len(s)), key=lambda i: -k[i]):
+            if j < k[i] and s[i] + h * (j + 1) > t_blow:
+                blown.append((j, i))
+    j, i = min(blown, key=lambda step: step[0])
+    assert (j, i) == (19, 3)
     message = f"state blew up at t = {s[i] + h * (j + 1)} (sample from s = {s[i]}, b = {b[i]})"
     with pytest.raises(NonFiniteState, match=re.escape(message)):
         lattice_residuals(eta, model, pert, s, k, b)
