@@ -17,6 +17,7 @@ import json
 import math
 import sys as _sys
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -617,8 +618,19 @@ def save_conjugacy_result(path, res: ResolvedScenario, conj: dict) -> None:
     path.write_text(report_json(doc))
 
 
+_SIDECAR_KEYS = ("t_grid", "b_grid", "values", "dvalues", "r", "xi", "eps")
+
+
 def load_conjugacy_result(path, **checks):
-    """The result document, its resolved scenario with checks overriding the scenario's, and its field."""
+    """The result document, its resolved scenario with checks overriding the scenario's, and its field.
+
+    The field sidecar must be an .npz archive that holds every array
+    save_conjugacy_result writes and fits the scenario: its t_grid and
+    b_grid are the scenario's grid, values and dvalues both have shape
+    (nt, nb, n, m + 1) for the scenario's model and segment samples, and r,
+    xi and eps are the delay and weight exponents the scenario solves with.
+    A sidecar that does not is a ConfigError.
+    """
     path = Path(path)
     doc = _read_json(path, "result")
     if doc.get("schema") != SCHEMA_RESULT:
@@ -627,17 +639,27 @@ def load_conjugacy_result(path, **checks):
     npz_path = Path(str(path) + ".eta.npz")
     if not npz_path.exists():
         raise ConfigError(f"field sidecar missing: {npz_path}")
-    data = np.load(npz_path)
-    eta = EtaField(
-        t_grid=data["t_grid"],
-        b_grid=data["b_grid"],
-        data=np.stack([data["values"], data["dvalues"]]),
-        r=float(data["r"]),
-        mu=res.mu,
-        xi=float(data["xi"]),
-        eps=float(data["eps"]),
-    )
-    return doc, res, eta
+    try:
+        with open(npz_path, "rb") as fh:  # np.load leaves its own file open when the archive is cut short
+            npz = np.load(fh)
+            missing = [key for key in _SIDECAR_KEYS if key not in getattr(npz, "files", ())]  # a .npy has none
+            if missing:
+                raise ConfigError(f"field sidecar {npz_path} lacks {missing}")
+            side = {key: npz[key] for key in _SIDECAR_KEYS}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"field sidecar {npz_path} is not a readable .npz archive: {exc}") from exc
+    t_grid, b_grid = res.grid.t_grid(), res.grid.b_grid()
+    shape = (len(t_grid), len(b_grid), res.model.n, res.grid.m + 1)
+    scalars = {"r": res.model.r, "xi": res.params.xi, "eps": res.params.eps}
+    if not (
+        np.array_equal(side["t_grid"], t_grid)
+        and np.array_equal(side["b_grid"], b_grid)
+        and side["values"].shape == side["dvalues"].shape == shape
+        and all(side[key].shape == () and side[key] == value for key, value in scalars.items())
+    ):
+        raise ConfigError(f"field sidecar {npz_path} does not fit its scenario's {shape} field on its grid, {scalars}")
+    data = np.stack([side["values"], side["dvalues"]])
+    return doc, res, EtaField(t_grid, b_grid, data, scalars["r"], res.mu, scalars["xi"], scalars["eps"])
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ fixed Gauss-Legendre nodes per panel.
 
 Only the field changes between sweeps, so the operator is planned once per
 solve (plan_operator, O(S) numbers per row of S nodes, the kernels' node
-factors and its near panels' first columns among them); its clamp count takes every row's nodes at once and
-finds each node's clamped b queries at the edges of the sorted b queries
-(_clamp_count), so no (S, nb) lookup is formed.  A sweep (_full_sweep)
-takes the log-flows of every row's t + omega in one pass and walks each
-row in blocks of its nodes with every b query at once, gathers the
+factors and its near panels' first columns among them); its clamp count
+takes every row's nodes at once and counts each node's clamped b queries
+from its grid edges (_clamp_count), so no (S, nb) lookup is formed.  A
+sweep (_full_sweep) takes the log-flows of every row's t + omega in one
+pass and walks each row in blocks of its nodes with every b query at once, gathers the
 perturbation's point reads from the field read-major, applies its maps
 there and adds them, with one group matmul per block, to sums over the
 node groups on which the diagonal kernels' step is constant; each row ends
@@ -40,12 +40,13 @@ takes its per-row statistics on the same workers, so no pass over the
 whole field runs on one thread.
 
 Off the stored grid the field is evaluated by bilinear interpolation,
-clamped to the boundary value outside; clamp events are counted and
-reported as clamp_rate.  That rate counts lookups, not error: that
-clamping costs little because the integrand envelope has decayed wherever
-it triggers for core evaluations is an assumption, not measured.  On
-flagship, cutting b_max to 1.5 grew the residual at |b| <= 1.4 4.6-fold
-while clamp_rate moved only from 0.156 to 0.159.
+clamped to the boundary value outside; clamped lookups are counted and
+reported as clamp_rate.  That rate counts lookups, not error: on flagship,
+cutting b_max to 1.5 grew the residual at |b| <= 1.4 4.6-fold while
+clamp_rate moved only from 0.156 to 0.159.  Clamping is measured by its
+effect instead: on the coarse grid under the exp rate, doubling b_max from
+4 to 8 leaves the largest residual at |b| <= 1.4 the same to 7 digits (a
+test bounds the change by 1%), while b_max 1.5 doubles it.
 """
 
 from __future__ import annotations
@@ -349,8 +350,9 @@ class OperatorPlan:
     """Everything the operator needs at fixed query points, except eta.
 
     Built once per solve by plan_operator; each sweep (_full_sweep) then
-    only gathers, blends and contracts.  The clamp counts follow from the
-    query geometry alone, so they are counted here, once.
+    only gathers, blends and contracts.  The clamp count (clamped of total
+    node x b-query lookups) follows from the query geometry alone, so it is
+    counted here, once, by _clamp_count's edge rule.
     """
 
     model: DichotomyModel
@@ -372,59 +374,24 @@ def _read_slots(pert: Perturbation, eta: EtaField):
     return cs, js
 
 
-def _first_past(guess: np.ndarray, past, size: int) -> np.ndarray:
-    """The first index in [0, size] at which past(index) holds, per node, stepping from guess.
-
-    past must be false and then true along the index for every node; it is
-    only called at indices inside [0, size).
-    """
-    i = guess
-    while True:  # back over indices already past
-        back = (i > 0) & past(np.maximum(i - 1, 0))
-        if not back.any():
-            break
-        i = i - back
-    while True:  # forward over indices not yet past
-        ahead = (i < size) & ~past(np.minimum(i, size - 1))
-        if not ahead.any():
-            break
-        i = i + ahead
-    return i
-
-
 def _clamp_count(factor: np.ndarray, out_t: np.ndarray, bs: np.ndarray, b_grid: np.ndarray) -> int:
     """The node x b-query orbit lookups (tau, b factor) that leave the grid, for nodes whose t leaves it at out_t.
 
-    Exactly the count of _coords(factor[:, None] * bs, b_grid) leaving
-    the b grid or out_t[:, None], without forming it.  A node whose t leaves
-    the grid clamps every query.  For a finite factor f > 0 the b
-    coordinate is nondecreasing in b on the increasing grid, each rounding
-    step being monotone, so the queries below the grid are a prefix of the
-    sorted distinct b queries and those above it a suffix:
-    each boundary starts from a searchsorted guess at the grid edge over f
-    and steps to where _coords' own predicate changes.  A NaN query never
-    leaves the grid.  A node with any other factor (0, inf, NaN) is counted
-    query by query.
+    A node whose t leaves the grid clamps every query.  Any other node, of
+    factor f, clamps the queries q < b_grid[0] / f and q > b_grid[-1] / f,
+    counted on the sorted non-NaN queries; searchsorted places NaN last,
+    so a NaN edge counts no query.  The rule holds as it stands for f = 0,
+    inf, NaN or subnormal.  It is the lookup's own rule (_coords on f q
+    leaving the b grid) except at rounding ties, where f q lands within an
+    ulp of a grid edge.
     """
-    regular = ~out_t & np.isfinite(factor) & (factor > 0)
-    odd = ~out_t & ~regular
-    clamped = bs.size * int(np.count_nonzero(out_t))
-    clamped += int(np.count_nonzero(_coords(factor[odd, None] * bs, b_grid)[1]))
-    u, repeats = np.unique(bs[~np.isnan(bs)], return_counts=True)
-    f = factor[regular]
-    if f.size and u.size:
-        before = np.concatenate([[0], np.cumsum(repeats)])  # queries before each distinct b
-        top = len(b_grid) - 1
-
-        def x(i):
-            return _coords(f * u[i], b_grid)[0]
-
-        with np.errstate(over="ignore"):  # a tiny f puts a guess past float range, where searchsorted still places it
-            guess_lo, guess_hi = np.searchsorted(u, b_grid[0] / f), np.searchsorted(u, b_grid[-1] / f)
-        below = _first_past(guess_lo, lambda i: ~(x(i) < 0), u.size)
-        above = _first_past(guess_hi, lambda i: x(i) > top, u.size)
-        clamped += int(np.sum(before[below]) + np.sum(before[-1] - before[above]))
-    return clamped
+    q = np.sort(bs[~np.isnan(bs)])
+    f = factor[~out_t]
+    with np.errstate(divide="ignore", over="ignore"):
+        lo, hi = b_grid[0] / f, b_grid[-1] / f
+    below = q.size - np.searchsorted(-q[::-1], -lo, side="right")  # q < lo as -q > -lo, so NaN sorts last here too
+    above = q.size - np.searchsorted(q, hi, side="right")
+    return bs.size * int(np.count_nonzero(out_t)) + int(below.sum() + above.sum())
 
 
 def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, bs, trunc: TruncationPolicy, D: float) -> OperatorPlan:
@@ -444,8 +411,8 @@ def plan_operator(model: DichotomyModel, pert: Perturbation, eta: EtaField, ts, 
     query clamps when either axis of its orbit lookup
     (tau, b unstable_flow(tau, t)) leaves the grid, counted once over every
     row's (S, nb) lookups, so clamped / total lies in [0, 1].  The count
-    takes all rows' nodes at once (_clamp_count) and forms no lookup, so no
-    b coordinate or cell is formed here.
+    takes all rows' nodes at once and each node's grid edges (_clamp_count),
+    so no lookup, b coordinate or cell is formed here.
     """
     bs = np.asarray(bs, dtype=float)
     cs, js = _read_slots(pert, eta)
@@ -940,11 +907,11 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert: Perturbation, 
     the block starts.  Each block gathers its reads at a node and at the
     next with one index, evaluates weight times value_map once on its three
     stage read sets, and folds the RK4 step of y' = rho'(t) y + g(t) into
-    y_{j+1} = P_j y_j + Q_j (_rk4_fold): P_j, from the stage rates alone, is
-    formed for every step before the pass, Q_j per block, so each step is
-    one multiply-add.  The fold reorders the scalar integrator's arithmetic;
-    the residuals agree with conjugacy_residual's to 1e-12 raw (at most
-    7e-15 seen on the benchmark's scenarios).  A perturbation with a lag-0
+    y_{j+1} = P_j y_j + Q_j (_rk4_fold): P_j, from the stage rates alone,
+    and Q_j are formed per block for the samples live at its start, so each
+    step is one multiply-add.  The fold reorders the scalar integrator's
+    arithmetic; the residuals agree with conjugacy_residual's to 1e-12 raw
+    (at most 7e-15 seen on the benchmark's scenarios).  A perturbation with a lag-0
     read is stepped stage by stage, in the scalar integrator's order, the
     stage state supplying that read.
 
@@ -1026,23 +993,25 @@ def lattice_residuals(eta: EtaField, model: DichotomyModel, pert: Perturbation, 
         else:
             # the reads of steps j0 .. j0 + L - 1 reach at most node j0 + m, the state the block starts from
             L = m - int(np.max(js, initial=0))
-            c1 = halves[..., None] * lins[1]
-            c2 = hs[..., None] * lins[2]
-            sixths = sixths[..., None]
-            P = _rk4_fold(lins[0], lins[1], lins[2], c1, c2, sixths)
-            P += 1.0
             for j0 in range(0, K, L):
                 j1 = min(j0 + L, K)
                 a0 = live[j0]
+                block = (slice(None, a0), slice(j0, j1))
+                r0, r1, r2 = (lin[block] for lin in lins)
+                c1 = halves[block][..., None] * r1
+                c2 = hs[block][..., None] * r2
+                sixth = sixths[block][..., None]
+                P = _rk4_fold(r0, r1, r2, c1, c2, sixth)
+                P += 1.0
                 reads = X[:a0, nodes[j0:j1], coords].transpose(2, 0, 1)  # (2k, a0, steps)
                 at_node, next_node = reads[: cs.size], reads[cs.size :]
                 W = np.stack([at_node, 0.5 * (at_node + next_node), next_node], axis=1)  # (k, 3, a0, steps)
-                w = np.stack([wt[:a0, j0:j1] for wt in weights])
+                w = np.stack([wt[block] for wt in weights])
                 g = np.moveaxis(pert.value_map(W) * w, 0, -1)  # (3, a0, steps, n)
-                Q = _rk4_fold(g[0], g[1], g[2], c1[:a0, j0:j1], c2[:a0, j0:j1], sixths[:a0, j0:j1])
+                Q = _rk4_fold(g[0], g[1], g[2], c1, c2, sixth)
                 for j in range(j0, j1):
                     a = live[j]
-                    new = np.multiply(P[:a, j], X[:a, m + j], out=X[:a, m + j + 1])
+                    new = np.multiply(P[:a, j - j0], X[:a, m + j], out=X[:a, m + j + 1])
                     new += Q[:a, j - j0]
                 check(j0, j1)
 

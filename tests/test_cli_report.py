@@ -593,6 +593,54 @@ def test_cli_build_and_verify_conjugacy(tmp_path, coarse_run):
     assert main(["verify-conjugacy", "--result", str(result), "--samples", "30", "--seed", "5"]) == EXIT_PASS
 
 
+@pytest.fixture(scope="module")
+def built_result(tmp_path_factory, coarse_run):
+    result = tmp_path_factory.mktemp("built") / "result.json"
+    assert main(["build-conjugacy", "--config", str(coarse_run["path"]), "--out", str(result)]) == EXIT_PASS
+    return result
+
+
+# each sidecar array as the built result saved it, changed so that it no longer fits the result's scenario
+_SIDECAR_TAMPERS = {
+    "intact": lambda side: side,
+    "dropped_coordinate": lambda side: {**side, "values": side["values"][:, :, 1:], "dvalues": side["dvalues"][:, :, 1:]},
+    "missing_dvalues": lambda side: {key: a for key, a in side.items() if key != "dvalues"},
+    "values_a_row_short": lambda side: {**side, "values": side["values"][1:]},
+    "m16_under_m32": lambda side: {**side, "values": side["values"][..., ::2], "dvalues": side["dvalues"][..., ::2]},
+    "xi_off": lambda side: {**side, "xi": side["xi"] + 1.0},
+}
+
+
+@pytest.mark.parametrize("tamper", list(_SIDECAR_TAMPERS))
+def test_a_sidecar_that_does_not_fit_its_result_is_a_config_error(tmp_path, capsys, built_result, tamper):
+    # unless the sidecar is checked against the scenario, the first three tampers end in tracebacks, and the m = 16
+    # field under the m = 32 scenario and a field weighted with another xi verify as a pass; the intact copy is the
+    # control
+    result = tmp_path / "result.json"
+    result.write_text(built_result.read_text())
+    with np.load(str(built_result) + ".eta.npz") as npz:
+        side = dict(npz)
+    np.savez_compressed(str(result) + ".eta.npz", **_SIDECAR_TAMPERS[tamper](side))
+    capsys.readouterr()
+    code = main(["verify-conjugacy", "--result", str(result), "--samples", "3"])
+    if tamper == "intact":
+        assert code == EXIT_PASS
+    else:
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: field sidecar")
+
+
+@pytest.mark.parametrize("cut", [0, 9, 2000], ids=["empty", "text", "truncated"])
+def test_an_unreadable_sidecar_is_a_config_error(tmp_path, capsys, built_result, cut):
+    result = tmp_path / "result.json"
+    result.write_text(built_result.read_text())
+    sidecar = Path(str(built_result) + ".eta.npz").read_bytes()[:cut] if cut != 9 else b"not a zip"
+    Path(str(result) + ".eta.npz").write_bytes(sidecar)
+    capsys.readouterr()
+    assert main(["verify-conjugacy", "--result", str(result), "--samples", "3"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: field sidecar")
+
+
 def test_tol_override_flag(tmp_path):
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(shipped("wobble_certificate")))

@@ -67,6 +67,18 @@ def clamp_count(eta, tq, bq):
     return int(np.count_nonzero(outside)), outside.size
 
 
+def edge_clamp_count(eta, taus, factor, bs):
+    """Oracle: the node x query lookups the edge rule clamps, formed whole, and the total.
+
+    A node whose t leaves the grid clamps every query; any other node of
+    factor f the queries q < b_grid[0] / f and q > b_grid[-1] / f.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo, hi = eta.b_grid[0] / factor[:, None], eta.b_grid[-1] / factor[:, None]
+    outside = _coords(taus, eta.t_grid)[1][:, None] | (bs < lo) | (bs > hi)
+    return int(np.count_nonzero(outside)), outside.size
+
+
 def scalar_residuals(eta, model, pert, *, n_samples, horizon, core, b_scale, seed):
     """Oracle: verify_residuals' draws, one scalar conjugacy_residual each."""
     rng = np.random.default_rng(seed)
@@ -640,10 +652,26 @@ def test_plan_counts_clamps_once_from_the_query_geometry(flagship_result):
     assert clamped / total == flagship_result["result"].clamp_rate == pytest.approx(0.155, abs=1e-3)
 
 
-def _plan_oracle_count(plan, eta):
-    """Oracle: (clamped, total) of the plan's rows, each row's (S, nb) lookups formed whole."""
-    counts = [clamp_count(eta, rp.taus[:, None], rp.factor[:, None] * plan.b) for rp in plan.rows]
+def _plan_oracle_count(plan, eta, oracle):
+    """(clamped, total) of the plan's rows by an oracle that forms each row's (S, nb) lookups whole."""
+    counts = [oracle(eta, rp.taus, rp.factor, plan.b) for rp in plan.rows]
     return sum(c for c, _ in counts), sum(tot for _, tot in counts)
+
+
+def _lookup_clamp_count(eta, taus, factor, bs):
+    """Oracle: the node x query lookups (tau, f b) that leave the grid, by the lookup's own rule, and the total."""
+    return clamp_count(eta, taus[:, None], factor[:, None] * bs)
+
+
+@pytest.mark.parametrize("mu_id", ["exp", "poly"])
+def test_plan_clamps_are_the_lookups_that_leave_the_coarse_grid(mu_id):
+    # no query of a solve on the coarse grid, under either rate, sits at a rounding tie, where the edge rule and
+    # the lookup's own rule may part
+    mu, model, p, pert = build_flagship(mu_id)
+    eta = EtaField.zero(COARSE_GRID, 2, R, mu, p.xi, p.eps)
+    plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, p.D)
+    assert (plan.clamped, plan.total) == _plan_oracle_count(plan, eta, _lookup_clamp_count)
+    assert plan.clamped > 0
 
 
 # b queries from a small pool, so lists repeat them, with 0, -0, the grid's edges and a subnormal
@@ -663,7 +691,7 @@ def test_plan_clamps_match_the_oracle(ts, bs, power):
     eta = EtaField.zero(COARSE_GRID, 2, R, mu, p.xi, p.eps)
     with np.errstate(over="ignore", invalid="ignore"):
         plan = plan_operator(model, pert, eta, ts, bs, COARSE_TRUNC, p.D)
-        want = _plan_oracle_count(plan, eta)
+        want = _plan_oracle_count(plan, eta, edge_clamp_count)
     assert (plan.clamped, plan.total) == want
     if power > 1.0:
         factors = np.concatenate([rp.factor for rp in plan.rows])
@@ -681,11 +709,10 @@ def test_plan_clamps_match_the_oracle(ts, bs, power):
 @settings(max_examples=80, deadline=None)
 def test_clamp_count_matches_the_oracle_for_any_factor(taus, factors, bs):
     # the count behind the plan's, at factors no model on the shipped grid
-    # gives: subnormal, huge, 0, inf and NaN, where the searchsorted guess
-    # is far from the boundary or the lookup is not monotone in b.  Queries
-    # at a node's edges b_grid[0] / f and b_grid[-1] / f and their float
-    # neighbours round to either side of the grid's edge, so the guess is
-    # off by one there; a NaN query never leaves the b grid
+    # gives: subnormal, huge, 0, inf and NaN, whose edges b_grid[0] / f and
+    # b_grid[-1] / f are infinite, 0 or NaN.  Queries at a node's edges and
+    # their float neighbours are where the edge rule may part from the
+    # lookup's own; a NaN query never leaves the b grid
     from mu_lab.conjugacy import _clamp_count
 
     eta = EtaField.zero(COARSE_GRID, 2, R, None, 0.0, 0.0)
@@ -694,7 +721,7 @@ def test_clamp_count_matches_the_oracle_for_any_factor(taus, factors, bs):
     with np.errstate(over="ignore", invalid="ignore"):
         edges = np.concatenate([eta.b_grid[[0, -1]] / f for f in factor[np.isfinite(factor) & (factor > 0)][:2]] + [[]])
         bs = np.concatenate([bs, [math.nan], edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
-        want = clamp_count(eta, taus[:, None], factor[:, None] * bs)
+        want = edge_clamp_count(eta, taus, factor, bs)
         got = _clamp_count(factor, _coords(taus, eta.t_grid)[1], bs, eta.b_grid)
     assert (got, taus.size * bs.size) == want
 
@@ -1142,6 +1169,33 @@ def test_settings_that_cannot_converge_raise(flagship, monkeypatch, settings):
 def test_zero_solver_tol_converges_to_an_exact_fixed_point(flagship):
     res = _coarse_solve(flagship, flagship["pert"], solver_tol=0.0)
     assert res.converged and res.fixed_point_residual_1mu == 0.0
+
+
+B_MAX_BOUND = 0.01  # relative change of the core residual maximum that doubling b_max may make
+
+
+def _core_residual_max(flagship, b_max):
+    """The largest weighted residual at |b| <= 1.4, per seed 1, 3 and 7, of the coarse-grid solve at b_max."""
+    grid = dataclasses.replace(COARSE_GRID, b_max=b_max)
+    model, pert = flagship["model"], flagship["pert"]
+    eta = picard_solve(model, pert, flagship["params"], grid, COARSE_TRUNC, solver_tol=SOLVER_TOL).eta
+    return np.array([max(r.weighted for r in verify_residuals(eta, model, pert, b_scale=1.4, seed=seed)) for seed in (1, 3, 7)])
+
+
+def test_doubling_b_max_leaves_the_core_residual_unchanged(flagship):
+    # clamping measured by its effect, which clamp_rate cannot see: the coarse
+    # grid's b_max 4 gives the core residual of b_max 8 within the bound, while
+    # b_max 1.5, inside the reach of the residual's orbits, is the negative
+    # control that fails it (clamp_rate reads 0.153, 0.155 and 0.161).  The
+    # exp rate, since under the poly rate the core residual is the RK4
+    # integrator's own error, which b_max does not move
+    wide = _core_residual_max(flagship, 8.0)
+
+    def change(b_max):
+        return float(np.max(np.abs(_core_residual_max(flagship, b_max) / wide - 1.0)))
+
+    assert change(4.0) <= B_MAX_BOUND
+    assert change(1.5) > B_MAX_BOUND
 
 
 def test_refinement_stability(flagship):
