@@ -45,6 +45,7 @@ from .dde_core import Perturbation, linear_cross_perturbation, saturating_cross_
 from .dichotomy import (
     _PAIR_BLOCK,
     REFERENCE_CONSTANTS,
+    DichotomyCertificate,
     DichotomyModel,
     model_params,
     power_model,
@@ -262,7 +263,8 @@ def _check_ranges(sections: dict, n: int) -> None:
         "residual lattice (samples x (m + 1 + horizon steps) x coordinates)",
         _numbers(checks["residual_samples"], steps, n),
     )
-    # a block of near time pairs evolves every probe segment of the certificate (dichotomy._probe_segments: 2n + 3)
+    # a block of near time pairs evolves every probe segment of the certificate (dichotomy._probe_segments: 2n + 3);
+    # a block of far pairs holds a few (n, _FAR_BLOCK, cert_m + 1) flows and kernels, fewer numbers
     _check_size(
         "certificate block (pairs x probes x (cert_m + 1) x coordinates)",
         _numbers(_PAIR_BLOCK, 2 * n + 3, checks["cert_m"] + 1, n),
@@ -429,7 +431,8 @@ def run_admissibility(res: ResolvedScenario) -> dict:
     }
 
 
-def run_dichotomy(res: ResolvedScenario, samples: Optional[int] = None) -> dict:
+def _certificate(res: ResolvedScenario, samples: Optional[int] = None) -> tuple[DichotomyCertificate, dict]:
+    """The scenario's certificate and its report section without the series."""
     cert = verify_bounds(
         res.model,
         tuple(res.checks["window"]),
@@ -438,9 +441,13 @@ def run_dichotomy(res: ResolvedScenario, samples: Optional[int] = None) -> dict:
         tol=res.cert_tol,
         m=res.checks["cert_m"],
     )
-    doc = cert.to_dict()
-    doc["series"] = {c.name: c.samples.tolist() for c in cert.checks}
-    return {"status": "pass" if cert.passed else "fail", "certificate": doc}
+    return cert, {"status": "pass" if cert.passed else "fail", "certificate": cert.to_dict()}
+
+
+def run_dichotomy(res: ResolvedScenario, samples: Optional[int] = None) -> dict:
+    cert, out = _certificate(res, samples)
+    out["certificate"]["series"] = {c.name: c.samples.tolist() for c in cert.checks}
+    return out
 
 
 def _residual_check(res: ResolvedScenario, eta: EtaField, seed: int):
@@ -753,9 +760,9 @@ def _dispatch(args) -> int:
         return EXIT_PASS if out["status"] == "pass" else EXIT_ADMISSIBILITY
     if args.command == "verify-dichotomy":
         res = _load_resolved(args, cert_samples=args.samples)
-        out = run_dichotomy(res)
-        slim = {"status": out["status"], "certificate": {k: v for k, v in out["certificate"].items() if k != "series"}}
-        _emit(args, report_json(slim))
+        # the short certificate: the series' Python lists would cost more than the certificate itself
+        _, out = _certificate(res)
+        _emit(args, report_json(out))
         return EXIT_PASS if out["status"] == "pass" else EXIT_CERTIFICATE
     if args.command == "build-conjugacy":
         res = _load_resolved(args)

@@ -94,7 +94,12 @@ def _log_flows(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray):
     """
     grid = np.asarray(t)[..., None] + omega
     rho_g = model.log_flow(grid).reshape(model.n, -1, len(omega))
-    return rho_g, model.log_flow(taus)[:, :, None], grid >= taus[:, None] - 1e-12
+    return rho_g, model.log_flow(taus)[:, :, None], _ahead(grid, taus)
+
+
+def _ahead(grid: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The kernels' mask t + omega >= tau on grid = t + omega, a grid point within 1e-12 of tau counting as past it."""
+    return grid >= taus[:, None] - 1e-12
 
 
 def _flows(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray):
@@ -116,13 +121,18 @@ def p0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> 
     return _p0_masked(model, *_flows(model, t, taus, omega))
 
 
-def q0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Per-coordinate kernels (n, n_tau, n_omega) of v -> T_bar(t,tau) Q0(tau) v; t as in _log_flows."""
-    rho_g, rho_t, ahead = _log_flows(model, t, taus, omega)
-    out = np.zeros((model.n,) + ahead.shape)
+def _q0(model: DichotomyModel, rho_g: np.ndarray, rho_t: np.ndarray) -> np.ndarray:
+    """q0_kernel from _log_flows' log-primitives: the unstable flow exp(rho_g - rho_t), zero on stable coordinates."""
+    out = np.zeros(np.broadcast_shapes(rho_g.shape, rho_t.shape))
     u = model.unstable_indices
     out[u] = np.exp(rho_g[u] - rho_t[u])
     return out
+
+
+def q0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Per-coordinate kernels (n, n_tau, n_omega) of v -> T_bar(t,tau) Q0(tau) v; t as in _log_flows."""
+    rho_g, rho_t, _ = _log_flows(model, t, taus, omega)
+    return _q0(model, rho_g, rho_t)
 
 
 def seg_T_closed(model: DichotomyModel, t: np.ndarray, s: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -137,14 +147,25 @@ def seg_T_closed(model: DichotomyModel, t: np.ndarray, s: np.ndarray, values: np
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
     if np.any(t < s):
         raise TimeOrder(f"t earlier than s in {np.count_nonzero(t < s)} of {t.size} pairs")
+    return _carry(model, t, s, values, *_flows(model, t, s, np.linspace(-model.r, 0.0, values.shape[-2])))
+
+
+def _carry(model: DichotomyModel, t: np.ndarray, s: np.ndarray, values: np.ndarray, flow, ahead) -> np.ndarray:
+    """seg_T_closed on ordered pairs, given _flows(model, t, s, omega) on its segments' omega grid."""
     r, m = model.r, values.shape[-2] - 1
     omega = np.linspace(-r, 0.0, m + 1)
-    flow, ahead = _flows(model, t, s, omega)
     x = (np.clip(t[:, None] + omega - s[:, None], -r, 0.0) + r) / r * m
     j = np.minimum(np.floor(x).astype(int), m - 1)[:, None, :, None]
     w = x[:, None, :, None] - j
-    history = (1.0 - w) * np.take_along_axis(values, j, axis=-2) + w * np.take_along_axis(values, j + 1, axis=-2)
-    return np.where(ahead[:, None, :, None], values[..., -1:, :] * flow.transpose(1, 2, 0)[:, None], history)
+    # (1 - w) * lower + w * upper and the carried endpoint, in place: each is one (pairs, probes, m+1, n) array
+    out = np.take_along_axis(values, j, axis=-2)
+    out *= 1.0 - w
+    upper = np.take_along_axis(values, j + 1, axis=-2)
+    upper *= w
+    out += upper
+    del upper
+    np.copyto(out, values[..., -1:, :] * flow.transpose(1, 2, 0)[:, None], where=ahead[:, None, :, None])
+    return out
 
 
 def unstable_shape(model: DichotomyModel, t, m: int) -> np.ndarray:
@@ -382,9 +403,11 @@ def _probe_segments(model: DichotomyModel, m: int, rng: np.random.Generator) -> 
     return np.stack(probes)
 
 
-# time pairs measured together; a block of near pairs evolves (block, probes, m+1, n) segments,
-# so larger blocks raise peak memory for little speed
+# time pairs measured together.  A block of near pairs evolves (block, probes, m+1, n) segments, so larger blocks
+# raise peak memory for little speed; a block of far pairs holds only a few (n, block, m+1) flows and kernels, so it
+# can be wider at the same peak
 _PAIR_BLOCK = 64
+_FAR_BLOCK = 128
 
 
 def _end_gain(peak: np.ndarray, ends: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -407,50 +430,75 @@ def _measure_pairs(model: DichotomyModel, t, s, probes: np.ndarray) -> np.ndarra
     """Measured norms (5, pairs) of the five families, in verify_bounds' order.
 
     The forward families evolve from s to t; the unstable ones pull back
-    from t to s.  A pair a delay or more apart (t + omega >= s for every
-    omega) carries only the probe's endpoint, along the flow, so its two
-    segment families are the endpoint times each coordinate's flow peak;
-    only closer pairs evolve whole probe segments through seg_T_closed.
-    The unstable family's jumps are the probes' endpoints; the
-    projected-jump families take the sup-norm unit vectors, and because
-    every kernel is diagonal, coordinate i of the response to v is |v_i| <= 1
-    times kernel i, so the unit vectors e_i attain the norm exactly.  The
-    bounded-growth family needs no jump part: p0 + q0 is the flow where
-    t + omega >= s and 0 elsewhere, which the constant probes already see.
+    from t to s.  The block takes its log-flows once: rho on t + omega, and
+    on s + omega for a model with an unstable coordinate (on s alone
+    otherwise, since only the unstable coordinates have a backward kernel).
+    The flow, its mask, p0_kernel, both uses of q0_kernel and the near
+    pairs' seg_T_closed segments are all built from those two arrays, with
+    the public kernels' formulas, and the arrays are freed before any
+    segment is evolved.  A pair a delay or more apart (t + omega >= s for
+    every omega) carries only the probe's endpoint, along the flow, so its
+    two segment families are the endpoint times each coordinate's flow
+    peak; only closer pairs evolve whole probe segments.  The unstable
+    family's jumps are the probes' endpoints; the projected-jump families
+    take the sup-norm unit vectors, and because every kernel is diagonal,
+    coordinate i of the response to v is |v_i| <= 1 times kernel i, so the
+    unit vectors e_i attain the norm exactly.  The bounded-growth family
+    needs no jump part: p0 + q0 is the flow where t + omega >= s and 0
+    elsewhere, which the constant probes already see.
     """
     omega = np.linspace(-model.r, 0.0, probes.shape[1])
     probe_norms = np.max(np.abs(probes), axis=(1, 2))
     ends = probes[:, -1]  # (probes, n)
-    flow, ahead = _flows(model, t, s, omega)
-    peak = np.max(flow, axis=2)  # (n, pairs)
-    # P(s) of a probe: the probe minus its unstable endpoint spread along the
-    # backward solution, which is the endpoint itself at omega = 0
-    spread_end = q0_kernel(model, s, s, omega[-1:])[:, :, 0]  # (n, pairs)
-    stable = _end_gain(peak, ends[:, :, None] - ends[:, :, None] * spread_end, probe_norms)
-    growth = _end_gain(peak, ends[:, :, None], probe_norms)
-
+    # omega ends at 0, so the grids' last columns are rho(t) and rho(s)
+    grid = t[:, None] + omega
+    rho_tg = model.log_flow(grid)
+    rho_sg = model.log_flow(s[:, None] + (omega if model.d_u else omega[-1:]))
+    rho_t, rho_s = rho_tg[..., -1:].copy(), rho_sg[..., -1:].copy()
+    flow, ahead = np.exp(rho_tg - rho_s), _ahead(grid, s)  # _flows(model, t, s, omega)
     near = ~np.all(ahead, axis=1)
-    if np.any(near):
-        t_near, s_near = t[near], s[near]
-
-        def probe_gain(values):
-            evolved = seg_T_closed(model, t_near, s_near, values)
-            return np.max(np.max(np.abs(evolved), axis=(2, 3)) / probe_norms, axis=1)
-
-        spread = q0_kernel(model, s_near, s_near, omega).transpose(1, 2, 0)[:, None]  # (near, 1, m+1, n)
-        stable[near] = probe_gain(probes - ends[:, None, :] * spread)
-        growth[near] = probe_gain(probes[None])
-
-    back = q0_kernel(model, s, t, omega)
-    return np.stack(
+    back = _q0(model, rho_sg, rho_t)  # q0_kernel(model, s, t, omega)
+    # P(s) of a probe: the probe minus its unstable endpoint spread along the backward solution
+    # q0_kernel(model, s, s, omega), which is the endpoint itself at omega = 0
+    spread = _q0(model, rho_sg[:, near], rho_s[:, near])
+    spread_end = _q0(model, rho_s, rho_s)[:, :, 0]  # (n, pairs)
+    del grid, rho_tg, rho_sg
+    peak = np.max(flow, axis=2)  # (n, pairs)
+    measured = np.stack(
         [
-            stable,
+            _end_gain(peak, ends[:, :, None] - ends[:, :, None] * spread_end, probe_norms),
             _end_gain(np.max(back, axis=2), ends[:, :, None], probe_norms),
-            growth,
+            _end_gain(peak, ends[:, :, None], probe_norms),
             _unit_gain(_p0_masked(model, flow, ahead)),
             _unit_gain(back),
         ]
     )
+    del back
+    if np.any(near):
+        t_near, s_near, flow, ahead = t[near], s[near], flow[:, near], ahead[near]
+
+        def probe_gain(values):
+            evolved = _carry(model, t_near, s_near, values, flow, ahead)
+            return np.max(np.max(np.abs(evolved, out=evolved), axis=(2, 3)) / probe_norms, axis=1)
+
+        measured[0, near] = probe_gain(probes - ends[:, None, :] * spread.transpose(1, 2, 0)[:, None])
+        measured[2, near] = probe_gain(probes[None])
+    return measured
+
+
+def _measure_blocks(model: DichotomyModel, t: np.ndarray, s: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """_measure_pairs on every pair: near pairs _PAIR_BLOCK at a time, far pairs _FAR_BLOCK at a time.
+
+    A pair is far by _measure_pairs' rule, t + omega past s for every omega,
+    read at omega = -r, where t + omega is least.
+    """
+    measured = np.empty((5, t.size))
+    far = _ahead(t[:, None] - model.r, s)[:, 0]
+    for pairs, block in ((np.flatnonzero(~far), _PAIR_BLOCK), (np.flatnonzero(far), _FAR_BLOCK)):
+        for i in range(0, pairs.size, block):
+            blk = pairs[i : i + block]
+            measured[:, blk] = _measure_pairs(model, t[blk], s[blk], probes)
+    return measured
 
 
 def verify_bounds(
@@ -464,11 +512,11 @@ def verify_bounds(
 ) -> DichotomyCertificate:
     """Measure all five bound families on random time pairs in the window.
 
-    Pairs s <= t are measured as arrays, _PAIR_BLOCK at a time in order of
-    t - s; the two unstable families use them with the times swapped.
-    Pairs a delay or more apart are measured from the probes' endpoints and
-    the flow's peak; only closer pairs evolve whole probe segments, and the
-    order gathers them into the first blocks.  Failures are recorded
+    Pairs s <= t are measured as arrays; the two unstable families use them
+    with the times swapped.  Pairs a delay or more apart, most of a wide
+    window's, are measured from the probes' endpoints and the flow's peak,
+    _FAR_BLOCK at a time; only closer pairs evolve whole probe segments,
+    _PAIR_BLOCK at a time (_measure_blocks).  Failures are recorded
     in the certificate, never raised.  The diagonal closed forms are what
     make this affordable: sampling windows of +-10 sit far outside what
     step-by-step integration covers in reasonable time.  The three segment
@@ -483,11 +531,7 @@ def verify_bounds(
     probes = _probe_segments(model, m, rng)
     rng.normal(size=(3, model.n))  # keeps the stream, so time pairs and recorded reports stay as they were
     s, t = np.sort(rng.uniform(lo, hi, size=(samples, 2)), axis=1).T
-    measured = np.empty((5, samples))
-    by_gap = np.argsort(t - s, kind="stable")  # blocks of closer pairs first, so the rest are all far
-    for i in range(0, samples, _PAIR_BLOCK):
-        blk = by_gap[i : i + _PAIR_BLOCK]
-        measured[:, blk] = _measure_pairs(model, t[blk], s[blk], probes)
+    measured = _measure_blocks(model, t, s, probes)
 
     mu_s, mu_t = np.asarray(mu.eval(s), dtype=float), np.asarray(mu.eval(t), dtype=float)
     fwd, bwd = mu_t / mu_s, mu_s / mu_t

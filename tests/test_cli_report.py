@@ -22,6 +22,7 @@ from mu_lab.cli_report import (
     parse_scenario,
     report_json,
     resolve,
+    run_dichotomy,
     run_pipeline,
     strip_timings,
 )
@@ -582,6 +583,31 @@ def test_cli_verify_dichotomy(tmp_path):
     doc["params"].update(theta=0.0, eps=0.0)
     path.write_text(json.dumps(doc))
     assert main(["verify-dichotomy", "--config", str(path), "--samples", "50"]) == EXIT_CERTIFICATE
+
+
+@pytest.mark.parametrize("name", ["example5_2d", "example5_2d_negative_theta", "negative_delta", "wobble_certificate"])
+def test_verify_dichotomy_prints_the_run_certificate_less_its_series(tmp_path, name):
+    out = tmp_path / "cert.json"
+    code = main(["verify-dichotomy", "--config", str(SCENARIOS / f"{name}.json"), "--out", str(out)])
+    full = run_dichotomy(resolve(parse_scenario(shipped(name))))
+    series = full["certificate"].pop("series")
+    assert len(series) == 5 and out.read_text() == report_json(full)
+    assert code == (EXIT_PASS if full["status"] == "pass" else EXIT_CERTIFICATE)
+
+
+def test_verify_dichotomy_builds_no_series(tmp_path):
+    # 10,000 pairs: the certificate keeps 5 x 10,000 x 5 sample numbers, 2 MB; the series' Python lists of them,
+    # which the command once built and then dropped, took the peak to 13.3 MB
+    args = ["verify-dichotomy", "--config", str(SCENARIOS / "example5_2d.json"), "--samples", "10000"]
+    args += ["--out", str(tmp_path / "cert.json")]
+    assert main(args) == EXIT_PASS
+    tracemalloc.start()
+    try:
+        assert main(args) == EXIT_PASS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_000_000
 
 
 def test_cli_build_and_verify_conjugacy(tmp_path, coarse_run):

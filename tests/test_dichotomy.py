@@ -5,8 +5,12 @@ from functools import partial
 import numpy as np
 import pytest
 
+from mu_lab import dichotomy
 from mu_lab.dde_core import fundamental_jump, solution_op_T, solve_linear
 from mu_lab.dichotomy import (
+    _FAR_BLOCK,
+    _PAIR_BLOCK,
+    _measure_blocks,
     _measure_pairs,
     _probe_segments,
     apply_P0,
@@ -533,6 +537,17 @@ def test_certificate_memory_stays_per_block(diag2):
         tracemalloc.stop()
     assert len(cert.checks[0].samples) == 2000
     assert peak <= 4_000_000
+    # at cert_m 2,000 a near block evolves (64, 7, 2001, 2) segments, 14 MB each; with the block's log-flow grids
+    # freed first and the segments carried in place, the peak stays under the 67.3 MB that the same call reached
+    # when every use of a kernel took its own log-flows and the carry built each term as a new array
+    tracemalloc.start()
+    try:
+        cert = verify_bounds(diag2, (-10.0, 10.0), samples=2000, seed=0, m=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.check("stable").samples.shape == (2000, 5)
+    assert peak <= 67_300_000
 
 
 # ---------------------------------------------------------------------------
@@ -620,3 +635,64 @@ def test_certificate_rows_match_segment_path(build, mu, window, samples):
     assert near.all() if window[1] - window[0] < R else 0 < near.sum() < samples
     want = segment_path(model, t, s, _probe_segments(model, m, np.random.default_rng(seed)))
     assert np.array_equal(np.array([c.samples[:, 2] for c in cert.checks]), want)
+
+
+def delay_pairs(model):
+    """Pairs at gaps r, r +- 1e-13, r +- 5e-13, r - 2e-12 and others around the delay, at five times s."""
+    offsets = np.array([0.0, 1e-13, -1e-13, 5e-13, -5e-13, -2e-12, -1e-11, -1e-3, 1e-3, -R, 2.0])
+    s = np.repeat(np.array([-7.3, -0.2, 0.0, 3.1, 8.9]), offsets.size)
+    return s + np.tile(model.r + offsets, 5), s
+
+
+@pytest.mark.parametrize("build, mu", SPLIT_MODELS)
+def test_block_sizes_do_not_change_the_certificate(build, mu, monkeypatch):
+    # near pairs go to _PAIR_BLOCK blocks and far ones to _FAR_BLOCK blocks, each block all near or all far by
+    # _measure_pairs' own rule, also at gaps within 1e-12 of the delay; the rows do not depend on the sizes
+    model, seed, m = build(mu, R), 5, 32
+    want = verify_bounds(model, (-10.0, 10.0), samples=300, seed=seed, m=m)
+    t, s = delay_pairs(model)
+    probes = _probe_segments(model, m, np.random.default_rng(seed))
+    whole = _measure_pairs(model, t, s, probes)
+    measure = dichotomy._measure_pairs
+    blocks = []
+
+    def recorded(model, t, s, probes):
+        blocks.append(all_ahead(model, t, s, m))
+        return measure(model, t, s, probes)
+
+    monkeypatch.setattr(dichotomy, "_measure_pairs", recorded)
+    for size in (1, 10**6):
+        monkeypatch.setattr(dichotomy, "_PAIR_BLOCK", size)
+        monkeypatch.setattr(dichotomy, "_FAR_BLOCK", size)
+        got = verify_bounds(model, (-10.0, 10.0), samples=300, seed=seed, m=m)
+        for c, w in zip(got.checks, want.checks):
+            assert np.array_equal(c.samples, w.samples)
+            assert (c.worst_ratio, c.argmax_pair, c.passed) == (w.worst_ratio, w.argmax_pair, w.passed)
+        blocks.clear()
+        assert np.array_equal(_measure_blocks(model, t, s, probes), whole)
+        assert sum(map(len, blocks)) == t.size and all(len(b) <= size and (b.all() or not b.any()) for b in blocks)
+        assert sum(b.all() for b in blocks) == (1 if size > t.size else np.count_nonzero(all_ahead(model, t, s, m)))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [power_model(EXP, R, PAIR), sin_wobble_model(R)],
+    ids=["flagship_model", "wobble"],
+)
+def test_log_flows_are_taken_twice_per_certificate_block(model):
+    # one on t + omega, then one on s + omega for a model with an unstable coordinate, whose backward kernel
+    # reads it, or on s alone for a model without one
+    m, samples = 32, 500
+    calls = []
+
+    def log_flow(ts):
+        calls.append(np.shape(ts))
+        return model.log_flow(ts)
+
+    cert = verify_bounds(dataclasses.replace(model, log_flow=log_flow), (-10.0, 10.0), samples=samples, seed=2, m=m)
+    t, s = cert.check("stable").samples[:, :2].T
+    far = np.count_nonzero(all_ahead(model, t, s, m))
+    blocks = -(-(samples - far) // _PAIR_BLOCK) + -(-far // _FAR_BLOCK)
+    assert 0 < samples - far < far and len(calls) == 2 * blocks
+    assert {shape[1] for shape in calls[::2]} == {m + 1}
+    assert {shape[1] for shape in calls[1::2]} == {m + 1 if model.d_u else 1}
