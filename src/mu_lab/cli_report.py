@@ -43,7 +43,6 @@ from .conjugacy import (
 )
 from .dde_core import Perturbation, linear_cross_perturbation, saturating_cross_perturbation
 from .dichotomy import (
-    _PAIR_BLOCK,
     REFERENCE_CONSTANTS,
     DichotomyCertificate,
     DichotomyModel,
@@ -228,9 +227,10 @@ def _check_ranges(sections: dict, n: int) -> None:
     """Reject values no stage can run on.
 
     That is a non-positive count, step, scale or tolerance, a reversed or
-    infinitely wide window, a grid axis with too few nodes, a field, residual
-    lattice or certificate block of a model with n coordinates over
-    _SIZE_BUDGET numbers, or certificate sample rows over _SERIES_BUDGET.
+    infinitely wide window, a grid axis with too few nodes, a field or
+    residual lattice of a model with n coordinates over _SIZE_BUDGET
+    numbers, a certificate near pair over a 64th of it, or certificate
+    sample rows over _SERIES_BUDGET.
     """
     for key, names in _POSITIVE.items():
         for name in names:
@@ -263,11 +263,11 @@ def _check_ranges(sections: dict, n: int) -> None:
         "residual lattice (samples x (m + 1 + horizon steps) x coordinates)",
         _numbers(checks["residual_samples"], steps, n),
     )
-    # a block of near time pairs evolves every probe segment of the certificate (dichotomy._probe_segments: 2n + 3);
-    # a block of far pairs holds a few (n, _FAR_BLOCK, cert_m + 1) flows and kernels, fewer numbers
+    # a near time pair evolves all 2n + 3 probe segments (dichotomy._probe_segments): a 64th of the budget at most
     _check_size(
-        "certificate block (pairs x probes x (cert_m + 1) x coordinates)",
-        _numbers(_PAIR_BLOCK, 2 * n + 3, checks["cert_m"] + 1, n),
+        "certificate near pair (probes x (cert_m + 1) x coordinates)",
+        _numbers(2 * n + 3, checks["cert_m"] + 1, n),
+        _SIZE_BUDGET // 64,
     )
     _check_size(
         "certificate sample rows (5 families x cert_samples x 5 columns)",

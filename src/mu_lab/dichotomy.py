@@ -403,11 +403,9 @@ def _probe_segments(model: DichotomyModel, m: int, rng: np.random.Generator) -> 
     return np.stack(probes)
 
 
-# time pairs measured together.  A block of near pairs evolves (block, probes, m+1, n) segments, so larger blocks
-# raise peak memory for little speed; a block of far pairs holds only a few (n, block, m+1) flows and kernels, so it
-# can be wider at the same peak
-_PAIR_BLOCK = 64
-_FAR_BLOCK = 128
+# floats in a certificate block's largest array: probes x (m+1) x n per near pair, whose probe segments it evolves,
+# and (m+1) x n per far pair, whose log-flows it takes; every block holds at least one pair
+_BLOCK_NUMBERS = 2**15
 
 
 def _end_gain(peak: np.ndarray, ends: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -427,25 +425,18 @@ def _unit_gain(kern: np.ndarray) -> np.ndarray:
 
 
 def _measure_pairs(model: DichotomyModel, t, s, probes: np.ndarray) -> np.ndarray:
-    """Measured norms (5, pairs) of the five families, in verify_bounds' order.
+    """Measured norms (5, pairs) of the five families, in verify_bounds' order, by evolving whole probe segments.
 
     The forward families evolve from s to t; the unstable ones pull back
-    from t to s.  The block takes its log-flows once: rho on t + omega, and
-    on s + omega for a model with an unstable coordinate (on s alone
-    otherwise, since only the unstable coordinates have a backward kernel).
-    The flow, its mask, p0_kernel, both uses of q0_kernel and the near
-    pairs' seg_T_closed segments are all built from those two arrays, with
-    the public kernels' formulas, and the arrays are freed before any
-    segment is evolved.  A pair a delay or more apart (t + omega >= s for
-    every omega) carries only the probe's endpoint, along the flow, so its
-    two segment families are the endpoint times each coordinate's flow
-    peak; only closer pairs evolve whole probe segments.  The unstable
-    family's jumps are the probes' endpoints; the projected-jump families
-    take the sup-norm unit vectors, and because every kernel is diagonal,
-    coordinate i of the response to v is |v_i| <= 1 times kernel i, so the
-    unit vectors e_i attain the norm exactly.  The bounded-growth family
-    needs no jump part: p0 + q0 is the flow where t + omega >= s and 0
-    elsewhere, which the constant probes already see.
+    from t to s.  The block takes its log-flows once, on t + omega and on
+    s + omega (on s alone for a model with no unstable coordinate, since
+    only those have a backward kernel), and builds the flow, its mask, both
+    kernels and the seg_T_closed segments from them with the public
+    kernels' formulas.  The projected-jump families take the sup-norm unit
+    vectors e_i, which attain the norm since every kernel is diagonal; the
+    bounded-growth family needs no jump part, since p0 + q0 is the flow
+    ahead of s and the constant probes see it.  _measure_far is the same
+    measure for pairs a delay or more apart.
     """
     omega = np.linspace(-model.r, 0.0, probes.shape[1])
     probe_norms = np.max(np.abs(probes), axis=(1, 2))
@@ -456,48 +447,58 @@ def _measure_pairs(model: DichotomyModel, t, s, probes: np.ndarray) -> np.ndarra
     rho_sg = model.log_flow(s[:, None] + (omega if model.d_u else omega[-1:]))
     rho_t, rho_s = rho_tg[..., -1:].copy(), rho_sg[..., -1:].copy()
     flow, ahead = np.exp(rho_tg - rho_s), _ahead(grid, s)  # _flows(model, t, s, omega)
-    near = ~np.all(ahead, axis=1)
     back = _q0(model, rho_sg, rho_t)  # q0_kernel(model, s, t, omega)
-    # P(s) of a probe: the probe minus its unstable endpoint spread along the backward solution
-    # q0_kernel(model, s, s, omega), which is the endpoint itself at omega = 0
-    spread = _q0(model, rho_sg[:, near], rho_s[:, near])
-    spread_end = _q0(model, rho_s, rho_s)[:, :, 0]  # (n, pairs)
+    spread = _q0(model, rho_sg, rho_s)  # q0_kernel(model, s, s, omega), which P(s) takes off a probe's endpoint
     del grid, rho_tg, rho_sg
-    peak = np.max(flow, axis=2)  # (n, pairs)
-    measured = np.stack(
-        [
-            _end_gain(peak, ends[:, :, None] - ends[:, :, None] * spread_end, probe_norms),
-            _end_gain(np.max(back, axis=2), ends[:, :, None], probe_norms),
-            _end_gain(peak, ends[:, :, None], probe_norms),
-            _unit_gain(_p0_masked(model, flow, ahead)),
-            _unit_gain(back),
-        ]
-    )
+
+    def probe_gain(values):
+        evolved = _carry(model, t, s, values, flow, ahead)
+        return np.max(np.max(np.abs(evolved, out=evolved), axis=(2, 3)) / probe_norms, axis=1)
+
+    unstable = _end_gain(np.max(back, axis=2), ends[:, :, None], probe_norms)
+    jumps = _unit_gain(_p0_masked(model, flow, ahead)), _unit_gain(back)
     del back
-    if np.any(near):
-        t_near, s_near, flow, ahead = t[near], s[near], flow[:, near], ahead[near]
+    stable = probe_gain(probes - ends[:, None, :] * spread.transpose(1, 2, 0)[:, None])
+    return np.stack([stable, unstable, probe_gain(probes[None]), *jumps])
 
-        def probe_gain(values):
-            evolved = _carry(model, t_near, s_near, values, flow, ahead)
-            return np.max(np.max(np.abs(evolved, out=evolved), axis=(2, 3)) / probe_norms, axis=1)
 
-        measured[0, near] = probe_gain(probes - ends[:, None, :] * spread.transpose(1, 2, 0)[:, None])
-        measured[2, near] = probe_gain(probes[None])
-    return measured
+def _measure_far(model: DichotomyModel, t, s, probes: np.ndarray) -> np.ndarray:
+    """_measure_pairs for pairs a delay or more apart, from each coordinate's largest log-flow difference.
+
+    Such a pair carries only a probe's endpoint along the flow, so every
+    family reads the flows' peaks over omega: one exp of the largest
+    difference each, bit for bit (NaN too), as exp and rounding are monotone.
+    """
+    omega = np.linspace(-model.r, 0.0, probes.shape[1])
+    probe_norms = np.max(np.abs(probes), axis=(1, 2))
+    ends = probes[:, -1][:, :, None]  # (probes, n, 1)
+    rho_tg = model.log_flow(t[:, None] + omega)
+    rho_sg = model.log_flow(s[:, None] + (omega if model.d_u else omega[-1:]))
+    rho_t, rho_s = rho_tg[..., -1:].copy(), rho_sg[..., -1:]  # as in _measure_pairs
+    peak = np.exp(np.max(np.subtract(rho_tg, rho_s, out=rho_tg), axis=2, keepdims=True))  # the flow's, (n, pairs, 1)
+    u = model.unstable_indices
+    back = np.zeros_like(peak)  # q0_kernel(model, s, t, omega)'s
+    back[u] = np.exp(np.max(rho_sg[u] - rho_t[u], axis=2, keepdims=True))
+    spread_end = _q0(model, rho_s, rho_s)[:, :, 0]  # q0_kernel(model, s, s, omega) at omega = 0, (n, pairs)
+    stable, growth = (_end_gain(peak[..., 0], e, probe_norms) for e in (ends - ends * spread_end, ends))
+    jump = _unit_gain(_p0_masked(model, peak, np.ones(peak.shape[1:], dtype=bool)))
+    return np.stack([stable, _end_gain(back[..., 0], ends, probe_norms), growth, jump, _unit_gain(back)])
 
 
 def _measure_blocks(model: DichotomyModel, t: np.ndarray, s: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """_measure_pairs on every pair: near pairs _PAIR_BLOCK at a time, far pairs _FAR_BLOCK at a time.
+    """The five families' measures (5, pairs), in blocks of at most _BLOCK_NUMBERS floats or of one pair.
 
-    A pair is far by _measure_pairs' rule, t + omega past s for every omega,
-    read at omega = -r, where t + omega is least.
+    A far pair, t + omega past s for every omega (read at omega = -r, where
+    it is least), goes to _measure_far, any other to _measure_pairs.
     """
     measured = np.empty((5, t.size))
     far = _ahead(t[:, None] - model.r, s)[:, 0]
-    for pairs, block in ((np.flatnonzero(~far), _PAIR_BLOCK), (np.flatnonzero(far), _FAR_BLOCK)):
+    for pairs, measure, per_pair in ((~far, _measure_pairs, probes.size), (far, _measure_far, probes[0].size)):
+        pairs = np.flatnonzero(pairs)
+        block = max(1, _BLOCK_NUMBERS // per_pair)
         for i in range(0, pairs.size, block):
             blk = pairs[i : i + block]
-            measured[:, blk] = _measure_pairs(model, t[blk], s[blk], probes)
+            measured[:, blk] = measure(model, t[blk], s[blk], probes)
     return measured
 
 
@@ -514,15 +515,14 @@ def verify_bounds(
 
     Pairs s <= t are measured as arrays; the two unstable families use them
     with the times swapped.  Pairs a delay or more apart, most of a wide
-    window's, are measured from the probes' endpoints and the flow's peak,
-    _FAR_BLOCK at a time; only closer pairs evolve whole probe segments,
-    _PAIR_BLOCK at a time (_measure_blocks).  Failures are recorded
-    in the certificate, never raised.  The diagonal closed forms are what
-    make this affordable: sampling windows of +-10 sit far outside what
-    step-by-step integration covers in reasonable time.  The three segment
-    families probe a finite family and so measure lower bounds; the two
-    projected-jump families probe the unit vectors, which is exact for
-    diagonal kernels (see _measure_pairs).
+    window's, are measured from the probes' endpoints and each coordinate's
+    log-flow peak (_measure_far), closer pairs by evolving whole probe
+    segments (_measure_pairs), in blocks of at most _BLOCK_NUMBERS floats.
+    Failures are recorded in the certificate, never raised.  The diagonal
+    closed forms make windows of +-10 affordable, far outside what
+    step-by-step integration covers.  The three segment families probe a
+    finite family and so measure lower bounds; the projected-jump families
+    probe the unit vectors, which is exact for diagonal kernels.
     """
     lo, hi = window
     rng = np.random.default_rng(seed)

@@ -8,9 +8,9 @@ import pytest
 from mu_lab import dichotomy
 from mu_lab.dde_core import fundamental_jump, solution_op_T, solve_linear
 from mu_lab.dichotomy import (
-    _FAR_BLOCK,
-    _PAIR_BLOCK,
+    _BLOCK_NUMBERS,
     _measure_blocks,
+    _measure_far,
     _measure_pairs,
     _probe_segments,
     apply_P0,
@@ -526,28 +526,21 @@ def test_pairwise_kernels_stack_single_time_calls(mu):
 
 
 def test_certificate_memory_stays_per_block(diag2):
-    # pairs are measured in fixed blocks, so the arrays of one block, not of
-    # all 2,000 pairs, sit beside the certificate's own sample rows
+    # pairs are measured in blocks of at most _BLOCK_NUMBERS floats, so the arrays of one block, not of all 2,000
+    # pairs, sit beside the certificate's own sample rows.  The call peaked at 1.30 MB at m = 48 and at 1.38 MB at
+    # cert_m 2,000, where a near block of one pair evolves (1, 7, 2001, 2) segments; 1.8 MB leaves 0.4 MB (about 30%)
+    # for temporaries that differ between numpy versions, and stays under the 1.66 MB and 52.0 MB that the two calls
+    # reached with blocks of 64 near and 128 far pairs, whose far pairs exponentiated every flow sample
     verify_bounds(diag2, (-10.0, 10.0), samples=20, seed=0)
-    tracemalloc.start()
-    try:
-        cert = verify_bounds(diag2, (-10.0, 10.0), samples=2000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(cert.checks[0].samples) == 2000
-    assert peak <= 4_000_000
-    # at cert_m 2,000 a near block evolves (64, 7, 2001, 2) segments, 14 MB each; with the block's log-flow grids
-    # freed first and the segments carried in place, the peak stays under the 67.3 MB that the same call reached
-    # when every use of a kernel took its own log-flows and the carry built each term as a new array
-    tracemalloc.start()
-    try:
-        cert = verify_bounds(diag2, (-10.0, 10.0), samples=2000, seed=0, m=2000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert cert.check("stable").samples.shape == (2000, 5)
-    assert peak <= 67_300_000
+    for m in (48, 2000):
+        tracemalloc.start()
+        try:
+            cert = verify_bounds(diag2, (-10.0, 10.0), samples=2000, seed=0, m=m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.check("stable").samples.shape == (2000, 5)
+        assert peak <= 1_800_000
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +602,7 @@ def test_near_far_split_at_the_delay_matches_segment_path(build, mu):
     ahead = all_ahead(model, t, s, m)
     assert ahead[np.tile(np.abs(offsets) <= 5e-13, 5)].all()
     assert not ahead[np.tile(offsets <= -2e-12, 5)].any()
-    assert np.array_equal(_measure_pairs(model, t, s, probes), segment_path(model, t, s, probes))
+    assert np.array_equal(_measure_blocks(model, t, s, probes), segment_path(model, t, s, probes))
 
 
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
@@ -620,7 +613,7 @@ def test_far_only_pairs_match_segment_path(build, mu):
     t = s + rng.uniform(R, 4.0, size=150)
     probes = _probe_segments(model, m, rng)
     assert all_ahead(model, t, s, m).all()
-    assert np.array_equal(_measure_pairs(model, t, s, probes), segment_path(model, t, s, probes))
+    assert np.array_equal(_measure_blocks(model, t, s, probes), segment_path(model, t, s, probes))
 
 
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
@@ -637,6 +630,61 @@ def test_certificate_rows_match_segment_path(build, mu, window, samples):
     assert np.array_equal(np.array([c.samples[:, 2] for c in cert.checks]), want)
 
 
+@pytest.mark.parametrize("build, mu", SPLIT_MODELS)
+def test_far_path_matches_segment_path(build, mu):
+    # the flow's peak from the largest log-flow difference, also where it lies inside the segment: the wobble's
+    # rho(t) = -t - 0.1 t sin t has a local maximum near t = 16.7, where its slope -1 - 0.1 (sin t + t cos t) turns
+    model, m = build(mu, R), 48
+    rng = np.random.default_rng(8)
+    probes = _probe_segments(model, m, rng)
+    t = np.concatenate([rng.uniform(-8.0, 10.0, 100), np.linspace(16.0, 17.5, 100)])
+    s = t - np.concatenate([[R], rng.uniform(R, 3.0, 199)])
+    assert all_ahead(model, t, s, m).all()
+    if model.label == "wobble":
+        top = np.argmax(model.log_flow(t[:, None] + np.linspace(-R, 0.0, m + 1))[0], axis=1)
+        assert np.count_nonzero((0 < top) & (top < m)) >= 20
+    assert np.array_equal(_measure_far(model, t, s, probes), segment_path(model, t, s, probes))
+
+
+@pytest.mark.parametrize("m", [48, 2000])
+@pytest.mark.parametrize("build, mu", SPLIT_MODELS)
+def test_certificate_blocks_hold_at_most_their_budget(build, mu, m, monkeypatch):
+    # a block's largest array is its near pairs' evolved segments (pairs, probes, m+1, n) or its far pairs' log-flows
+    # (n, pairs, m+1); it holds at most _BLOCK_NUMBERS floats unless the block is one pair, and one pair more would
+    # pass the budget in every block but the last of its kind.  At cert_m 2,000 a near pair of the three-dimensional
+    # model alone holds 9 x 2001 x 3 floats
+    model = build(mu, R)
+    blocks, carry = [], dichotomy._carry
+
+    def log_flow(ts):
+        out = model.log_flow(ts)
+        blocks[-1][2].append(out.size)
+        return out
+
+    def carried(*args):
+        out = carry(*args)
+        blocks[-1][2].append(out.size)
+        return out
+
+    def opened(measure):
+        def measured(model, t, s, probes):
+            blocks.append((measure, t.size, []))
+            return measure(model, t, s, probes)
+
+        return measured
+
+    monkeypatch.setattr(dichotomy, "_carry", carried)
+    monkeypatch.setattr(dichotomy, "_measure_pairs", opened(_measure_pairs))
+    monkeypatch.setattr(dichotomy, "_measure_far", opened(_measure_far))
+    verify_bounds(dataclasses.replace(model, log_flow=log_flow), (-10.0, 10.0), samples=300, seed=m, m=m)
+    for measure in (_measure_pairs, _measure_far):
+        kind = [(pairs, max(sizes)) for kept, pairs, sizes in blocks if kept is measure]
+        per_pair = 2 * model.n + 3 if measure is _measure_pairs else 1  # probes per near pair (_probe_segments)
+        assert kind and all(largest == pairs * per_pair * (m + 1) * model.n for pairs, largest in kind)
+        assert all(largest <= _BLOCK_NUMBERS or pairs == 1 for pairs, largest in kind)
+        assert all((pairs + 1) * largest > _BLOCK_NUMBERS * pairs for pairs, largest in kind[:-1])
+
+
 def delay_pairs(model):
     """Pairs at gaps r, r +- 1e-13, r +- 5e-13, r - 2e-12 and others around the delay, at five times s."""
     offsets = np.array([0.0, 1e-13, -1e-13, 5e-13, -5e-13, -2e-12, -1e-11, -1e-3, 1e-3, -R, 2.0])
@@ -646,32 +694,42 @@ def delay_pairs(model):
 
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
 def test_block_sizes_do_not_change_the_certificate(build, mu, monkeypatch):
-    # near pairs go to _PAIR_BLOCK blocks and far ones to _FAR_BLOCK blocks, each block all near or all far by
-    # _measure_pairs' own rule, also at gaps within 1e-12 of the delay; the rows do not depend on the sizes
+    # near pairs go to _measure_pairs blocks and far ones to _measure_far blocks, each block all near or all far by
+    # _measure_pairs' own rule, also at gaps within 1e-12 of the delay; the rows do not depend on the budget
     model, seed, m = build(mu, R), 5, 32
     want = verify_bounds(model, (-10.0, 10.0), samples=300, seed=seed, m=m)
     t, s = delay_pairs(model)
     probes = _probe_segments(model, m, np.random.default_rng(seed))
     whole = _measure_pairs(model, t, s, probes)
-    measure = dichotomy._measure_pairs
     blocks = []
 
-    def recorded(model, t, s, probes):
-        blocks.append(all_ahead(model, t, s, m))
-        return measure(model, t, s, probes)
+    def recorded(measure, far):
+        def measured(model, t, s, probes):
+            blocks.append(all_ahead(model, t, s, m))
+            assert blocks[-1].all() if far else not blocks[-1].any()
+            return measure(model, t, s, probes)
 
-    monkeypatch.setattr(dichotomy, "_measure_pairs", recorded)
-    for size in (1, 10**6):
-        monkeypatch.setattr(dichotomy, "_PAIR_BLOCK", size)
-        monkeypatch.setattr(dichotomy, "_FAR_BLOCK", size)
+        return measured
+
+    monkeypatch.setattr(dichotomy, "_measure_pairs", recorded(_measure_pairs, far=False))
+    monkeypatch.setattr(dichotomy, "_measure_far", recorded(_measure_far, far=True))
+    for budget in (1, 10**9):
+        monkeypatch.setattr(dichotomy, "_BLOCK_NUMBERS", budget)
         got = verify_bounds(model, (-10.0, 10.0), samples=300, seed=seed, m=m)
         for c, w in zip(got.checks, want.checks):
             assert np.array_equal(c.samples, w.samples)
             assert (c.worst_ratio, c.argmax_pair, c.passed) == (w.worst_ratio, w.argmax_pair, w.passed)
         blocks.clear()
         assert np.array_equal(_measure_blocks(model, t, s, probes), whole)
-        assert sum(map(len, blocks)) == t.size and all(len(b) <= size and (b.all() or not b.any()) for b in blocks)
-        assert sum(b.all() for b in blocks) == (1 if size > t.size else np.count_nonzero(all_ahead(model, t, s, m)))
+        assert sum(map(len, blocks)) == t.size and all(b.all() or not b.any() for b in blocks)
+        assert all(len(b) == 1 for b in blocks) if budget == 1 else len(blocks) == 2
+        assert sum(b.all() for b in blocks) == (1 if budget > 1 else np.count_nonzero(all_ahead(model, t, s, m)))
+
+
+def block_pairs(model, m, budget):
+    """The pairs _measure_blocks puts in one near block and in one far block at a budget of that many floats."""
+    floats = (m + 1) * model.n
+    return max(1, budget // ((2 * model.n + 3) * floats)), max(1, budget // floats)
 
 
 @pytest.mark.parametrize(
@@ -679,20 +737,25 @@ def test_block_sizes_do_not_change_the_certificate(build, mu, monkeypatch):
     [power_model(EXP, R, PAIR), sin_wobble_model(R)],
     ids=["flagship_model", "wobble"],
 )
-def test_log_flows_are_taken_twice_per_certificate_block(model):
+def test_log_flows_are_taken_twice_per_certificate_block(model, monkeypatch):
     # one on t + omega, then one on s + omega for a model with an unstable coordinate, whose backward kernel
-    # reads it, or on s alone for a model without one
+    # reads it, or on s alone for a model without one; near and far blocks alike, at the shipped budget and at
+    # one that cuts both kinds of pair into several blocks
     m, samples = 32, 500
-    calls = []
+    for budget in (_BLOCK_NUMBERS, 2**12):
+        monkeypatch.setattr(dichotomy, "_BLOCK_NUMBERS", budget)
+        calls = []
 
-    def log_flow(ts):
-        calls.append(np.shape(ts))
-        return model.log_flow(ts)
+        def log_flow(ts):
+            calls.append(np.shape(ts))
+            return model.log_flow(ts)
 
-    cert = verify_bounds(dataclasses.replace(model, log_flow=log_flow), (-10.0, 10.0), samples=samples, seed=2, m=m)
-    t, s = cert.check("stable").samples[:, :2].T
-    far = np.count_nonzero(all_ahead(model, t, s, m))
-    blocks = -(-(samples - far) // _PAIR_BLOCK) + -(-far // _FAR_BLOCK)
-    assert 0 < samples - far < far and len(calls) == 2 * blocks
-    assert {shape[1] for shape in calls[::2]} == {m + 1}
-    assert {shape[1] for shape in calls[1::2]} == {m + 1 if model.d_u else 1}
+        traced = dataclasses.replace(model, log_flow=log_flow)
+        cert = verify_bounds(traced, (-10.0, 10.0), samples=samples, seed=2, m=m)
+        t, s = cert.check("stable").samples[:, :2].T
+        far = np.count_nonzero(all_ahead(model, t, s, m))
+        near_block, far_block = block_pairs(model, m, budget)
+        blocks = -(-(samples - far) // near_block) + -(-far // far_block)
+        assert 0 < samples - far < far and len(calls) == 2 * blocks
+        assert {shape[1] for shape in calls[::2]} == {m + 1}
+        assert {shape[1] for shape in calls[1::2]} == {m + 1 if model.d_u else 1}
