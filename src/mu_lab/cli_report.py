@@ -263,7 +263,8 @@ def _check_ranges(sections: dict, n: int) -> None:
         "residual lattice (samples x (m + 1 + horizon steps) x coordinates)",
         _numbers(checks["residual_samples"], steps, n),
     )
-    # a near time pair evolves all 2n + 3 probe segments (dichotomy._probe_segments): a 64th of the budget at most
+    # a near time pair's largest certificate array holds (cert_m + 1) x max(n, probes x unstable coordinates) floats,
+    # at most its 2n + 3 probe segments (dichotomy._probe_segments); the check keeps those within a 64th of the budget
     _check_size(
         "certificate near pair (probes x (cert_m + 1) x coordinates)",
         _numbers(2 * n + 3, checks["cert_m"] + 1, n),

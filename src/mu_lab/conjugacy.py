@@ -31,8 +31,9 @@ the calling thread.  One thread computes each row whole, so the field does
 not depend on the thread count.  The solve starts from the zero field, so
 its first sweep is the source term F(0): it reads no field and gathers
 nothing.  Every sweep measures the update ||F(eta) - eta|| of the field it
-reads, and the solve returns the last field so measured: its reported
-fixed-point residual is that update, and no sweep is run only to measure it.
+reads, and the solve returns the newest field, F(eta): its reported
+fixed-point residual is the update that wrote it, and no sweep is run only
+to measure it.
 The worker that writes a row also takes the row's update maximum and its
 absolute maximum while the row is in cache; the solve reads the update
 norms and the returned field's norms from those, and invertibility_check
@@ -751,11 +752,11 @@ def picard_solve(
     """Iterate the operator and its derivative jointly from the zero field.
 
     The first sweep is then the source term F(0), which reads no field.
-    Sweep k measures the combined weighted update norm
-    delta = ||F(eta_{k-1}) - eta_{k-1}||_{1,mu} and stops once it is at most
-    solver_tol, or at max_sweeps.  Either way the field returned is
-    eta_{k-1}, the last one whose update was measured, and
-    fixed_point_residual_1mu is that delta; F(eta_{k-1}) itself is dropped.
+    Sweep k writes eta_k = F(eta_{k-1}), measures the combined weighted
+    update norm delta = ||eta_k - eta_{k-1}||_{1,mu} and stops once it is at
+    most solver_tol, or at max_sweeps.  Either way the field returned is the
+    newest, eta_k, with its norms from that sweep's row maxima, and
+    fixed_point_residual_1mu is the update delta that sweep measured.
     A measured update ratio >= 1 on two consecutive sweeps raises
     NotContracting: the scenario's perturbation is inconsistent with the
     declared contraction constants.  Settings under which no solve can
@@ -769,7 +770,6 @@ def picard_solve(
     eta = EtaField.zero(grid, model.n, model.r, model.mu, params.xi, params.eps)
     plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, trunc, params.D)
     w_t = eta.time_weights()
-    peaks = np.zeros((2, len(eta.t_grid)))  # eta's max |data[0]| and max |data[1]| per row: the zero field's
     sweeps: list[SweepStats] = []
     ratios: list[float] = []
     prev_delta = None
@@ -789,14 +789,13 @@ def picard_solve(
             exc.sweeps = [s.to_dict() for s in sweeps]
             raise exc
         prev_delta = delta
+        eta = eta.with_data(new)
         converged = delta <= solver_tol
         if converged or k == max_sweeps:
-            break  # eta is the field whose update delta was just measured
-        eta = eta.with_data(new)
-        peaks = maxima[:2]
+            break
     # eta's norms (EtaField.norm_inf, norm_inf_mu, dnorm_inf_mu) from the row maxima of the sweep that wrote it
-    inf_mu, dinf_mu = float(np.max(peaks[0] * w_t)), float(np.max(peaks[1] * w_t))
-    norms = {"inf": float(np.max(peaks[0])), "inf_mu": inf_mu, "dinf_mu": dinf_mu, "one_mu": inf_mu + dinf_mu}
+    inf_mu, dinf_mu = float(np.max(maxima[0] * w_t)), float(np.max(maxima[1] * w_t))
+    norms = {"inf": float(np.max(maxima[0])), "inf_mu": inf_mu, "dinf_mu": dinf_mu, "one_mu": inf_mu + dinf_mu}
     return ConjugacyResult(
         eta=eta,
         sweeps=sweeps,

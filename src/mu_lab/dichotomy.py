@@ -10,9 +10,12 @@ commutes with the evolution exactly; pull-backs along the unstable flow are
 unstable_flow.  The jump responses have one closed form, p0_kernel and
 q0_kernel, which the conjugacy operator integrates over tau at one time t
 and the certificate evaluates at one time pair per entry.  Certificates
-estimate the segment families' operator norms by maximizing over a finite
-probe family, so those numbers are lower bounds of the true norms; the
-certificate tolerance absorbs that slack.
+measure the segment families' operator norms over a finite probe family,
+so those numbers are lower bounds of the true norms; the certificate
+tolerance absorbs that slack.  Each time pair's measures are read from
+its coordinates' log-flow peaks, which equal the probe maxima bit for bit;
+only the stable family's history on unstable coordinates, for pairs under
+a delay apart, is evolved probe by probe.
 """
 
 from __future__ import annotations
@@ -403,102 +406,70 @@ def _probe_segments(model: DichotomyModel, m: int, rng: np.random.Generator) -> 
     return np.stack(probes)
 
 
-# floats in a certificate block's largest array: probes x (m+1) x n per near pair, whose probe segments it evolves,
-# and (m+1) x n per far pair, whose log-flows it takes; every block holds at least one pair
+# floats in a certificate block's largest array: per near pair (m+1) x max(n, probes x d_u), its log-flows or its
+# projected probes' evolved unstable coordinates; per far pair (m+1) x n, its log-flows.  Every block holds a pair
 _BLOCK_NUMBERS = 2**15
 
 
-def _end_gain(peak: np.ndarray, ends: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Per pair, max over probes of max_i |ends_i| * peak_i / norm.
-
-    peak (n, pairs) is each coordinate's largest kernel or flow sample, ends
-    (probes, n, 1) or (probes, n, pairs) the probes' values at omega = 0.
-    Rounding is monotone, so this is the sup norm of the endpoint carried by
-    the kernel, bit for bit.
-    """
-    return np.max(np.max(np.abs(ends) * peak, axis=1) / norms[:, None], axis=0)
-
-
-def _unit_gain(kern: np.ndarray) -> np.ndarray:
-    """Per pair, the jump response's norm over unit vectors: max |kern|, since the kernels are diagonal."""
-    return np.max(np.abs(kern), axis=(0, 2))
-
-
 def _measure_pairs(model: DichotomyModel, t, s, probes: np.ndarray) -> np.ndarray:
-    """Measured norms (5, pairs) of the five families, in verify_bounds' order, by evolving whole probe segments.
+    """Measured norms (5, pairs) of the five families, in verify_bounds' order, for any pairs s <= t.
 
     The forward families evolve from s to t; the unstable ones pull back
     from t to s.  The block takes its log-flows once, on t + omega and on
     s + omega (on s alone for a model with no unstable coordinate, since
-    only those have a backward kernel), and builds the flow, its mask, both
-    kernels and the seg_T_closed segments from them with the public
-    kernels' formulas.  The projected-jump families take the sup-norm unit
-    vectors e_i, which attain the norm since every kernel is diagonal; the
-    bounded-growth family needs no jump part, since p0 + q0 is the flow
-    ahead of s and the constant probes see it.  _measure_far is the same
-    measure for pairs a delay or more apart.
+    only those have a backward kernel).  Per coordinate, three peaks of the
+    flow follow: ahead of s (lead), before s (lag) and backward (back).
+    Every probe has sup norm 1 and each coordinate has a constant one, and
+    exp and rounding are monotone, so the probe maxima are these peaks bit
+    for bit: a carried endpoint |v_i| * flow_i is at most the flow, and an
+    interpolated history value at most 1, which the constant attains.  So
+    bounded_growth is max(lead, 1 if the pair reads history), unstable and
+    jump_unstable the backward peak, jump_stable the lead of stable and the
+    lag of unstable coordinates, and stable the lead and history of stable
+    coordinates, since P(s) leaves them alone.  On unstable coordinates a
+    P(s)-projected probe ends at 0, so it is carried as 0 ahead of s but
+    has a history, which only those coordinates evolve (_carry), only for
+    pairs that read history.
     """
     omega = np.linspace(-model.r, 0.0, probes.shape[1])
-    probe_norms = np.max(np.abs(probes), axis=(1, 2))
-    ends = probes[:, -1]  # (probes, n)
-    # omega ends at 0, so the grids' last columns are rho(t) and rho(s)
-    grid = t[:, None] + omega
-    rho_tg = model.log_flow(grid)
-    rho_sg = model.log_flow(s[:, None] + (omega if model.d_u else omega[-1:]))
-    rho_t, rho_s = rho_tg[..., -1:].copy(), rho_sg[..., -1:].copy()
-    flow, ahead = np.exp(rho_tg - rho_s), _ahead(grid, s)  # _flows(model, t, s, omega)
-    back = _q0(model, rho_sg, rho_t)  # q0_kernel(model, s, t, omega)
-    spread = _q0(model, rho_sg, rho_s)  # q0_kernel(model, s, s, omega), which P(s) takes off a probe's endpoint
-    del grid, rho_tg, rho_sg
-
-    def probe_gain(values):
-        evolved = _carry(model, t, s, values, flow, ahead)
-        return np.max(np.max(np.abs(evolved, out=evolved), axis=(2, 3)) / probe_norms, axis=1)
-
-    unstable = _end_gain(np.max(back, axis=2), ends[:, :, None], probe_norms)
-    jumps = _unit_gain(_p0_masked(model, flow, ahead)), _unit_gain(back)
-    del back
-    stable = probe_gain(probes - ends[:, None, :] * spread.transpose(1, 2, 0)[:, None])
-    return np.stack([stable, unstable, probe_gain(probes[None]), *jumps])
-
-
-def _measure_far(model: DichotomyModel, t, s, probes: np.ndarray) -> np.ndarray:
-    """_measure_pairs for pairs a delay or more apart, from each coordinate's largest log-flow difference.
-
-    Such a pair carries only a probe's endpoint along the flow, so every
-    family reads the flows' peaks over omega: one exp of the largest
-    difference each, bit for bit (NaN too), as exp and rounding are monotone.
-    """
-    omega = np.linspace(-model.r, 0.0, probes.shape[1])
-    probe_norms = np.max(np.abs(probes), axis=(1, 2))
-    ends = probes[:, -1][:, :, None]  # (probes, n, 1)
+    ahead = _ahead(t[:, None] + omega, s)
     rho_tg = model.log_flow(t[:, None] + omega)
     rho_sg = model.log_flow(s[:, None] + (omega if model.d_u else omega[-1:]))
-    rho_t, rho_s = rho_tg[..., -1:].copy(), rho_sg[..., -1:]  # as in _measure_pairs
-    peak = np.exp(np.max(np.subtract(rho_tg, rho_s, out=rho_tg), axis=2, keepdims=True))  # the flow's, (n, pairs, 1)
-    u = model.unstable_indices
-    back = np.zeros_like(peak)  # q0_kernel(model, s, t, omega)'s
-    back[u] = np.exp(np.max(rho_sg[u] - rho_t[u], axis=2, keepdims=True))
-    spread_end = _q0(model, rho_s, rho_s)[:, :, 0]  # q0_kernel(model, s, s, omega) at omega = 0, (n, pairs)
-    stable, growth = (_end_gain(peak[..., 0], e, probe_norms) for e in (ends - ends * spread_end, ends))
-    jump = _unit_gain(_p0_masked(model, peak, np.ones(peak.shape[1:], dtype=bool)))
-    return np.stack([stable, _end_gain(back[..., 0], ends, probe_norms), growth, jump, _unit_gain(back)])
+    u, stab = model.unstable_indices, ~np.array(model.unstable)
+    # omega ends at 0, so the grids' last columns are rho(t) and rho(s)
+    back = np.exp(np.max(rho_sg[u] - rho_tg[u, :, -1:], axis=(0, 2), initial=-np.inf))  # q0_kernel(model, s, t, omega)
+    rho_ts = np.subtract(rho_tg, rho_sg[..., -1:], out=rho_tg)  # rho(t + omega) - rho(s), the log of _flows
+    lead, lag = (np.exp(np.max(rho_ts, axis=2, where=where, initial=-np.inf)) for where in (ahead, ~ahead))
+    history = ~ahead[:, 0]  # t + omega is least at omega = -r
+    growth = np.maximum(np.max(lead, axis=0), history)
+    jump = np.maximum(np.max(lead[stab], axis=0, initial=0.0), np.max(lag[u], axis=0, initial=0.0))  # _p0_masked's
+    stable = np.max(np.maximum(lead[stab], history), axis=0, initial=0.0)
+    if u and history.any():
+        near = np.flatnonzero(history)
+        rho_u = rho_sg[np.ix_(u, near)]
+        spread = np.exp(rho_u - rho_u[..., -1:])  # q0_kernel(model, s, s, omega), which P(s) takes off an endpoint
+        projected = probes[..., u] - probes[:, -1:, u] * spread.transpose(1, 2, 0)[:, None]  # (near, probes, m+1, d_u)
+        evolved = _carry(model, t[near], s[near], projected, np.exp(rho_ts[np.ix_(u, near)]), ahead[near])
+        stable[near] = np.maximum(stable[near], np.max(np.abs(evolved, out=evolved), axis=(1, 2, 3)))
+    return np.stack([stable, back, growth, jump, back])
 
 
 def _measure_blocks(model: DichotomyModel, t: np.ndarray, s: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """The five families' measures (5, pairs), in blocks of at most _BLOCK_NUMBERS floats or of one pair.
 
-    A far pair, t + omega past s for every omega (read at omega = -r, where
-    it is least), goes to _measure_far, any other to _measure_pairs.
+    Near pairs, which read history (t + omega before s at omega = -r, where
+    it is least), and far pairs go in blocks of their own, since a near
+    pair holds its projected probes' evolved unstable coordinates too.
     """
     measured = np.empty((5, t.size))
     far = _ahead(t[:, None] - model.r, s)[:, 0]
-    for pairs, measure, per_pair in ((~far, _measure_pairs, probes.size), (far, _measure_far, probes[0].size)):
+    near_floats = probes.shape[1] * max(model.n, probes.shape[0] * model.d_u)
+    for pairs, per_pair in ((~far, near_floats), (far, probes[0].size)):
         pairs = np.flatnonzero(pairs)
         block = max(1, _BLOCK_NUMBERS // per_pair)
         for i in range(0, pairs.size, block):
             blk = pairs[i : i + block]
-            measured[:, blk] = measure(model, t[blk], s[blk], probes)
+            measured[:, blk] = _measure_pairs(model, t[blk], s[blk], probes)
     return measured
 
 
@@ -514,13 +485,13 @@ def verify_bounds(
     """Measure all five bound families on random time pairs in the window.
 
     Pairs s <= t are measured as arrays; the two unstable families use them
-    with the times swapped.  Pairs a delay or more apart, most of a wide
-    window's, are measured from the probes' endpoints and each coordinate's
-    log-flow peak (_measure_far), closer pairs by evolving whole probe
-    segments (_measure_pairs), in blocks of at most _BLOCK_NUMBERS floats.
-    Failures are recorded in the certificate, never raised.  The diagonal
-    closed forms make windows of +-10 affordable, far outside what
-    step-by-step integration covers.  The three segment families probe a
+    with the times swapped.  Every pair's measures come from each
+    coordinate's log-flow peaks (_measure_pairs), in blocks of at most
+    _BLOCK_NUMBERS floats; only pairs under a delay apart also evolve the
+    P(s)-projected probes' unstable coordinates, whose history the stable
+    family reads.  Failures are recorded in the certificate, never raised.
+    The diagonal closed forms make windows of +-10 affordable, far outside
+    what step-by-step integration covers.  The three segment families probe a
     finite family and so measure lower bounds; the projected-jump families
     probe the unit vectors, which is exact for diagonal kernels.
     """

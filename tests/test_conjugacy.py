@@ -1113,24 +1113,27 @@ def _coarse_solve(flagship, pert, solver_tol=SOLVER_TOL, **kw):
     )
 
 
-def _update_norm(flagship, pert, eta):
-    """||F(eta) - eta||_{1,mu} by one freshly planned sweep over eta."""
+def _swept(flagship, pert, eta):
+    """F(eta) as EtaField.data and the update ||F(eta) - eta||_{1,mu}, by one freshly planned sweep over eta."""
     plan = plan_operator(flagship["model"], pert, eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, flagship["params"].D)
-    (F, dF), _ = _full_sweep(plan, eta)
+    F = np.asarray(_full_sweep(plan, eta)[0])
     w = eta.time_weights()
-    delta = float(np.max(np.max(np.abs(F - eta.data[0]), axis=(1, 2, 3)) * w))
-    ddelta = float(np.max(np.max(np.abs(dF - eta.data[1]), axis=(1, 2, 3)) * w))
-    return delta + ddelta
+    delta = float(np.max(np.max(np.abs(F[0] - eta.data[0]), axis=(1, 2, 3)) * w))
+    ddelta = float(np.max(np.max(np.abs(F[1] - eta.data[1]), axis=(1, 2, 3)) * w))
+    return F, delta + ddelta
 
 
 @pytest.mark.parametrize("coupling, max_sweeps", [("saturating", 25), ("linear", 25), ("linear", 3)])
 def test_reported_residual_is_the_returned_fields_update(flagship, coupling, max_sweeps):
-    # a solve stopped by max_sweeps also returns the last field whose update it measured
+    # the solve returns the field its last sweep wrote, F(eta), and reports the update that sweep measured,
+    # ||F(eta) - eta||; eta is what the same solve returns one sweep sooner, also when max_sweeps stops it
     pert = flagship["pert"] if coupling == "saturating" else _stress_coupling(flagship)
     res = _coarse_solve(flagship, pert, max_sweeps=max_sweeps)
     assert len(res.sweeps) >= 2
     assert res.converged == (res.fixed_point_residual_1mu <= res.solver_tol) == (max_sweeps > 3)
-    assert _update_norm(flagship, pert, res.eta) == res.fixed_point_residual_1mu == res.sweeps[-1].delta_1mu
+    F, update = _swept(flagship, pert, _coarse_solve(flagship, pert, max_sweeps=len(res.sweeps) - 1).eta)
+    assert np.array_equal(F, res.eta.data)
+    assert update == res.fixed_point_residual_1mu == res.sweeps[-1].delta_1mu
     # the norms come from the row maxima of the sweep that wrote the returned field
     eta = res.eta
     assert res.norms == {"inf": eta.norm_inf(), "inf_mu": eta.norm_inf_mu(), "dinf_mu": eta.dnorm_inf_mu(), "one_mu": eta.norm_1mu()}
@@ -1164,6 +1167,20 @@ def test_settings_that_cannot_converge_raise(flagship, monkeypatch, settings):
     monkeypatch.setattr(conjugacy, "plan_operator", None)  # rejected before any planning
     with pytest.raises(ValueError, match="max_sweeps|solver_tol"):
         _coarse_solve(flagship, flagship["pert"], **settings)
+
+
+def test_a_solve_stopped_after_its_first_sweep_returns_that_sweeps_field(flagship_result):
+    # flagship's first update, ||F(0)||_{1,mu} = 1.77e-5, is under a solver_tol of 1e-4: the solve stops after the
+    # source-term sweep and returns F(0), not the zero field it started from, and F(0) meets the residual check as
+    # the fully solved field does
+    model, pert, solved = flagship_result["model"], flagship_result["pert"], flagship_result["result"]
+    res = picard_solve(model, pert, flagship_result["params"], DEFAULT_GRID, DEFAULT_TRUNC, solver_tol=1e-4)
+    assert res.converged and len(res.sweeps) == 1 and len(solved.sweeps) == 2
+    assert res.fixed_point_residual_1mu == res.sweeps[0].delta_1mu < 1e-4
+    assert np.any(res.eta.data != 0.0) and res.norms["one_mu"] > 0.0
+    draw = dict(n_samples=200, horizon=3 * R, core=(-2.0, 2.0), b_scale=2.0, seed=20241)
+    first, full = (max(x.weighted for x in verify_residuals(f.eta, model, pert, **draw)) for f in (res, solved))
+    assert first == pytest.approx(full, rel=1e-9, abs=0.0)
 
 
 def test_zero_solver_tol_converges_to_an_exact_fixed_point(flagship):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 from functools import partial
 
@@ -10,7 +11,6 @@ from mu_lab.dde_core import fundamental_jump, solution_op_T, solve_linear
 from mu_lab.dichotomy import (
     _BLOCK_NUMBERS,
     _measure_blocks,
-    _measure_far,
     _measure_pairs,
     _probe_segments,
     apply_P0,
@@ -32,8 +32,9 @@ from mu_lab.phase_space import Segment, sup_norm
 
 EXP = rate_by_id("exp")
 R = 0.5
-# powers of the diagonal power models: one stable, one unstable, the pair, and a two-dimensional unstable block
-STABLE, UNSTABLE, PAIR, TRIPLE = (-0.8,), (0.6,), (-0.8, 0.6), (-0.8, 0.6, 0.9)
+# powers of the diagonal power models: one stable, one unstable, the pair, a two-dimensional unstable block, and
+# two unstable coordinates with no stable one
+STABLE, UNSTABLE, PAIR, TRIPLE, ALL_UNSTABLE = (-0.8,), (0.6,), (-0.8, 0.6), (-0.8, 0.6, 0.9), (0.3, 0.6)
 
 
 @pytest.fixture(scope="module")
@@ -527,10 +528,11 @@ def test_pairwise_kernels_stack_single_time_calls(mu):
 
 def test_certificate_memory_stays_per_block(diag2):
     # pairs are measured in blocks of at most _BLOCK_NUMBERS floats, so the arrays of one block, not of all 2,000
-    # pairs, sit beside the certificate's own sample rows.  The call peaked at 1.30 MB at m = 48 and at 1.38 MB at
-    # cert_m 2,000, where a near block of one pair evolves (1, 7, 2001, 2) segments; 1.8 MB leaves 0.4 MB (about 30%)
-    # for temporaries that differ between numpy versions, and stays under the 1.66 MB and 52.0 MB that the two calls
-    # reached with blocks of 64 near and 128 far pairs, whose far pairs exponentiated every flow sample
+    # pairs, sit beside the certificate's own sample rows.  The call peaks at 1.39 MB at m = 48 and at 1.55 MB at
+    # cert_m 2,000, where a near block of two pairs evolves (2, 7, 2001, 1) projected unstable histories; 1.8 MB leaves
+    # 0.25 MB (about 16%) for temporaries that differ between numpy versions, and stays under the 1.66 MB and 52.0 MB
+    # that the two calls reached with blocks of 64 near and 128 far pairs, whose far pairs exponentiated every flow
+    # sample
     verify_bounds(diag2, (-10.0, 10.0), samples=20, seed=0)
     for m in (48, 2000):
         tracemalloc.start()
@@ -544,7 +546,7 @@ def test_certificate_memory_stays_per_block(diag2):
 
 
 # ---------------------------------------------------------------------------
-# near/far split: far pairs from the endpoint and the flow's peak
+# one measure for every pair: the probe maxima from the log-flow peaks
 # ---------------------------------------------------------------------------
 
 
@@ -583,6 +585,8 @@ SPLIT_MODELS = [
     pytest.param(lambda mu, r: sin_wobble_model(r), EXP, id="wobble"),
     pytest.param(partial(power_model, powers=PAIR), EXP, id="flagship_model"),
     pytest.param(partial(power_model, powers=TRIPLE), EXP, id="three_dim_model"),
+    # no stable coordinate, so the stable family comes only from the evolved histories of the projected probes
+    pytest.param(partial(power_model, powers=ALL_UNSTABLE), EXP, id="all_unstable_model"),
 ] + [
     pytest.param(partial(power_model, powers=PAIR), mu, id=f"flagship_model-{mu.label}")
     for mu in builtin_catalogue()
@@ -643,16 +647,21 @@ def test_far_path_matches_segment_path(build, mu):
     if model.label == "wobble":
         top = np.argmax(model.log_flow(t[:, None] + np.linspace(-R, 0.0, m + 1))[0], axis=1)
         assert np.count_nonzero((0 < top) & (top < m)) >= 20
-    assert np.array_equal(_measure_far(model, t, s, probes), segment_path(model, t, s, probes))
+    assert np.array_equal(_measure_pairs(model, t, s, probes), segment_path(model, t, s, probes))
+
+
+def near_floats(model, m):
+    """Floats per near pair in a certificate block's largest array: its log-flows or its evolved unstable histories."""
+    return (m + 1) * max(model.n, (2 * model.n + 3) * model.d_u)  # 2n + 3 probes (_probe_segments)
 
 
 @pytest.mark.parametrize("m", [48, 2000])
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
 def test_certificate_blocks_hold_at_most_their_budget(build, mu, m, monkeypatch):
-    # a block's largest array is its near pairs' evolved segments (pairs, probes, m+1, n) or its far pairs' log-flows
-    # (n, pairs, m+1); it holds at most _BLOCK_NUMBERS floats unless the block is one pair, and one pair more would
-    # pass the budget in every block but the last of its kind.  At cert_m 2,000 a near pair of the three-dimensional
-    # model alone holds 9 x 2001 x 3 floats
+    # a block's largest array is its log-flows (n, pairs, m+1) or, for near pairs, its projected probes' evolved
+    # unstable coordinates (pairs, probes, m+1, d_u); it holds at most _BLOCK_NUMBERS floats unless the block is one
+    # pair, and one pair more would pass the budget in every block but the last of its kind.  At cert_m 2,000 a near
+    # pair of the three-dimensional model alone holds 9 x 2001 x 2 floats
     model = build(mu, R)
     blocks, carry = [], dichotomy._carry
 
@@ -666,21 +675,19 @@ def test_certificate_blocks_hold_at_most_their_budget(build, mu, m, monkeypatch)
         blocks[-1][2].append(out.size)
         return out
 
-    def opened(measure):
-        def measured(model, t, s, probes):
-            blocks.append((measure, t.size, []))
-            return measure(model, t, s, probes)
-
-        return measured
+    def measured(model, t, s, probes):
+        far = all_ahead(model, t, s, m)
+        assert far.all() or not far.any()
+        blocks.append((bool(far[0]), t.size, []))
+        return _measure_pairs(model, t, s, probes)
 
     monkeypatch.setattr(dichotomy, "_carry", carried)
-    monkeypatch.setattr(dichotomy, "_measure_pairs", opened(_measure_pairs))
-    monkeypatch.setattr(dichotomy, "_measure_far", opened(_measure_far))
+    monkeypatch.setattr(dichotomy, "_measure_pairs", measured)
     verify_bounds(dataclasses.replace(model, log_flow=log_flow), (-10.0, 10.0), samples=300, seed=m, m=m)
-    for measure in (_measure_pairs, _measure_far):
-        kind = [(pairs, max(sizes)) for kept, pairs, sizes in blocks if kept is measure]
-        per_pair = 2 * model.n + 3 if measure is _measure_pairs else 1  # probes per near pair (_probe_segments)
-        assert kind and all(largest == pairs * per_pair * (m + 1) * model.n for pairs, largest in kind)
+    for far in (False, True):
+        kind = [(pairs, max(sizes)) for is_far, pairs, sizes in blocks if is_far == far]
+        per_pair = (m + 1) * model.n if far else near_floats(model, m)
+        assert kind and all(largest == pairs * per_pair for pairs, largest in kind)
         assert all(largest <= _BLOCK_NUMBERS or pairs == 1 for pairs, largest in kind)
         assert all((pairs + 1) * largest > _BLOCK_NUMBERS * pairs for pairs, largest in kind[:-1])
 
@@ -694,8 +701,8 @@ def delay_pairs(model):
 
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
 def test_block_sizes_do_not_change_the_certificate(build, mu, monkeypatch):
-    # near pairs go to _measure_pairs blocks and far ones to _measure_far blocks, each block all near or all far by
-    # _measure_pairs' own rule, also at gaps within 1e-12 of the delay; the rows do not depend on the budget
+    # near and far pairs go in blocks of their own, each block all near or all far by the measure's own rule, also at
+    # gaps within 1e-12 of the delay; the rows do not depend on the budget, and equal one call on all pairs at once
     model, seed, m = build(mu, R), 5, 32
     want = verify_bounds(model, (-10.0, 10.0), samples=300, seed=seed, m=m)
     t, s = delay_pairs(model)
@@ -703,16 +710,11 @@ def test_block_sizes_do_not_change_the_certificate(build, mu, monkeypatch):
     whole = _measure_pairs(model, t, s, probes)
     blocks = []
 
-    def recorded(measure, far):
-        def measured(model, t, s, probes):
-            blocks.append(all_ahead(model, t, s, m))
-            assert blocks[-1].all() if far else not blocks[-1].any()
-            return measure(model, t, s, probes)
+    def recorded(model, t, s, probes):
+        blocks.append(all_ahead(model, t, s, m))
+        return _measure_pairs(model, t, s, probes)
 
-        return measured
-
-    monkeypatch.setattr(dichotomy, "_measure_pairs", recorded(_measure_pairs, far=False))
-    monkeypatch.setattr(dichotomy, "_measure_far", recorded(_measure_far, far=True))
+    monkeypatch.setattr(dichotomy, "_measure_pairs", recorded)
     for budget in (1, 10**9):
         monkeypatch.setattr(dichotomy, "_BLOCK_NUMBERS", budget)
         got = verify_bounds(model, (-10.0, 10.0), samples=300, seed=seed, m=m)
@@ -728,8 +730,7 @@ def test_block_sizes_do_not_change_the_certificate(build, mu, monkeypatch):
 
 def block_pairs(model, m, budget):
     """The pairs _measure_blocks puts in one near block and in one far block at a budget of that many floats."""
-    floats = (m + 1) * model.n
-    return max(1, budget // ((2 * model.n + 3) * floats)), max(1, budget // floats)
+    return max(1, budget // near_floats(model, m)), max(1, budget // ((m + 1) * model.n))
 
 
 @pytest.mark.parametrize(
@@ -759,3 +760,37 @@ def test_log_flows_are_taken_twice_per_certificate_block(model, monkeypatch):
         assert 0 < samples - far < far and len(calls) == 2 * blocks
         assert {shape[1] for shape in calls[::2]} == {m + 1}
         assert {shape[1] for shape in calls[1::2]} == {m + 1 if model.d_u else 1}
+
+
+@pytest.mark.parametrize("build, mu", SPLIT_MODELS)
+@pytest.mark.parametrize("m", [48, 17])
+def test_probes_have_unit_norm_and_one_constant_per_coordinate(build, mu, m):
+    # the premises under which the probe maxima are the log-flow peaks: every probe's sup norm is exactly 1.0, so the
+    # maxima need no division, and each coordinate has a probe that is 1 on it and 0 elsewhere, which attains the peak
+    model = build(mu, R)
+    for seed in (0, 3, 7, 11):
+        probes = _probe_segments(model, m, np.random.default_rng(seed))
+        assert probes.shape == (2 * model.n + 3, m + 1, model.n)
+        assert np.array_equal(np.max(np.abs(probes), axis=(1, 2)), np.ones(len(probes)))
+        for i in range(model.n):
+            unit = np.zeros((m + 1, model.n))
+            unit[:, i] = 1.0
+            assert sum(np.array_equal(p, unit) for p in probes) == 1
+
+
+@pytest.mark.parametrize(
+    "model",
+    [power_model(EXP, R, PAIR), sin_wobble_model(R)],
+    ids=["flagship_model", "wobble"],
+)
+@pytest.mark.parametrize("window", [(700.0, 800.0), (-800.0, -700.0)], ids=["above", "below"])
+def test_pairs_past_the_rates_float_range_never_pass(model, window):
+    # mu = e^t overflows above t = 709.78 and its weights or logarithms leave the float range below -709.78, so the
+    # bounds or measures there are NaN; such a pair is unmeasurable and must fail its family, never pass it
+    with pytest.warns(RuntimeWarning) as caught:
+        cert = verify_bounds(model, window, samples=200, seed=3)
+    assert all(w.category is RuntimeWarning for w in caught)
+    assert not cert.passed
+    for check in cert.checks:
+        assert math.isnan(check.worst_ratio) and not check.passed
+        assert np.isnan(check.samples[:, 4]).any()
