@@ -190,7 +190,8 @@ _POSITIVE = {
 
 
 # numbers in one plane of the solved field, nt * nb * n * (m+1), or in the residual check's lattice: 2^24,
-# 128 MiB of float64; a gathered sweep holds four such planes, the values and derivatives it reads and writes
+# 128 MiB of float64; a gathered sweep holds two such planes, the values and derivatives it writes over the ones it
+# reads, plus one row of both per worker
 _SIZE_BUDGET = 2**24
 # numbers in a certificate's sample rows (5 families x cert_samples x 5 columns), which the report copies into its
 # series lists as Python floats, about 32 bytes each plus a list per row: 2^21, some 84,000 time pairs

@@ -34,6 +34,10 @@ nothing.  Every sweep measures the update ||F(eta) - eta|| of the field it
 reads, and the solve returns the newest field, F(eta): its reported
 fixed-point residual is the update that wrote it, and no sweep is run only
 to measure it.
+Every sweep after the first writes F(eta) over the array of the eta it
+reads, since it reads eta only through read tables cut before any row is
+written and each row's old values, which the row's worker copies first;
+so a solve holds one field, not two.
 The worker that writes a row also takes the row's update maximum and its
 absolute maximum while the row is in cache; the solve reads the update
 norms and the returned field's norms from those, and invertibility_check
@@ -576,11 +580,15 @@ def _workers(work: int) -> int:
     return max(1, min(_usable_cpus(), work // _WORKER_READS))
 
 
-def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
+def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField], out: Optional[np.ndarray] = None):
     """The operator and its b-derivative at every planned query, from eta, with each row's maxima.
 
     Returns (F, maxima); F has shape (2, rows, nb, n, m+1), the values then
-    their b-derivatives, as EtaField.data.  The read tables are cut once
+    their b-derivatives, as EtaField.data.  F is out when out is given,
+    which may be eta.data itself: eta is read only through the read tables
+    and, for the update, each row's old values, which the row's worker
+    copies just before it writes the row.  Without out, F is a fresh array
+    and eta is left as it was.  The read tables are cut once
     in read-major layout (2k, nt, nb), and the log-flows of every row's
     t + omega are taken in one pass; the rest of each row's kernels is
     planned (RowPlan.node, RowPlan.first).  A row is walked in blocks of
@@ -592,16 +600,16 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
     block's group matrix (n, g, s): the planned node factors in the rows of
     the g groups the block spans (_node_groups).  The row ends with one
     matmul for both planes against the group kernels (_group_kernels),
-    written straight into F.
+    written straight into F; a row without nodes is written as 0.
     eta None stands for the zero field, every read of which is 0: that
     sweep is the source term F(0), with no tables, blends or gathers.
 
     maxima holds per row max |F[0]| and max |F[1]| and, for a plan on the
     grid's nodes (plan.on_grid), the row's update maxima |F[0] - eta.data[0]|
-    and |F[1] - eta.data[1]|: shape (4, rows), else (2, rows); a sweep at
-    other queries takes no update.  The worker that writes a row takes its
-    maxima while the row is still in cache, so no pass over the whole field
-    follows the sweep.
+    and |F[1] - eta.data[1]|, against the row's old values: shape (4, rows),
+    else (2, rows); a sweep at other queries takes no update.  The worker
+    that writes a row takes its maxima while the row is still in cache, in
+    one row's buffer, so no pass over the whole field follows the sweep.
 
     The rows are shared out over the calling thread and one helper thread
     per further usable CPU (_workers), which take every w-th row;
@@ -618,22 +626,15 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
     rho = model.log_flow(grids)  # (n, rows, m+1)
     live = np.flatnonzero(plan.cs == model.unstable_indices[0])  # reads of the unstable coordinate
     # np.zeros, not zeros_like: fresh zeroed pages, no memset pass, faulted in by the workers that write them
-    F = np.zeros((2, len(plan.rows), nb, n, m + 1))
+    F = np.zeros((2, len(plan.rows), nb, n, m + 1)) if out is None else out
     maxima = np.empty((4 if plan.on_grid else 2, len(plan.rows)))
+    update = plan.on_grid and eta is not None
     if eta is not None:
+        # a copy (fancy indexing), so the sweep may write over the field it reads
         tables = eta.data.transpose(0, 3, 4, 1, 2)[:, plan.cs, plan.js].reshape(2 * k, *eta.data.shape[1:3])
 
-    def row_maxima(i):
-        new = F[:, i]
-        buf = np.empty(new.shape)  # taken once sweep_row has freed the row's temporaries
-        maxima[:2, i] = np.max(np.abs(new, out=buf), axis=(1, 2, 3), initial=0.0)  # 0.0 is the maximum of no queries
-        if plan.on_grid and eta is None:  # the update from the zero field is the row itself
-            maxima[2:, i] = maxima[:2, i]
-        elif plan.on_grid:
-            update = np.abs(np.subtract(new, eta.data[:, i], out=buf), out=buf)
-            maxima[2:, i] = np.max(update, axis=(1, 2, 3), initial=0.0)
-
-    def sweep_row(i):
+    def row_sums(i):
+        """Row i's group sums (2, n, P+2, nb) and group kernels (n, P+2, m+1)."""
         row = plan.rows[i]
         kern = _group_kernels(model, row, rho[:, i])
         group = _node_groups(row)
@@ -661,16 +662,29 @@ def _full_sweep(plan: OperatorPlan, eta: Optional[EtaField]):
             groups = np.where(group[lo:hi] == np.arange(g0, g1)[:, None], row.node[:, None, lo:hi], 0.0)
             sums[0, :, g0:g1] += groups @ pert.value_map(W)
             sums[1, :, g0:g1] += groups @ pert.jvp_map(W, V)
-        np.matmul(sums.swapaxes(2, 3), kern, out=F[:, i].swapaxes(1, 2))  # (2, n, nb, m+1)
+        return sums, kern
 
     def task(i):
-        if plan.rows[i].taus.size:  # a row without nodes stays 0
-            sweep_row(i)
-        row_maxima(i)
+        if plan.rows[i].taus.size:
+            sums, kern = row_sums(i)
+        new = F[:, i]
+        # the row's buffer, taken once row_sums has freed the block temporaries; for an update it first holds
+        # the row's old values, copied before the row is written, as out may be the field read
+        buf = eta.data[:, i].copy() if update else np.empty(new.shape)
+        if plan.rows[i].taus.size:
+            np.matmul(sums.swapaxes(2, 3), kern, out=new.swapaxes(1, 2))  # (2, n, nb, m+1)
+        else:
+            new[...] = 0.0
+        if update:
+            np.abs(np.subtract(new, buf, out=buf), out=buf)
+            maxima[2:, i] = np.max(buf, axis=(1, 2, 3), initial=0.0)
+        maxima[:2, i] = np.max(np.abs(new, out=buf), axis=(1, 2, 3), initial=0.0)  # 0.0 is the maximum of no queries
+        if plan.on_grid and eta is None:  # the update from the zero field is the row itself
+            maxima[2:, i] = maxima[:2, i]
 
     # the work to share: every node x b-query read, and each row's maxima pass over its output and, for an update,
     # over the field rows it reads, so that rows without nodes are shared out too
-    passes = F[:, 0].size * (2 if plan.on_grid and eta is not None else 1)
+    passes = F[:, 0].size * (2 if update else 1)
     work = nb * sum(row.taus.size for row in plan.rows) + passes * len(plan.rows)
     _in_workers(task, list(range(len(plan.rows))), _workers(work))
     return F, maxima
@@ -757,6 +771,9 @@ def picard_solve(
     most solver_tol, or at max_sweeps.  Either way the field returned is the
     newest, eta_k, with its norms from that sweep's row maxima, and
     fixed_point_residual_1mu is the update delta that sweep measured.
+    The source-term sweep allocates the field; every later sweep writes
+    eta_k over eta_{k-1}'s array (_full_sweep's out), so a solve holds one
+    field, plus the read tables and one row per sweep worker.
     A measured update ratio >= 1 on two consecutive sweeps raises
     NotContracting: the scenario's perturbation is inconsistent with the
     declared contraction constants.  Settings under which no solve can
@@ -774,7 +791,8 @@ def picard_solve(
     ratios: list[float] = []
     prev_delta = None
     for k in range(1, max_sweeps + 1):
-        new, maxima = _full_sweep(plan, eta if k > 1 else None)  # maxima[2:] are the updates
+        # maxima[2:] are the updates; every sweep after the source term writes F(eta) over eta's own array
+        new, maxima = _full_sweep(plan, eta, out=eta.data) if k > 1 else _full_sweep(plan, None)
         delta_inf = float(np.max(maxima[2] * w_t))
         ddelta_inf = float(np.max(maxima[3] * w_t))
         delta = delta_inf + ddelta_inf

@@ -539,6 +539,76 @@ def test_sweep_memory_stays_per_block(flagship, monkeypatch):
         assert peak - F.nbytes - dF.nbytes <= budget
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["noise", "rows without nodes", "nan"])
+def test_sweep_over_its_own_field_equals_a_fresh_sweep(flagship, monkeypatch, case, workers):
+    # a sweep told to write over the field it reads (out=eta.data) returns that array, holding bit for bit the
+    # field and row maxima a sweep into a fresh array returns: each worker copies its row's old values before it
+    # writes the row and takes the update against that copy, and a row without nodes is written as 0.  A sweep
+    # without out leaves its field as it was.  Rows without nodes are spliced in from the zero coupling's plan
+    _split_sweeps(monkeypatch, workers)
+    model, p = flagship["model"], flagship["params"]
+    pert = _stress_coupling(flagship)
+    eta = _noise_field(flagship)
+    if case == "nan":
+        eta.data[0, 6, 8] = np.nan  # one node's whole segment: read slots and others
+    plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, p.D)
+    if case == "rows without nodes":
+        empty = plan_operator(model, Perturbation.zero(2), eta, eta.t_grid, eta.b_grid, COARSE_TRUNC, p.D)
+        rows = tuple(e if i % 3 == 1 else r for i, (r, e) in enumerate(zip(plan.rows, empty.rows)))
+        plan = dataclasses.replace(plan, rows=rows)
+    assert (min(rp.taus.size for rp in plan.rows) == 0) == (case == "rows without nodes")
+    before = eta.data.tobytes()
+    with np.errstate(invalid="ignore"):
+        fresh, maxima = _full_sweep(plan, eta)
+        assert eta.data.tobytes() == before
+        over = eta.with_data(eta.data.copy())
+        swept, over_maxima = _full_sweep(plan, over, out=over.data)
+    assert swept is over.data and swept.tobytes() == fresh.tobytes() and over_maxima.tobytes() == maxima.tobytes()
+    assert np.any(fresh != 0.0) and np.all(maxima[2:] != 0.0)
+    assert np.isnan(maxima[2:]).any() == (case == "nan")
+
+
+def _block_budget(plan):
+    """The bound of test_sweep_memory_stays_per_block on two workers' block temporaries and group sums."""
+    panels = max((rp.n_stable - rp.n_far) // _NEAR_NODES for rp in plan.rows)
+    group_sums = 2 * 2 * (panels + 2) * plan.b.size * 8
+    return 2 * (24 * 8 * _BLOCK_READS + group_sums)
+
+
+def test_a_solves_gathered_sweep_holds_one_field(flagship, monkeypatch):
+    # inside a solve, a sweep that reads a field writes its rows over that field, so above what it starts with it
+    # holds two workers' block temporaries, as test_sweep_memory_stays_per_block bounds them, and one row per
+    # worker, in which the worker keeps the row's old values; on this grid a second field would not fit that bound
+    from mu_lab import conjugacy
+
+    _split_sweeps(monkeypatch, 2)
+    grid = dataclasses.replace(DEFAULT_GRID, m=32)
+    full_sweep = conjugacy._full_sweep
+    gathered = []
+
+    def traced(plan, eta, **out):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        F, maxima = full_sweep(plan, eta, **out)
+        if eta is not None:
+            gathered.append((tracemalloc.get_traced_memory()[1] - base, plan, F))
+        return F, maxima
+
+    monkeypatch.setattr(conjugacy, "_full_sweep", traced)
+    tracemalloc.start()
+    try:
+        res = picard_solve(
+            flagship["model"], flagship["pert"], flagship["params"], grid, COARSE_TRUNC, solver_tol=SOLVER_TOL
+        )
+    finally:
+        tracemalloc.stop()
+    assert res.converged and len(gathered) == len(res.sweeps) - 1 >= 1
+    for peak, plan, F in gathered:
+        bound = _block_budget(plan) + 2 * F[:, 0].nbytes
+        assert F.nbytes > bound and peak <= bound
+
+
 def row_max_diff(new, old):
     """Oracle: max |new - old| per time row, one pass over each whole row."""
     return np.array([np.max(np.abs(a - b)) for a, b in zip(new, old)])
@@ -1145,7 +1215,9 @@ def test_solve_runs_one_sweep_per_reported_sweep(flagship, monkeypatch, case, sw
 
     calls = []
     full_sweep = conjugacy._full_sweep
-    monkeypatch.setattr(conjugacy, "_full_sweep", lambda plan, eta: calls.append(eta) or full_sweep(plan, eta))
+    monkeypatch.setattr(
+        conjugacy, "_full_sweep", lambda plan, eta, **out: calls.append(eta) or full_sweep(plan, eta, **out)
+    )
     if case == "saturating":
         res = _coarse_solve(flagship, flagship["pert"])
     elif case == "zero":
