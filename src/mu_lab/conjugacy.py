@@ -34,10 +34,11 @@ nothing.  Every sweep measures the update ||F(eta) - eta|| of the field it
 reads, and the solve returns the newest field, F(eta): its reported
 fixed-point residual is the update that wrote it, and no sweep is run only
 to measure it.
-Every sweep after the first writes F(eta) over the array of the eta it
-reads, since it reads eta only through read tables cut before any row is
-written and each row's old values, which the row's worker copies first;
-so a solve holds one field, not two.
+Every sweep writes F(eta) over the array of the eta it reads, since it
+reads eta only through read tables cut before any row is written and each
+row's old values, which the row's worker copies first; the source term,
+which reads nothing, writes over the zero field's array.  So a solve
+holds one field, not two.
 The worker that writes a row also takes the row's update maximum and its
 absolute maximum while the row is in cache; the solve reads the update
 norms and the returned field's norms from those, and invertibility_check
@@ -771,9 +772,9 @@ def picard_solve(
     most solver_tol, or at max_sweeps.  Either way the field returned is the
     newest, eta_k, with its norms from that sweep's row maxima, and
     fixed_point_residual_1mu is the update delta that sweep measured.
-    The source-term sweep allocates the field; every later sweep writes
-    eta_k over eta_{k-1}'s array (_full_sweep's out), so a solve holds one
-    field, plus the read tables and one row per sweep worker.
+    Every sweep writes eta_k over eta_{k-1}'s array (_full_sweep's out),
+    the source term over the zero field's, so a solve holds one field, plus
+    the read tables and one row per sweep worker.
     A measured update ratio >= 1 on two consecutive sweeps raises
     NotContracting: the scenario's perturbation is inconsistent with the
     declared contraction constants.  Settings under which no solve can
@@ -791,8 +792,9 @@ def picard_solve(
     ratios: list[float] = []
     prev_delta = None
     for k in range(1, max_sweeps + 1):
-        # maxima[2:] are the updates; every sweep after the source term writes F(eta) over eta's own array
-        new, maxima = _full_sweep(plan, eta, out=eta.data) if k > 1 else _full_sweep(plan, None)
+        # maxima[2:] are the updates; every sweep writes F(eta) over eta's own array, the source term over the zero
+        # field's, which it does not read
+        new, maxima = _full_sweep(plan, eta if k > 1 else None, out=eta.data)
         delta_inf = float(np.max(maxima[2] * w_t))
         ddelta_inf = float(np.max(maxima[3] * w_t))
         delta = delta_inf + ddelta_inf

@@ -10,12 +10,13 @@ commutes with the evolution exactly; pull-backs along the unstable flow are
 unstable_flow.  The jump responses have one closed form, p0_kernel and
 q0_kernel, which the conjugacy operator integrates over tau at one time t
 and the certificate evaluates at one time pair per entry.  Certificates
-measure the segment families' operator norms over a finite probe family,
-so those numbers are lower bounds of the true norms; the certificate
-tolerance absorbs that slack.  Each time pair's measures are read from
-its coordinates' log-flow peaks, which equal the probe maxima bit for bit;
-only the stable family's history on unstable coordinates, for pairs under
-a delay apart, is evolved probe by probe.
+measure the segment families' operator norms over unit-norm probes
+sampled on m + 1 points, so those numbers are lower bounds of the true
+norms; the certificate tolerance absorbs that slack.  Each time pair's
+measures are read from its coordinates' log-flow peaks, which equal the
+probe maxima bit for bit; only the stable family's history on unstable
+coordinates, for pairs under a delay apart, is evolved, and only for the
+one probe that attains it: the spike, -1 before omega = 0 and 1 at it.
 """
 
 from __future__ import annotations
@@ -386,52 +387,37 @@ class DichotomyCertificate:
         }
 
 
-def _probe_segments(model: DichotomyModel, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm probes (probes, m+1, n): constants, steep near-jump profiles, smooth noise."""
-    n = model.n
-    probes = []
-    for i in range(n):
-        constant = np.zeros((m + 1, n))
-        constant[:, i] = 1.0
-        spike = np.zeros((m + 1, n))
-        spike[:, i] = -1.0
-        spike[-1, i] = 1.0
-        probes += [constant, spike]
-    grid = np.linspace(-model.r, 0.0, m + 1)
-    for _ in range(3):
-        freq = rng.uniform(0.5, 4.0, size=n)
-        phase = rng.uniform(0, 2 * np.pi, size=n)
-        vals = np.cos(np.outer(grid, freq) + phase)
-        probes.append(vals / np.max(np.abs(vals)))
-    return np.stack(probes)
-
-
-# floats in a certificate block's largest array: per near pair (m+1) x max(n, probes x d_u), its log-flows or its
-# projected probes' evolved unstable coordinates; per far pair (m+1) x n, its log-flows.  Every block holds a pair
+# floats in a certificate block's largest array: per pair (m+1) x n, its log-flows (a near pair's evolved spike
+# histories, (m+1) x d_u, are no larger).  Every block holds a pair
 _BLOCK_NUMBERS = 2**15
 
 
-def _measure_pairs(model: DichotomyModel, t, s, probes: np.ndarray) -> np.ndarray:
+def _measure_pairs(model: DichotomyModel, t, s, m: int) -> np.ndarray:
     """Measured norms (5, pairs) of the five families, in verify_bounds' order, for any pairs s <= t.
 
     The forward families evolve from s to t; the unstable ones pull back
     from t to s.  The block takes its log-flows once, on t + omega and on
     s + omega (on s alone for a model with no unstable coordinate, since
-    only those have a backward kernel).  Per coordinate, three peaks of the
-    flow follow: ahead of s (lead), before s (lag) and backward (back).
-    Every probe has sup norm 1 and each coordinate has a constant one, and
-    exp and rounding are monotone, so the probe maxima are these peaks bit
-    for bit: a carried endpoint |v_i| * flow_i is at most the flow, and an
-    interpolated history value at most 1, which the constant attains.  So
-    bounded_growth is max(lead, 1 if the pair reads history), unstable and
-    jump_unstable the backward peak, jump_stable the lead of stable and the
-    lag of unstable coordinates, and stable the lead and history of stable
-    coordinates, since P(s) leaves them alone.  On unstable coordinates a
-    P(s)-projected probe ends at 0, so it is carried as 0 ahead of s but
-    has a history, which only those coordinates evolve (_carry), only for
-    pairs that read history.
+    only those have a backward kernel), omega on m + 1 samples.  Per
+    coordinate, three peaks of the flow follow: ahead of s (lead), before s
+    (lag) and backward (back).  These are the maxima over every probe of
+    sup norm 1 that includes each coordinate's constant, bit for bit, since
+    exp and rounding are monotone: a carried endpoint |v_i| * flow_i is at
+    most the flow, and an interpolated history value at most 1, which the
+    constant attains.  So bounded_growth is max(lead, 1 if the pair reads
+    history), unstable and jump_unstable the backward peak, jump_stable the
+    lead of stable and the lag of unstable coordinates, and stable the lead
+    and history of stable coordinates, since P(s) leaves them alone.  On
+    unstable coordinates a P(s)-projected probe p_j = v_j - v_m * spread_j
+    ends at 0 (spread_m = exp(0) = 1), so it is carried as 0 ahead of s,
+    but pairs that read history evolve it there (_carry).  As
+    |p_j| <= 1 + spread_j, the interpolation weights are shared and
+    rounding is monotone, the largest of those is the spike's, v = -1 before
+    omega = 0 and 1 at it, whose projection -1 - spread_j meets the bound
+    with one sign on every sample; it is evolved on every unstable
+    coordinate at once, as one (near, 1, m+1, d_u) array.
     """
-    omega = np.linspace(-model.r, 0.0, probes.shape[1])
+    omega = np.linspace(-model.r, 0.0, m + 1)
     ahead = _ahead(t[:, None] + omega, s)
     rho_tg = model.log_flow(t[:, None] + omega)
     rho_sg = model.log_flow(s[:, None] + (omega if model.d_u else omega[-1:]))
@@ -448,28 +434,20 @@ def _measure_pairs(model: DichotomyModel, t, s, probes: np.ndarray) -> np.ndarra
         near = np.flatnonzero(history)
         rho_u = rho_sg[np.ix_(u, near)]
         spread = np.exp(rho_u - rho_u[..., -1:])  # q0_kernel(model, s, s, omega), which P(s) takes off an endpoint
-        projected = probes[..., u] - probes[:, -1:, u] * spread.transpose(1, 2, 0)[:, None]  # (near, probes, m+1, d_u)
+        spike = np.full(m + 1, -1.0)
+        spike[-1] = 1.0
+        projected = (spike - spread).transpose(1, 2, 0)[:, None]  # (near, 1, m+1, d_u)
         evolved = _carry(model, t[near], s[near], projected, np.exp(rho_ts[np.ix_(u, near)]), ahead[near])
         stable[near] = np.maximum(stable[near], np.max(np.abs(evolved, out=evolved), axis=(1, 2, 3)))
     return np.stack([stable, back, growth, jump, back])
 
 
-def _measure_blocks(model: DichotomyModel, t: np.ndarray, s: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """The five families' measures (5, pairs), in blocks of at most _BLOCK_NUMBERS floats or of one pair.
-
-    Near pairs, which read history (t + omega before s at omega = -r, where
-    it is least), and far pairs go in blocks of their own, since a near
-    pair holds its projected probes' evolved unstable coordinates too.
-    """
+def _measure_blocks(model: DichotomyModel, t: np.ndarray, s: np.ndarray, m: int) -> np.ndarray:
+    """The five families' measures (5, pairs), in blocks of at most _BLOCK_NUMBERS floats or of one pair, in order."""
     measured = np.empty((5, t.size))
-    far = _ahead(t[:, None] - model.r, s)[:, 0]
-    near_floats = probes.shape[1] * max(model.n, probes.shape[0] * model.d_u)
-    for pairs, per_pair in ((~far, near_floats), (far, probes[0].size)):
-        pairs = np.flatnonzero(pairs)
-        block = max(1, _BLOCK_NUMBERS // per_pair)
-        for i in range(0, pairs.size, block):
-            blk = pairs[i : i + block]
-            measured[:, blk] = _measure_pairs(model, t[blk], s[blk], probes)
+    block = max(1, _BLOCK_NUMBERS // ((m + 1) * model.n))
+    for i in range(0, t.size, block):
+        measured[:, i : i + block] = _measure_pairs(model, t[i : i + block], s[i : i + block], m)
     return measured
 
 
@@ -488,21 +466,23 @@ def verify_bounds(
     with the times swapped.  Every pair's measures come from each
     coordinate's log-flow peaks (_measure_pairs), in blocks of at most
     _BLOCK_NUMBERS floats; only pairs under a delay apart also evolve the
-    P(s)-projected probes' unstable coordinates, whose history the stable
+    P(s)-projected spike's unstable coordinates, whose history the stable
     family reads.  Failures are recorded in the certificate, never raised.
     The diagonal closed forms make windows of +-10 affordable, far outside
-    what step-by-step integration covers.  The three segment families probe a
-    finite family and so measure lower bounds; the projected-jump families
-    probe the unit vectors, which is exact for diagonal kernels.
+    what step-by-step integration covers.  The three segment families are
+    maxima over unit-norm probes sampled on m + 1 points, and so measure
+    lower bounds; the projected-jump families probe the unit vectors, which
+    is exact for diagonal kernels.
     """
     lo, hi = window
     rng = np.random.default_rng(seed)
     mu = model.mu
     D = derived_constant_D(model)
-    probes = _probe_segments(model, m, rng)
-    rng.normal(size=(3, model.n))  # keeps the stream, so time pairs and recorded reports stay as they were
+    # draws that probe nothing keep the stream, so time pairs and recorded reports stay as they were
+    rng.uniform(size=6 * model.n)
+    rng.normal(size=(3, model.n))
     s, t = np.sort(rng.uniform(lo, hi, size=(samples, 2)), axis=1).T
-    measured = _measure_blocks(model, t, s, probes)
+    measured = _measure_blocks(model, t, s, m)
 
     mu_s, mu_t = np.asarray(mu.eval(s), dtype=float), np.asarray(mu.eval(t), dtype=float)
     fwd, bwd = mu_t / mu_s, mu_s / mu_t

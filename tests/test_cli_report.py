@@ -183,7 +183,7 @@ _OUT_OF_RANGE = {
     "residual_lattice_over_budget": ("checks", "residual_samples", 1_000_000),
     # 2e7 time pairs, the fuzzer's run of over 20 s: 5e8 numbers of certificate sample rows
     "cert_samples_over_series_budget": ("checks", "cert_samples", 20_000_000),
-    # a block of 64 near pairs x 7 probes x (10^6 + 1) samples x 2 coordinates
+    # 7 x (10^6 + 1) samples x 2 coordinates, over the certificate's 64th of the size budget
     "cert_m_over_block_budget": ("checks", "cert_m", 1_000_000),
     "cert_m_past_float_range": ("checks", "cert_m", 10**400),
 }

@@ -1228,6 +1228,23 @@ def test_solve_runs_one_sweep_per_reported_sweep(flagship, monkeypatch, case, sw
     assert res.converged == (case != "limited")
 
 
+@pytest.mark.parametrize("case, sweeps", [("zero", 1), ("limited", 3)])
+def test_every_sweep_of_a_solve_writes_one_array(flagship, monkeypatch, case, sweeps):
+    # the source term, which reads no field, writes over the zero field's array, and every later sweep over the
+    # field it reads; so each sweep of a solve gets the same out, and the returned field holds it
+    from mu_lab import conjugacy
+
+    outs = []
+    full_sweep = conjugacy._full_sweep
+    monkeypatch.setattr(
+        conjugacy, "_full_sweep", lambda plan, eta, out=None: outs.append(out) or full_sweep(plan, eta, out=out)
+    )
+    pert = Perturbation.zero(2) if case == "zero" else _stress_coupling(flagship)
+    res = _coarse_solve(flagship, pert, max_sweeps=sweeps)
+    assert len(outs) == len(res.sweeps) == sweeps
+    assert all(out is res.eta.data for out in outs)
+
+
 @pytest.mark.parametrize(
     "settings",
     [{"max_sweeps": 0}, {"max_sweeps": -3}, {"solver_tol": -1.0}, {"solver_tol": math.nan}, {"solver_tol": math.inf}],

@@ -12,7 +12,6 @@ from mu_lab.dichotomy import (
     _BLOCK_NUMBERS,
     _measure_blocks,
     _measure_pairs,
-    _probe_segments,
     apply_P0,
     apply_Q0,
     derived_constant_D,
@@ -528,11 +527,9 @@ def test_pairwise_kernels_stack_single_time_calls(mu):
 
 def test_certificate_memory_stays_per_block(diag2):
     # pairs are measured in blocks of at most _BLOCK_NUMBERS floats, so the arrays of one block, not of all 2,000
-    # pairs, sit beside the certificate's own sample rows.  The call peaks at 1.39 MB at m = 48 and at 1.55 MB at
-    # cert_m 2,000, where a near block of two pairs evolves (2, 7, 2001, 1) projected unstable histories; 1.8 MB leaves
-    # 0.25 MB (about 16%) for temporaries that differ between numpy versions, and stays under the 1.66 MB and 52.0 MB
-    # that the two calls reached with blocks of 64 near and 128 far pairs, whose far pairs exponentiated every flow
-    # sample
+    # pairs, sit beside the certificate's own sample rows.  The call peaks at 0.99 MB at m = 48 and at 1.06 MB at
+    # cert_m 2,000, where a block holds eight pairs' (2, 8, 2001) log-flows; 1.8 MB leaves room for temporaries that
+    # differ between numpy versions, and a block that exponentiated every flow sample of 128 pairs would read 52 MB
     verify_bounds(diag2, (-10.0, 10.0), samples=20, seed=0)
     for m in (48, 2000):
         tracemalloc.start()
@@ -548,6 +545,26 @@ def test_certificate_memory_stays_per_block(diag2):
 # ---------------------------------------------------------------------------
 # one measure for every pair: the probe maxima from the log-flow peaks
 # ---------------------------------------------------------------------------
+
+
+def probe_segments(model, m, rng):
+    """Unit-norm probes (probes, m+1, n), segment_path's input: a constant and a spike per coordinate, smooth noise."""
+    n = model.n
+    probes = []
+    for i in range(n):
+        constant = np.zeros((m + 1, n))
+        constant[:, i] = 1.0
+        spike = np.zeros((m + 1, n))
+        spike[:, i] = -1.0
+        spike[-1, i] = 1.0
+        probes += [constant, spike]
+    grid = np.linspace(-model.r, 0.0, m + 1)
+    for _ in range(3):
+        freq = rng.uniform(0.5, 4.0, size=n)
+        phase = rng.uniform(0, 2 * np.pi, size=n)
+        vals = np.cos(np.outer(grid, freq) + phase)
+        probes.append(vals / np.max(np.abs(vals)))
+    return np.stack(probes)
 
 
 def segment_path(model, t, s, probes):
@@ -599,14 +616,14 @@ def test_near_far_split_at_the_delay_matches_segment_path(build, mu):
     # gaps at r, r +- 1e-13 sit inside the 1e-12 "ahead" tolerance, so those
     # pairs are far; r - 2e-12 and closer are near; every sample row equal
     model, m = build(mu, R), 48
-    probes = _probe_segments(model, m, np.random.default_rng(4))
+    probes = probe_segments(model, m, np.random.default_rng(4))
     offsets = np.array([0.0, 1e-13, -1e-13, 5e-13, -5e-13, -2e-12, -1e-11, -1e-3, 1e-3, -R, 2.0])
     s = np.repeat(np.array([-7.3, -0.2, 0.0, 3.1, 8.9]), offsets.size)
     t = s + np.tile(R + offsets, 5)
     ahead = all_ahead(model, t, s, m)
     assert ahead[np.tile(np.abs(offsets) <= 5e-13, 5)].all()
     assert not ahead[np.tile(offsets <= -2e-12, 5)].any()
-    assert np.array_equal(_measure_blocks(model, t, s, probes), segment_path(model, t, s, probes))
+    assert np.array_equal(_measure_blocks(model, t, s, m), segment_path(model, t, s, probes))
 
 
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
@@ -615,9 +632,9 @@ def test_far_only_pairs_match_segment_path(build, mu):
     rng = np.random.default_rng(21)
     s = rng.uniform(-9.0, 5.0, size=150)
     t = s + rng.uniform(R, 4.0, size=150)
-    probes = _probe_segments(model, m, rng)
+    probes = probe_segments(model, m, rng)
     assert all_ahead(model, t, s, m).all()
-    assert np.array_equal(_measure_blocks(model, t, s, probes), segment_path(model, t, s, probes))
+    assert np.array_equal(_measure_blocks(model, t, s, m), segment_path(model, t, s, probes))
 
 
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
@@ -630,7 +647,7 @@ def test_certificate_rows_match_segment_path(build, mu, window, samples):
     t, s = cert.check("stable").samples[:, :2].T
     near = ~all_ahead(model, t, s, m)
     assert near.all() if window[1] - window[0] < R else 0 < near.sum() < samples
-    want = segment_path(model, t, s, _probe_segments(model, m, np.random.default_rng(seed)))
+    want = segment_path(model, t, s, probe_segments(model, m, np.random.default_rng(seed)))
     assert np.array_equal(np.array([c.samples[:, 2] for c in cert.checks]), want)
 
 
@@ -640,56 +657,52 @@ def test_far_path_matches_segment_path(build, mu):
     # rho(t) = -t - 0.1 t sin t has a local maximum near t = 16.7, where its slope -1 - 0.1 (sin t + t cos t) turns
     model, m = build(mu, R), 48
     rng = np.random.default_rng(8)
-    probes = _probe_segments(model, m, rng)
+    probes = probe_segments(model, m, rng)
     t = np.concatenate([rng.uniform(-8.0, 10.0, 100), np.linspace(16.0, 17.5, 100)])
     s = t - np.concatenate([[R], rng.uniform(R, 3.0, 199)])
     assert all_ahead(model, t, s, m).all()
     if model.label == "wobble":
         top = np.argmax(model.log_flow(t[:, None] + np.linspace(-R, 0.0, m + 1))[0], axis=1)
         assert np.count_nonzero((0 < top) & (top < m)) >= 20
-    assert np.array_equal(_measure_pairs(model, t, s, probes), segment_path(model, t, s, probes))
+    assert np.array_equal(_measure_pairs(model, t, s, m), segment_path(model, t, s, probes))
 
 
-def near_floats(model, m):
-    """Floats per near pair in a certificate block's largest array: its log-flows or its evolved unstable histories."""
-    return (m + 1) * max(model.n, (2 * model.n + 3) * model.d_u)  # 2n + 3 probes (_probe_segments)
+def block_pairs(model, m, budget):
+    """The pairs _measure_blocks puts in one block at a budget of that many floats: (m+1) x n of them per pair."""
+    return max(1, budget // ((m + 1) * model.n))
 
 
 @pytest.mark.parametrize("m", [48, 2000])
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
 def test_certificate_blocks_hold_at_most_their_budget(build, mu, m, monkeypatch):
-    # a block's largest array is its log-flows (n, pairs, m+1) or, for near pairs, its projected probes' evolved
-    # unstable coordinates (pairs, probes, m+1, d_u); it holds at most _BLOCK_NUMBERS floats unless the block is one
-    # pair, and one pair more would pass the budget in every block but the last of its kind.  At cert_m 2,000 a near
-    # pair of the three-dimensional model alone holds 9 x 2001 x 2 floats
+    # a block's largest array is its log-flows (n, pairs, m+1); a near pair's evolved spike histories
+    # (near, 1, m+1, d_u) are no larger.  It holds at most _BLOCK_NUMBERS floats unless the block is one pair, and one
+    # pair more would pass the budget in every block but the last.  Blocks take the pairs in order, near and far alike
     model = build(mu, R)
     blocks, carry = [], dichotomy._carry
 
     def log_flow(ts):
         out = model.log_flow(ts)
-        blocks[-1][2].append(out.size)
+        blocks[-1][1].append(out.size)
         return out
 
     def carried(*args):
         out = carry(*args)
-        blocks[-1][2].append(out.size)
+        blocks[-1][1].append(out.size)
         return out
 
-    def measured(model, t, s, probes):
-        far = all_ahead(model, t, s, m)
-        assert far.all() or not far.any()
-        blocks.append((bool(far[0]), t.size, []))
-        return _measure_pairs(model, t, s, probes)
+    def measured(model, t, s, m):
+        blocks.append((t, []))
+        return _measure_pairs(model, t, s, m)
 
     monkeypatch.setattr(dichotomy, "_carry", carried)
     monkeypatch.setattr(dichotomy, "_measure_pairs", measured)
-    verify_bounds(dataclasses.replace(model, log_flow=log_flow), (-10.0, 10.0), samples=300, seed=m, m=m)
-    for far in (False, True):
-        kind = [(pairs, max(sizes)) for is_far, pairs, sizes in blocks if is_far == far]
-        per_pair = (m + 1) * model.n if far else near_floats(model, m)
-        assert kind and all(largest == pairs * per_pair for pairs, largest in kind)
-        assert all(largest <= _BLOCK_NUMBERS or pairs == 1 for pairs, largest in kind)
-        assert all((pairs + 1) * largest > _BLOCK_NUMBERS * pairs for pairs, largest in kind[:-1])
+    cert = verify_bounds(dataclasses.replace(model, log_flow=log_flow), (-10.0, 10.0), samples=300, seed=m, m=m)
+    assert np.array_equal(np.concatenate([t for t, _ in blocks]), cert.check("stable").samples[:, 0])
+    sizes = [(t.size, max(recorded)) for t, recorded in blocks]
+    assert all(largest == pairs * (m + 1) * model.n for pairs, largest in sizes)
+    assert all(largest <= _BLOCK_NUMBERS or pairs == 1 for pairs, largest in sizes)
+    assert all((pairs + 1) * largest > _BLOCK_NUMBERS * pairs for pairs, largest in sizes[:-1])
 
 
 def delay_pairs(model):
@@ -701,18 +714,17 @@ def delay_pairs(model):
 
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
 def test_block_sizes_do_not_change_the_certificate(build, mu, monkeypatch):
-    # near and far pairs go in blocks of their own, each block all near or all far by the measure's own rule, also at
-    # gaps within 1e-12 of the delay; the rows do not depend on the budget, and equal one call on all pairs at once
+    # the rows do not depend on the budget, and equal one call on all pairs at once, also at gaps within 1e-12 of
+    # the delay; near and far pairs share blocks, in pair order
     model, seed, m = build(mu, R), 5, 32
     want = verify_bounds(model, (-10.0, 10.0), samples=300, seed=seed, m=m)
     t, s = delay_pairs(model)
-    probes = _probe_segments(model, m, np.random.default_rng(seed))
-    whole = _measure_pairs(model, t, s, probes)
+    whole = _measure_pairs(model, t, s, m)
     blocks = []
 
-    def recorded(model, t, s, probes):
-        blocks.append(all_ahead(model, t, s, m))
-        return _measure_pairs(model, t, s, probes)
+    def recorded(model, t, s, m):
+        blocks.append(t)
+        return _measure_pairs(model, t, s, m)
 
     monkeypatch.setattr(dichotomy, "_measure_pairs", recorded)
     for budget in (1, 10**9):
@@ -722,15 +734,9 @@ def test_block_sizes_do_not_change_the_certificate(build, mu, monkeypatch):
             assert np.array_equal(c.samples, w.samples)
             assert (c.worst_ratio, c.argmax_pair, c.passed) == (w.worst_ratio, w.argmax_pair, w.passed)
         blocks.clear()
-        assert np.array_equal(_measure_blocks(model, t, s, probes), whole)
-        assert sum(map(len, blocks)) == t.size and all(b.all() or not b.any() for b in blocks)
-        assert all(len(b) == 1 for b in blocks) if budget == 1 else len(blocks) == 2
-        assert sum(b.all() for b in blocks) == (1 if budget > 1 else np.count_nonzero(all_ahead(model, t, s, m)))
-
-
-def block_pairs(model, m, budget):
-    """The pairs _measure_blocks puts in one near block and in one far block at a budget of that many floats."""
-    return max(1, budget // near_floats(model, m)), max(1, budget // ((m + 1) * model.n))
+        assert np.array_equal(_measure_blocks(model, t, s, m), whole)
+        assert np.array_equal(np.concatenate(blocks), t)
+        assert all(len(b) == 1 for b in blocks) if budget == 1 else len(blocks) == 1
 
 
 @pytest.mark.parametrize(
@@ -740,8 +746,8 @@ def block_pairs(model, m, budget):
 )
 def test_log_flows_are_taken_twice_per_certificate_block(model, monkeypatch):
     # one on t + omega, then one on s + omega for a model with an unstable coordinate, whose backward kernel
-    # reads it, or on s alone for a model without one; near and far blocks alike, at the shipped budget and at
-    # one that cuts both kinds of pair into several blocks
+    # reads it, or on s alone for a model without one; blocks with near pairs alike, at the shipped budget and at
+    # one that cuts the pairs into several blocks
     m, samples = 32, 500
     for budget in (_BLOCK_NUMBERS, 2**12):
         monkeypatch.setattr(dichotomy, "_BLOCK_NUMBERS", budget)
@@ -755,8 +761,7 @@ def test_log_flows_are_taken_twice_per_certificate_block(model, monkeypatch):
         cert = verify_bounds(traced, (-10.0, 10.0), samples=samples, seed=2, m=m)
         t, s = cert.check("stable").samples[:, :2].T
         far = np.count_nonzero(all_ahead(model, t, s, m))
-        near_block, far_block = block_pairs(model, m, budget)
-        blocks = -(-(samples - far) // near_block) + -(-far // far_block)
+        blocks = -(-samples // block_pairs(model, m, budget))
         assert 0 < samples - far < far and len(calls) == 2 * blocks
         assert {shape[1] for shape in calls[::2]} == {m + 1}
         assert {shape[1] for shape in calls[1::2]} == {m + 1 if model.d_u else 1}
@@ -765,17 +770,53 @@ def test_log_flows_are_taken_twice_per_certificate_block(model, monkeypatch):
 @pytest.mark.parametrize("build, mu", SPLIT_MODELS)
 @pytest.mark.parametrize("m", [48, 17])
 def test_probes_have_unit_norm_and_one_constant_per_coordinate(build, mu, m):
-    # the premises under which the probe maxima are the log-flow peaks: every probe's sup norm is exactly 1.0, so the
-    # maxima need no division, and each coordinate has a probe that is 1 on it and 0 elsewhere, which attains the peak
+    # the premises under which segment_path's probe maxima are the log-flow peaks and the spike's history: every
+    # probe's sup norm is exactly 1.0, so the maxima need no division, and each coordinate has a probe that is 1 on it
+    # and 0 elsewhere, which attains the peak, and one that is -1 on it before omega = 0, 1 at it and 0 elsewhere
     model = build(mu, R)
     for seed in (0, 3, 7, 11):
-        probes = _probe_segments(model, m, np.random.default_rng(seed))
+        probes = probe_segments(model, m, np.random.default_rng(seed))
         assert probes.shape == (2 * model.n + 3, m + 1, model.n)
         assert np.array_equal(np.max(np.abs(probes), axis=(1, 2)), np.ones(len(probes)))
         for i in range(model.n):
             unit = np.zeros((m + 1, model.n))
             unit[:, i] = 1.0
             assert sum(np.array_equal(p, unit) for p in probes) == 1
+            spike = -unit
+            spike[-1, i] = 1.0
+            assert sum(np.array_equal(p, spike) for p in probes) == 1
+
+
+def unit_family(model, m, rng, size):
+    """size random probes (size, m+1, n) with values in [-1, 1] and every endpoint +-1, so each has sup norm 1.0."""
+    probes = rng.uniform(-1.0, 1.0, size=(size, m + 1, model.n))
+    probes[:, -1] = rng.choice([-1.0, 1.0], size=(size, model.n))
+    return probes
+
+
+@pytest.mark.parametrize("build, mu", SPLIT_MODELS)
+def test_no_unit_norm_family_measures_more_than_the_certificate(build, mu):
+    # the certificate's measures are maxima over every unit-norm probe: random families reach at most them, on each
+    # family and pair, near, far and at the delay, and a family that holds each coordinate's constant and spike
+    # reaches them exactly
+    model, m = build(mu, R), 32
+    rng = np.random.default_rng(29)
+    near_t = rng.uniform(-9.0, 9.0, size=150)
+    far_t = rng.uniform(-9.0, 9.0, size=150)
+    t_delay, s_delay = delay_pairs(model)
+    s = np.concatenate([near_t - rng.uniform(0.0, R, size=150), far_t - rng.uniform(R, 3.0, size=150), s_delay])
+    t = np.concatenate([near_t, far_t, t_delay])
+    measured = _measure_blocks(model, t, s, m)
+    reached = np.zeros_like(measured)
+    for _ in range(4):
+        family = unit_family(model, m, rng, 6)
+        got = segment_path(model, t, s, family)
+        assert np.all(got <= measured)
+        reached = np.maximum(reached, got)
+        constants = probe_segments(model, m, rng)[: 2 * model.n]
+        assert np.array_equal(segment_path(model, t, s, np.concatenate([family, constants])), measured)
+    # the random families alone fall short of the spike's history on unstable coordinates at some near pair
+    assert not model.d_u or np.any(reached[0] < measured[0])
 
 
 @pytest.mark.parametrize(
