@@ -18,7 +18,7 @@ import math
 import sys as _sys
 import time
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -265,11 +265,9 @@ def _check_ranges(sections: dict, n: int) -> None:
         _numbers(checks["residual_samples"], steps, n),
     )
     # a certificate time pair's largest array holds (cert_m + 1) x n floats (dichotomy._BLOCK_NUMBERS); the check keeps
-    # 2n + 3 times that within a 64th of the budget, which accepts cert_m up to 18,723 at n = 2
+    # it within a 64th of the budget, which accepts cert_m up to 131,071 at n = 2
     _check_size(
-        "certificate near pair (probes x (cert_m + 1) x coordinates)",
-        _numbers(2 * n + 3, checks["cert_m"] + 1, n),
-        _SIZE_BUDGET // 64,
+        "certificate time pair ((cert_m + 1) x coordinates)", _numbers(checks["cert_m"] + 1, n), _SIZE_BUDGET // 64
     )
     _check_size(
         "certificate sample rows (5 families x cert_samples x 5 columns)",
@@ -427,9 +425,7 @@ def run_admissibility(res: ResolvedScenario) -> dict:
     return {
         "status": "pass" if report.passed else "fail",
         "report": report.to_dict(),
-        "params": {k: getattr(res.params, k) for k in (
-            "alpha", "beta", "theta", "nu", "eps", "a", "gamma", "xi", "delta", "lam", "q", "K", "K_tilde", "N", "D",
-        )},
+        "params": asdict(res.params),
     }
 
 
@@ -715,9 +711,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mu-lab", description="dichotomy and conjugacy laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="scenario JSON file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--tol", action="append", help="override a tolerance, name=value", default=None)

@@ -45,14 +45,15 @@ norms and the returned field's norms from those, and invertibility_check
 takes its per-row statistics on the same workers, so no pass over the
 whole field runs on one thread.
 
-Off the stored grid the field is evaluated by bilinear interpolation,
-clamped to the boundary value outside; clamped lookups are counted and
-reported as clamp_rate.  That rate counts lookups, not error: on flagship,
-cutting b_max to 1.5 grew the residual at |b| <= 1.4 4.6-fold while
-clamp_rate moved only from 0.156 to 0.159.  Clamping is measured by its
-effect instead: on the coarse grid under the exp rate, doubling b_max from
-4 to 8 leaves the largest residual at |b| <= 1.4 the same to 7 digits (a
-test bounds the change by 1%), while b_max 1.5 doubles it.
+Off the stored grid the field is evaluated by bilinear interpolation, one
+_blend of two neighbouring nodes per axis, clamped to the boundary value
+outside; clamped lookups are counted and reported as clamp_rate.  That
+rate counts lookups, not error: on flagship, cutting b_max to 1.5 grew the
+residual at |b| <= 1.4 4.6-fold while clamp_rate moved only from 0.156 to
+0.159.  Clamping is measured by its effect instead: on the coarse grid
+under the exp rate, doubling b_max from 4 to 8 leaves the largest residual
+at |b| <= 1.4 the same to 7 digits (a test bounds the change by 1%), while
+b_max 1.5 doubles it.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ _GL_NODES = 16  # Gauss-Legendre nodes per geometric panel, one panel per octave
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    tail_tol: float = 1e-4
-    max_span: float = 60.0
+    tail_tol: float
+    max_span: float
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class GridSpec:
     t_step: float
     b_max: float
     b_step: float
-    m: int = 64
+    m: int
 
     def t_grid(self) -> np.ndarray:
         k = int(round((self.t_max - self.t_min) / self.t_step))
@@ -118,9 +119,17 @@ def _cells(x: np.ndarray, size: int):
 
 
 def _coords(q, grid: np.ndarray):
-    """Coordinates of queries q on a uniform grid, and where they leave it."""
-    x = (np.asarray(q, dtype=float) - grid[0]) / (grid[1] - grid[0])
+    """Coordinates of queries q on a uniform grid, and where they leave it; 1-d or more, so a lookup's gathers copy."""
+    x = (np.atleast_1d(np.asarray(q, dtype=float)) - grid[0]) / (grid[1] - grid[0])
     return x, (x < 0) | (x > len(grid) - 1)
+
+
+def _blend(lower: np.ndarray, upper: np.ndarray, w) -> np.ndarray:
+    """(1 - w) lower + w upper, the blend of two neighbouring nodes, written into lower; upper is scaled in place."""
+    lower *= 1 - w
+    upper *= w
+    lower += upper
+    return lower
 
 
 @dataclass
@@ -156,23 +165,19 @@ class EtaField:
         return EtaField(self.t_grid, self.b_grid, data, self.r, self.mu, self.xi, self.eps)
 
     def interp_tables(self, tables: np.ndarray, tq, bq):
-        """Bilinear lookup of stacked tables (nt, nb, L) at broadcast queries, clamped to the grid."""
+        """Bilinear lookup of stacked tables (nt, nb, L) at broadcast queries, clamped to the grid: _blend on b, then t."""
         it, wt = _cells(_coords(tq, self.t_grid)[0], len(self.t_grid))
         ib, wb = _cells(_coords(bq, self.b_grid)[0], len(self.b_grid))
-        wt = wt[..., None]
         wb = wb[..., None]
-        v00 = tables[it, ib]
-        v10 = tables[it + 1, ib]
-        v01 = tables[it, ib + 1]
-        v11 = tables[it + 1, ib + 1]
-        out = (1 - wt) * ((1 - wb) * v00 + wb * v01) + wt * ((1 - wb) * v10 + wb * v11)
-        return out
+        lower = _blend(tables[it, ib], tables[it, ib + 1], wb)
+        upper = _blend(tables[it + 1, ib], tables[it + 1, ib + 1], wb)
+        return _blend(lower, upper, wt[..., None])
 
-    def segment_at(self, t: float, b: float, derivative: bool = False) -> Segment:
-        plane = self.data[int(derivative)]
-        stacked = plane.reshape(plane.shape[0], plane.shape[1], -1)
-        out = self.interp_tables(stacked, np.array([t]), np.array([b]))
-        return Segment(self.r, out[0].reshape(self.n, self.m + 1).T)
+    def segments(self, t, b, plane: int = 0) -> np.ndarray:
+        """The segments of plane (0 values, 1 b-derivatives) at the queries (t[i], b[i]), shape (S, m+1, n)."""
+        stacked = self.data[plane].reshape(*self.data.shape[1:3], -1)
+        flat = self.interp_tables(stacked, t, b)
+        return flat.reshape(-1, self.n, self.m + 1).transpose(0, 2, 1)
 
     def time_weights(self) -> np.ndarray:
         return np.asarray(mu_weight(self.mu, self.t_grid, self.xi + self.eps), dtype=float)
@@ -520,23 +525,21 @@ def _blended_reads(tables: np.ndarray, b_grid: np.ndarray, it: np.ndarray, wts: 
 
     The block's s nodes come in runs that share a t cell, and each run is
     blended along t by one (s, 2) @ (2, nb) matmul per table with the
-    weights wts (s, 2); two takes along b then blend at the b coordinates
-    B (s, c).  The temporaries are freed on return.
+    weights wts (s, 2); two takes along b then _blend at the b coordinates
+    B (s, c), the b step of EtaField.interp_tables.  The temporaries are
+    freed on return.
     """
     s, nbg = it.size, b_grid.size
     along_t = np.empty((tables.shape[0], s, nbg))
     edges = [0, *(np.flatnonzero(it[1:] != it[:-1]) + 1).tolist(), s]
+    # a matmul, not _blend on the two gathered t rows: each node reads its t rows for every b query, and gathering
+    # and blending them took a flagship sweep from 0.45 s to 0.53-0.63 s (2-CPU Xeon, medians of 7, 3 rounds)
     for lo, hi in zip(edges[:-1], edges[1:]):
         np.matmul(wts[lo:hi], tables[:, it[lo] : it[lo] + 2], out=along_t[:, lo:hi])
     ib, wb = _cells((B - b_grid[0]) / (b_grid[1] - b_grid[0]), nbg)
     at = ib + (np.arange(s) * nbg)[:, None]
     flat = along_t.reshape(tables.shape[0], s * nbg)
-    reads = np.take(flat, at, axis=1)
-    upper = np.take(flat, at + 1, axis=1)
-    reads *= 1 - wb
-    upper *= wb
-    reads += upper
-    return reads
+    return _blend(np.take(flat, at, axis=1), np.take(flat, at + 1, axis=1), wb)
 
 
 def _in_workers(task, items: list, workers: int) -> None:
@@ -761,7 +764,7 @@ def picard_solve(
     grid: GridSpec,
     trunc: TruncationPolicy,
     *,
-    solver_tol: float = 2e-5,
+    solver_tol: float,
     max_sweeps: int = 25,
 ) -> ConjugacyResult:
     """Iterate the operator and its derivative jointly from the zero field.
@@ -857,11 +860,11 @@ def conjugacy_residual(eta: EtaField, model: DichotomyModel, pert, t: float, s: 
 
     lin_t = np.zeros((m + 1, model.n))
     lin_t[:, u_idx] = b_t * unstable_shape(model, t, m)[0]
-    lhs = Segment(model.r, lin_t) + eta.segment_at(t, b_t)
+    lhs = Segment(model.r, lin_t + eta.segments([t], [b_t])[0])
 
     lin_s = np.zeros((m + 1, model.n))
     lin_s[:, u_idx] = b * unstable_shape(model, s, m)[0]
-    start = Segment(model.r, lin_s) + eta.segment_at(s, b)
+    start = Segment(model.r, lin_s + eta.segments([s], [b])[0])
     rhs = solve_perturbed_R(model, pert, t, s, start, step=model.r / m)
 
     raw = sup_norm(lhs - rhs)
@@ -871,11 +874,8 @@ def conjugacy_residual(eta: EtaField, model: DichotomyModel, pert, t: float, s: 
 
 def _corrected_segments(eta: EtaField, model: DichotomyModel, t: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Segments b u(t) + eta(t, b) of the corrected linear flow, shape (S, m+1, n)."""
-    m = eta.m
-    stacked = eta.data[0].reshape(eta.data.shape[1], eta.data.shape[2], -1)
-    flat = eta.interp_tables(stacked, t, b)
-    segs = flat.reshape(len(t), eta.n, m + 1).transpose(0, 2, 1).copy()
-    segs[:, :, model.unstable_indices[0]] += b[:, None] * unstable_shape(model, t, m)[0]
+    segs = eta.segments(t, b)
+    segs[:, :, model.unstable_indices[0]] += b[:, None] * unstable_shape(model, t, eta.m)[0]
     return segs
 
 

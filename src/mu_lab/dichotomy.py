@@ -112,31 +112,28 @@ def _flows(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray):
     return np.exp(rho_g - rho_t), ahead
 
 
-def _p0_masked(model: DichotomyModel, flow: np.ndarray, ahead: np.ndarray) -> np.ndarray:
-    """p0_kernel from _flows: the stable flow ahead of tau, the negated unstable flow before it."""
+def p0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Per-coordinate kernels (n, n_tau, n_omega) of v -> T0(t,tau) P0(tau) v; t as in _log_flows.
+
+    The stable flow ahead of tau, the negated unstable flow before it.
+    """
+    flow, ahead = _flows(model, t, taus, omega)
     out = np.where(ahead, flow, 0.0)
     u = model.unstable_indices
     out[u] = np.where(ahead, 0.0, -flow[u])
     return out
 
 
-def p0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Per-coordinate kernels (n, n_tau, n_omega) of v -> T0(t,tau) P0(tau) v; t as in _log_flows."""
-    return _p0_masked(model, *_flows(model, t, taus, omega))
+def q0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Per-coordinate kernels (n, n_tau, n_omega) of v -> T_bar(t,tau) Q0(tau) v; t as in _log_flows.
 
-
-def _q0(model: DichotomyModel, rho_g: np.ndarray, rho_t: np.ndarray) -> np.ndarray:
-    """q0_kernel from _log_flows' log-primitives: the unstable flow exp(rho_g - rho_t), zero on stable coordinates."""
+    The unstable flow, zero on stable coordinates, whose flows are never exponentiated: they may overflow.
+    """
+    rho_g, rho_t, _ = _log_flows(model, t, taus, omega)
     out = np.zeros(np.broadcast_shapes(rho_g.shape, rho_t.shape))
     u = model.unstable_indices
     out[u] = np.exp(rho_g[u] - rho_t[u])
     return out
-
-
-def q0_kernel(model: DichotomyModel, t, taus: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Per-coordinate kernels (n, n_tau, n_omega) of v -> T_bar(t,tau) Q0(tau) v; t as in _log_flows."""
-    rho_g, rho_t, _ = _log_flows(model, t, taus, omega)
-    return _q0(model, rho_g, rho_t)
 
 
 def seg_T_closed(model: DichotomyModel, t: np.ndarray, s: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -428,7 +425,7 @@ def _measure_pairs(model: DichotomyModel, t, s, m: int) -> np.ndarray:
     lead, lag = (np.exp(np.max(rho_ts, axis=2, where=where, initial=-np.inf)) for where in (ahead, ~ahead))
     history = ~ahead[:, 0]  # t + omega is least at omega = -r
     growth = np.maximum(np.max(lead, axis=0), history)
-    jump = np.maximum(np.max(lead[stab], axis=0, initial=0.0), np.max(lag[u], axis=0, initial=0.0))  # _p0_masked's
+    jump = np.maximum(np.max(lead[stab], axis=0, initial=0.0), np.max(lag[u], axis=0, initial=0.0))  # p0_kernel's
     stable = np.max(np.maximum(lead[stab], history), axis=0, initial=0.0)
     if u and history.any():
         near = np.flatnonzero(history)

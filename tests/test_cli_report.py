@@ -183,7 +183,7 @@ _OUT_OF_RANGE = {
     "residual_lattice_over_budget": ("checks", "residual_samples", 1_000_000),
     # 2e7 time pairs, the fuzzer's run of over 20 s: 5e8 numbers of certificate sample rows
     "cert_samples_over_series_budget": ("checks", "cert_samples", 20_000_000),
-    # 7 x (10^6 + 1) samples x 2 coordinates, over the certificate's 64th of the size budget
+    # (10^6 + 1) samples x 2 coordinates in a time pair's array, over the certificate's 64th of the size budget
     "cert_m_over_block_budget": ("checks", "cert_m", 1_000_000),
     "cert_m_past_float_range": ("checks", "cert_m", 10**400),
 }
@@ -247,8 +247,8 @@ def test_certificate_budgets_reject_at_parse_time_without_allocating(tmp_path, c
         finally:
             tracemalloc.stop()
         assert peak < 2**16
-    # the edges: 5 x 83,886 x 5 sample numbers fit 2^21, and 64 x 7 x (18,723 + 1) x 2 block numbers fit 2^24
-    pairs, samples = cli_report._SERIES_BUDGET // 25, cli_report._SIZE_BUDGET // (64 * 7 * 2)
+    # the edges: 5 x 83,886 x 5 sample numbers fit 2^21, and 64 x (131,071 + 1) x 2 time-pair numbers fit 2^24
+    pairs, samples = cli_report._SERIES_BUDGET // 25, cli_report._SIZE_BUDGET // (64 * 2)
     for key, fits in (("cert_samples", pairs), ("cert_m", samples - 1)):
         parse_scenario(_with("checks", key, fits))
         with pytest.raises(ConfigError, match="the scenario's certificate"):
@@ -261,6 +261,21 @@ def test_certificate_budgets_reject_at_parse_time_without_allocating(tmp_path, c
     path.write_text(json.dumps(wobble))
     assert main(["verify-dichotomy", "--config", str(path), "--samples", "20000000"]) == EXIT_CONFIG
     assert "certificate sample rows" in capsys.readouterr().err
+
+
+def test_a_certificate_at_the_cert_m_edge_runs_in_a_few_time_pair_arrays():
+    # the largest cert_m the parse admits: one time pair's (cert_m + 1) x n array is 2 MB, and the certificate's
+    # traced peak stays within 8 of them (7.8 MB measured)
+    cert_m = cli_report._SIZE_BUDGET // (64 * 2) - 1
+    res = resolve(parse_scenario(_with("checks", "cert_m", cert_m)))
+    tracemalloc.start()
+    try:
+        out = cli_report.run_dichotomy(res, samples=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["status"] == "pass" and len(out["certificate"]["series"]["stable"]) == 1
+    assert peak < 8 * (cert_m + 1) * res.model.n * 8
 
 
 # the grid geometry near its edges: one, two or three nodes on an axis, odd or tiny m (reads off the segment

@@ -17,6 +17,7 @@ from mu_lab.conjugacy import (
     TruncationPolicy,
     _BLOCK_READS,
     _NEAR_NODES,
+    _blended_reads,
     _cells,
     _coords,
     _full_sweep,
@@ -129,11 +130,11 @@ def point_oracle(model, pert, eta, t, b, trunc, D):
             shape = unstable_shape(model, tau, m)[0]
             lin_vals = np.zeros((m + 1, n))
             lin_vals[:, u_idx] = b_tau * shape
-            A = Segment(model.r, lin_vals) + eta.segment_at(tau, b_tau)
+            A = Segment(model.r, lin_vals + eta.segments([tau], [b_tau])[0])
             v = np.asarray(pert.g(tau, A), dtype=float)
             dvals = np.zeros((m + 1, n))
             dvals[:, u_idx] = shape
-            chi = (Segment(model.r, dvals) + eta.segment_at(tau, b_tau, derivative=True)) * fac
+            chi = Segment(model.r, dvals + eta.segments([tau], [b_tau], plane=1)[0]) * fac
             dv = np.asarray(pert.d2g(tau, A)(chi), dtype=float)
             for i in range(n):
                 out[:, i] += sign * wk * v[i] * kern[i, idx]
@@ -1367,7 +1368,7 @@ def test_residual_semigroup_coherence(flagship_result):
     r_st = conjugacy_residual(eta, model, pert, t, s, b).raw
     r_stau = conjugacy_residual(eta, model, pert, tau, s, b).raw
     r_taut = conjugacy_residual(eta, model, pert, t, tau, float(b_tau)).raw
-    seg = eta.segment_at(tau, float(b_tau))
+    seg = Segment(eta.r, eta.segments([tau], [b_tau])[0])
     gain = propagation_gain(model, pert, tau, t, seg)
     assert r_st <= gain * r_stau + r_taut + 1e-9
 
@@ -1561,7 +1562,7 @@ def test_log_rate_needs_wide_span_and_solves():
     mu, model, params, pert = build_flagship("log")
     grid = GridSpec(t_min=-2.0, t_max=2.0, t_step=0.5, b_max=3.0, b_step=0.25, m=32)
     with pytest.raises(TruncationUnreachable):
-        picard_solve(model, pert, params, grid, TruncationPolicy(tail_tol=1e-5, max_span=60.0))
+        picard_solve(model, pert, params, grid, TruncationPolicy(tail_tol=1e-5, max_span=60.0), solver_tol=SOLVER_TOL)
     res = picard_solve(
         model, pert, params, grid, TruncationPolicy(tail_tol=1e-5, max_span=1e12), solver_tol=SOLVER_TOL
     )
@@ -1575,8 +1576,30 @@ def test_log_rate_needs_wide_span_and_solves():
 def test_eta_field_interpolation_exact_at_nodes(flagship_result):
     eta = flagship_result["result"].eta
     ti, bj = 5, 40
-    seg = eta.segment_at(float(eta.t_grid[ti]), float(eta.b_grid[bj]))
-    assert np.allclose(seg.values.T, eta.data[0, ti, bj], atol=1e-14)
+    seg = eta.segments(eta.t_grid[[ti]], eta.b_grid[[bj]])[0]
+    assert np.allclose(seg.T, eta.data[0, ti, bj], atol=1e-14)
+
+
+@pytest.mark.parametrize("grid", ["coarse", "flagship"])
+def test_sweep_reads_and_table_lookup_are_one_rule(flagship, flagship_result, grid):
+    # one node block of a solved field read by the sweep (_blended_reads: t by matmul, then _blend along b) and by
+    # EtaField.interp_tables (_blend along b, then t) at the same (tau, B): they differ only in rounding, 2.9e-16
+    # (coarse) and 7.8e-18 (flagship) of the tables' maximum; a nearest-node pick along b in the sweep moves it to
+    # 5.4e-2 and 2.7e-4
+    model, pert = flagship["model"], flagship["pert"]
+    eta = flagship_result["result"].eta if grid == "flagship" else _coarse_solve(flagship, pert).eta
+    trunc = DEFAULT_TRUNC if grid == "flagship" else COARSE_TRUNC
+    plan = plan_operator(model, pert, eta, eta.t_grid, eta.b_grid, trunc, flagship["params"].D)
+    row = plan.rows[len(plan.rows) // 2]
+    lo, hi = _node_blocks(row.taus.size, plan.b.size)[:2]
+    k = len(plan.cs)
+    tables = eta.data.transpose(0, 3, 4, 1, 2)[:, plan.cs, plan.js].reshape(2 * k, *eta.data.shape[1:3])
+    B = row.factor[lo:hi, None] * plan.b
+    wts = np.stack([1.0 - row.wt[lo:hi], row.wt[lo:hi]], axis=1)
+    swept = _blended_reads(tables, eta.b_grid, row.it[lo:hi], wts, B)
+    looked_up = eta.interp_tables(np.moveaxis(tables, 0, -1), row.taus[lo:hi, None], B)
+    assert swept.shape == (2 * k, hi - lo, plan.b.size) and hi - lo > 1
+    assert np.max(np.abs(swept - np.moveaxis(looked_up, -1, 0))) <= 1e-15 * np.max(np.abs(tables))
 
 
 def test_shipped_perturbation_envelopes(flagship):
